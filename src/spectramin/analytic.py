@@ -121,7 +121,7 @@ def rho_analytic(m: int, p: int, q: int, tol: float = 1e-10) -> AnalyticSolution
     and extracts the positive kernel direction (a, b).  Independent of the
     eigensolver route; residuals of the hub equations certify the solve.
     """
-    spec = spec_B(m, p, q)
+    spec_B(m, p, q)  # validates the family parameters
     hi = 1.0 + 3.0  # spectral radius is below 1 + max degree
     lo_limit = 2.0 + 1e-9
     step = (hi - lo_limit) / _SCAN_POINTS
@@ -185,7 +185,6 @@ def rho_analytic(m: int, p: int, q: int, tol: float = 1e-10) -> AnalyticSolution
             f"hub equation residuals {res_a:.3g}/{res_b:.3g} above {tol} "
             f"for B({m},{p},{q})"
         )
-    _ = spec
     return sol
 
 

@@ -93,7 +93,7 @@ def cmd_rho(args) -> int:
 
 def cmd_verify(args) -> int:
     reports = []
-    ns = [int(x) for x in args.n.split(",")] if args.n else None
+    ns = [_parse_int(x, "--n") for x in args.n.split(",")] if args.n else None
     if args.claim == "theorem-1.1":
         ns = ns or [7, 8, 9]
         reports = verify_minimum_radius_case_table(
@@ -104,6 +104,10 @@ def cmd_verify(args) -> int:
         reports = verify_small_order_minimizers()
     elif args.claim == "lemmas":
         lo, hi = _parse_grid(args.grid or "3..9")
+        if lo != 3:
+            raise InvalidParameterError(
+                f"lemma grids start at the family minimum 3: use --grid 3..{hi}"
+            )
         reports = verify_family_grids(hi)
         reports += verify_descent_endpoint_readings()
     elif args.claim == "max-extremal":
@@ -123,9 +127,20 @@ def cmd_verify(args) -> int:
     return overall_exit_code(reports)
 
 
+def _parse_int(token: str, flag: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise InvalidParameterError(f"{flag}: not an integer: {token!r}") from None
+
+
 def _parse_grid(token: str) -> tuple[int, int]:
     lo, _, hi = token.partition("..")
-    return int(lo), int(hi or lo)
+    lo_i = _parse_int(lo, "--grid")
+    hi_i = _parse_int(hi, "--grid") if hi else lo_i
+    if lo_i > hi_i:
+        raise InvalidParameterError(f"--grid: empty range {token!r}")
+    return lo_i, hi_i
 
 
 def cmd_sweep(args) -> int:
@@ -194,11 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("claim", choices=["theorem-1.1", "small-n-remark", "lemmas",
                                      "max-extremal", "edge-minimal-pair"])
     p.add_argument("--n", help="comma-separated orders, e.g. 7,8,9")
-    p.add_argument("--grid", help="parameter range lo..hi for the lemma grids")
+    p.add_argument("--grid", help="parameter range 3..hi for the lemma grids")
     p.add_argument("--extended", action="store_true",
                    help="allow the long n=10 full-space run")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", help="write reports to this path")
     p.add_argument("--format", choices=["csv", "text"], default="text")
     p.set_defaults(func=cmd_verify)

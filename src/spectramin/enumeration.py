@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .graphs import (
+    BicyclicSpec,
     Graph,
     InvalidParameterError,
     _canon,
@@ -321,16 +322,20 @@ def _core_specs_bicyclic(n: int):
     return specs
 
 
-def bicyclic_graphs(n: int) -> Iterator[Graph]:
+def bicyclic_graphs(
+    n: int, cores: Sequence[BicyclicSpec] | None = None
+) -> Iterator[Graph]:
     """Connected graphs with exactly ``n + 1`` edges, up to isomorphism.
 
     Every such graph is a theta, figure-eight, or dumbbell core with rooted
     forests attached; cores are enumerated by normalized parameters and the
-    forest placements modulo core automorphisms.
+    forest placements modulo core automorphisms.  ``cores``, a subset of
+    ``_core_specs_bicyclic(n)``, restricts the stream to the graphs grown
+    from those cores: one parallel unit of a search.
     """
     if n < 4:
         return
-    for spec in _core_specs_bicyclic(n):
+    for spec in _core_specs_bicyclic(n) if cores is None else cores:
         core, _ = build_bicyclic(spec)
         extra = n - core.n
         for assignment in _forest_assignments(core, extra):

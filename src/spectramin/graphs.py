@@ -201,83 +201,26 @@ def _delete_vertex_rows(rows: Sequence[int], v: int) -> list[int]:
 def is_connected(g: Graph) -> bool:
     """True iff the graph has a single component (one vertex counts)."""
     full = (1 << g.n) - 1
-    seen = 1
-    frontier = 1
-    rows = g.rows
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            b = m & -m
-            nxt |= rows[b.bit_length() - 1]
-            m ^= b
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == full
+    return _mask_components(g.rows, full) == [full]
 
 
 def connected_components(g: Graph) -> list[int]:
     """Component bitmasks, ordered by smallest member."""
-    rows = g.rows
-    left = (1 << g.n) - 1
-    comps = []
-    while left:
-        start = left & -left
-        seen = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                b = m & -m
-                nxt |= rows[b.bit_length() - 1]
-                m ^= b
-            frontier = nxt & ~seen
-            seen |= frontier
-        comps.append(seen)
-        left &= ~seen
-    return comps
+    return _mask_components(g.rows, (1 << g.n) - 1)
 
 
 def cut_edges(g: Graph) -> list[tuple[int, int]]:
-    """All bridges of a connected graph, sorted. Iterative low-link DFS."""
+    """All bridges of a connected graph, sorted: the one-edge blocks."""
     if not is_connected(g):
         raise InvalidInputError("cut_edges requires a connected graph")
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    parent_edge = [-1] * n
-    bridges = []
-    timer = 0
-    stack = [(0, -1, iter(g.neighbors(0)))]
-    disc[0] = low[0] = timer
-    timer += 1
-    while stack:
-        v, pv, it = stack[-1]
-        advanced = False
-        for u in it:
-            if disc[u] == -1:
-                disc[u] = low[u] = timer
-                timer += 1
-                parent_edge[u] = v
-                stack.append((u, v, iter(g.neighbors(u))))
-                advanced = True
-                break
-            elif u != pv:
-                if disc[u] < low[v]:
-                    low[v] = disc[u]
-        if not advanced:
-            stack.pop()
-            if pv != -1:
-                if low[v] < low[pv]:
-                    low[pv] = low[v]
-                if low[v] > disc[pv]:
-                    bridges.append((min(pv, v), max(pv, v)))
-    return sorted(bridges)
+    return sorted(
+        (min(block[0]), max(block[0])) for block in _biconnected_blocks(g) if len(block) == 1
+    )
 
 
 def _biconnected_blocks(g: Graph) -> list[list[tuple[int, int]]]:
-    """Edge lists of the biconnected blocks (per component)."""
+    """Edge lists of the biconnected blocks (per component), by iterative
+    low-link DFS."""
     n = g.n
     disc = [-1] * n
     low = [0] * n

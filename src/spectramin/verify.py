@@ -12,14 +12,20 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from .enumeration import (
+    _ROOT_ROWS,
+    BRANCH_LEVEL,
+    EDGE_MODE_CAP,
     EXTENDED_CAP,
     FULL_SPACE_CAP,
+    _core_specs_bicyclic,
+    _root_form,
     bicyclic_graphs,
     branch_states,
     enumerate_connected,
@@ -29,6 +35,7 @@ from .formats import from_graph6, to_graph6
 from .graphs import (
     BicyclicSpec,
     Graph,
+    InvalidInputError,
     InvalidParameterError,
     build_bicyclic,
     build_complete,
@@ -220,8 +227,78 @@ def _resolve_argmin(cands: list[tuple[float, str]]) -> tuple[list[Graph], bool]:
 
 
 def _minimizer_branch(args) -> tuple[int, int, float, list[tuple[float, str]]]:
+    """Full-space work unit: scan the connected descendants of one state."""
     n, alpha, state = args
     return _scan_stream(enumerate_connected_from_branch(n, state), alpha)
+
+
+def _bicyclic_branch(args) -> tuple[int, int, float, list[tuple[float, str]]]:
+    """Bicyclic work unit: scan the graphs grown from some cores (None: all)."""
+    n, alpha, cores = args
+    return _scan_stream(bicyclic_graphs(n, cores), alpha)
+
+
+def _load_checkpoint(path: str | None, key: dict):
+    """(last finished unit, merged scan) saved under ``key``, or None."""
+    if not path or not os.path.exists(path):
+        return None
+    try:
+        with open(path) as fh:
+            saved = json.load(fh)
+        if any(saved.get(k) != v for k, v in key.items()):
+            return None
+        cands = [(float(r), str(g6)) for r, g6 in saved["cands"]]
+        merged = (int(saved.get("seen", 0)), int(saved["count"]), float(saved["best"]), cands)
+        return int(saved["done"]), merged
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise InvalidInputError(f"unreadable checkpoint {path}: {exc}") from exc
+
+
+def _save_checkpoint(path: str, state: dict) -> None:
+    """Replace the checkpoint atomically: a kill leaves the old or the new file."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as fh:
+        json.dump(state, fh)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
+def _search(
+    unit,
+    n: int,
+    alpha: int | None,
+    parts: list,
+    expected: str,
+    workers: int,
+    checkpoint: str | None,
+) -> MinimizerResult:
+    """The one search driver: scan every part, merge, certify the argmin.
+
+    ``unit((n, alpha, part))`` scans one part.  Parts run through a process
+    pool when ``workers > 1`` and in this process otherwise; either way the
+    results are merged in part order as they arrive, and after each one the
+    finished prefix is saved to ``checkpoint`` (keyed by n, alpha and the
+    number of parts), from which a later run with any worker count resumes.
+    """
+    key = {"n": n, "alpha": alpha, "units": len(parts)}
+    saved = _load_checkpoint(checkpoint, key)
+    done, (seen, count, best, cands) = saved or (-1, (0, 0, float("inf"), []))
+    todo = [(n, alpha, part) for part in parts[done + 1:]]
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        results = pool.map(unit, todo) if pool else map(unit, todo)
+        for i, (s, c, b, cd) in enumerate(results, start=done + 1):
+            seen += s
+            count += c
+            best = min(best, b)
+            cands = [(r, k) for r, k in cands + cd if r <= best + SAFETY_BAND]
+            if checkpoint:
+                _save_checkpoint(checkpoint, {**key, "done": i, "seen": seen, "count": count,
+                                              "best": best, "cands": cands})
+    argmin, unresolved = _resolve_argmin(cands)
+    min_rho = min((r for r, _ in cands), default=float("nan"))
+    return MinimizerResult(n, -1 if alpha is None else alpha, min_rho, argmin, expected,
+                           count, seen, unresolved)
 
 
 def minimizer(
@@ -234,68 +311,27 @@ def minimizer(
     """Certified minimum-radius graphs among connected graphs with the given
     independence number, by exhaustive enumeration.
 
-    For n >= 6 the generation tree is split over its level-5 branches,
-    which is both the parallel unit (``workers``) and the checkpoint unit
-    for the extended n = 10 run (``checkpoint`` file stores the last
-    completed branch).
+    For n >= 5 the generation tree is split over its level-5 branches (a
+    single root unit below that).  A branch is the unit of parallel work
+    (``workers``) and of checkpointing: the ``checkpoint`` file is replaced
+    atomically after every finished branch, and a run with any worker count
+    resumes from it.
     """
     cap = EXTENDED_CAP if extended else FULL_SPACE_CAP
     if not 1 <= n <= cap:
         raise InvalidParameterError(f"minimizer supports n <= {cap}, got {n}")
     expected = theorem_prediction(n) if n >= 3 else "K:1"
-    if n <= 5:
-        seen, count, best, cands = _scan_stream(enumerate_connected(n), alpha)
-    else:
-        states = branch_states()
-        done = -1
-        seen = 0
-        count = 0
-        best = float("inf")
-        cands: list[tuple[float, str]] = []
-        if checkpoint and os.path.exists(checkpoint):
-            with open(checkpoint) as fh:
-                saved = json.load(fh)
-            if saved.get("n") == n and saved.get("alpha") == alpha:
-                done = saved["done"]
-                seen = saved.get("seen", 0)
-                count = saved["count"]
-                best = saved["best"]
-                cands = [tuple(c) for c in saved["cands"]]
-        todo = [(i, st) for i, st in enumerate(states) if i > done]
-        results: Iterator[tuple[int, tuple[int, int, float, list]]]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = zip(
-                    [i for i, _ in todo],
-                    pool.map(_minimizer_branch, [(n, alpha, st) for _, st in todo]),
-                )
-                results = list(results)
-        else:
-            results = [(i, _minimizer_branch((n, alpha, st))) for i, st in todo]
-        for i, (s, c, b, cd) in results:
-            seen += s
-            count += c
-            best = min(best, b)
-            cands.extend(cd)
-            cands = [(r, k) for r, k in cands if r <= best + SAFETY_BAND]
-            if checkpoint:
-                with open(checkpoint, "w") as fh:
-                    json.dump(
-                        {"n": n, "alpha": alpha, "done": i, "seen": seen,
-                         "count": count, "best": best, "cands": cands},
-                        fh,
-                    )
-        cands = [(r, k) for r, k in cands if r <= best + SAFETY_BAND]
-    argmin, unresolved = _resolve_argmin(cands)
-    min_rho = min((r for r, _ in cands), default=float("nan"))
-    return MinimizerResult(n, alpha, min_rho, argmin, expected, count, seen, unresolved)
+    states = branch_states() if n >= BRANCH_LEVEL else [(_ROOT_ROWS, _root_form(), 0)]
+    return _search(_minimizer_branch, n, alpha, states, expected, workers, checkpoint)
 
 
 def minimizer_bicyclic(n: int, alpha: int | None = None, workers: int = 1) -> MinimizerResult:
     """Certified minimum-radius graphs among connected (n+1)-edge graphs,
-    optionally filtered by independence number."""
-    from .enumeration import EDGE_MODE_CAP
+    optionally filtered by independence number.
 
+    With ``workers > 1`` each two-cycle core is a parallel unit; one worker
+    streams the whole class as a single unit.
+    """
     if not 4 <= n <= EDGE_MODE_CAP:
         raise InvalidParameterError(
             f"two-cycle minimizer supports 4 <= n <= {EDGE_MODE_CAP}, got {n}"
@@ -305,39 +341,8 @@ def minimizer_bicyclic(n: int, alpha: int | None = None, workers: int = 1) -> Mi
         expected = f"P:{k},{n + 1 - 2 * k},{k} and B:{k},{n + 1 - 2 * k},{k}"
     else:
         expected = theorem_prediction(n)
-    if workers > 1:
-        specs = _bicyclic_units(n)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_bicyclic_branch, [(n, alpha, s) for s in specs]))
-        seen = sum(p[0] for p in parts)
-        count = sum(p[1] for p in parts)
-        best = min((p[2] for p in parts), default=float("inf"))
-        cands = [c for p in parts for c in p[3] if c[0] <= best + SAFETY_BAND]
-    else:
-        seen, count, best, cands = _scan_stream(bicyclic_graphs(n), alpha)
-    argmin, unresolved = _resolve_argmin(cands)
-    min_rho = min((r for r, _ in cands), default=float("nan"))
-    return MinimizerResult(n, alpha if alpha is not None else -1, min_rho, argmin,
-                           expected, count, seen, unresolved)
-
-
-def _bicyclic_units(n: int):
-    from .enumeration import _core_specs_bicyclic
-
-    return _core_specs_bicyclic(n)
-
-
-def _bicyclic_branch(args):
-    n, alpha, spec = args
-    from .enumeration import _attach_forest, _forest_assignments
-
-    core, _ = build_bicyclic(spec)
-
-    def gen():
-        for assignment in _forest_assignments(core, n - core.n):
-            yield Graph.from_rows(n, _attach_forest(core.rows, assignment))
-
-    return _scan_stream(gen(), alpha)
+    parts = [[spec] for spec in _core_specs_bicyclic(n)] if workers > 1 else [None]
+    return _search(_bicyclic_branch, n, alpha, parts, expected, workers, None)
 
 
 # ---------------------------------------------------------------------------
@@ -485,14 +490,6 @@ def verify_max_extremal(n: int) -> VerificationReport:
 # family lemma grids
 
 
-def _family_graph(spec: BicyclicSpec) -> Graph:
-    return build_bicyclic(spec)[0]
-
-
-def _certified_less(a: Graph, b: Graph) -> bool:
-    return compare_rho_certified(a, b) == "less"
-
-
 def _strictly_majorizes(a, b) -> bool:
     """True iff sorted(a) strictly majorizes sorted(b) at equal totals."""
     x = sorted(a, reverse=True)
@@ -508,6 +505,80 @@ def _strictly_majorizes(a, b) -> bool:
     return True
 
 
+def _ordered_pairs(items, before):
+    """Pairs (x, y) of items with equal sums and ``before(x, y)``, one sum
+    at a time in increasing order."""
+    groups: dict[int, list] = {}
+    for item in items:
+        groups.setdefault(sum(item), []).append(item)
+    for _, group in sorted(groups.items()):
+        for x in group:
+            for y in group:
+                if before(x, y):
+                    yield x, y
+
+
+def _grid_claims(pmax: int) -> list:
+    """The family-lemma sweeps as data, all parameters at most ``pmax``.
+
+    Each row is (claim id, parameters, detail, pairs, failure wording).
+    ``pairs`` yields (label, spec a, spec b, wanted verdict of comparing
+    rho(a) with rho(b)); a pair whose certified verdict differs is a
+    failure witness ``(label, wording)``, with ``{verdict}`` and ``{want}``
+    filled in.
+    """
+    top = pmax + 1
+    # Theta balance: with m+p+q fixed, every balancing move (shift one unit
+    # from a longer to a shorter path) strictly lowers the radius.  The
+    # comparable pairs are exactly the majorization-ordered ones; triples
+    # with smaller spread but incomparable under majorization can go the
+    # other way (e.g. P(1,6,6) vs P(2,3,8)), so spread alone is not ordered.
+    thetas = [(m, p, q) for m in range(1, top) for p in range(max(m, 2), top)
+              for q in range(p, top)]
+    rings = [(m, q) for m in range(3, top) for q in range(m, top)]
+    balanced_rings = list(_ordered_pairs(rings, lambda x, y: x[1] - x[0] < y[1] - y[0]))
+    return [
+        ("theta-dumbbell-equal-radius", {"grid": f"m,p <= {pmax}"},
+         "exact equality via characteristic polynomial gcd",
+         ((f"P({m},{p},{m})/B({m},{p},{m})", spec_P(m, p, m), spec_B(m, p, m), "equal")
+          for m in range(3, top) for p in range(1, top)),
+         "{verdict}"),
+        ("theta-balance-monotone", {"max_param": pmax},
+         "fixed total length: balancing moves strictly lower the radius",
+         ((f"P{t1} vs P{t2}", spec_P(*t1), spec_P(*t2), "less")
+          for t1, t2 in _ordered_pairs(thetas, lambda x, y: _strictly_majorizes(y, x))),
+         "not certified less"),
+        ("figure-eight-balance-monotone", {"max_param": pmax},
+         "fixed ring total: balancing the two rings lowers the radius",
+         ((f"C({m1},{q1}) vs C({m2},{q2})", spec_C(m1, q1), spec_C(m2, q2), "less")
+          for (m1, q1), (m2, q2) in balanced_rings),
+         "not less"),
+        ("dumbbell-endcycle-balance-monotone", {"max_param": pmax},
+         "fixed path and cycle total: balancing the cycles lowers the radius",
+         ((f"B({m1},{p},{q1}) vs B({m2},{p},{q2})", spec_B(m1, p, q1), spec_B(m2, p, q2),
+           "less")
+          for p in range(1, top) for (m1, q1), (m2, q2) in balanced_rings),
+         "not less"),
+        ("dumbbell-path-swap-strict", {"max_param": pmax},
+         "middle/cycle parameter swap strictly raises the radius",
+         ((f"B({m},{p},{m}) vs B({m},{m},{p})", spec_B(m, p, m), spec_B(m, m, p), "less")
+          for m in range(3, top) for p in range(3, top) if m != p),
+         "not less"),
+        ("dumbbell-vs-figure-eight", {"max_param": pmax},
+         "merging the path into one cycle raises the radius",
+         ((f"B({m},{p},{q}) vs C({m + p},{q})", spec_B(m, p, q), spec_C(m + p, q), "less")
+          for q in range(3, top) for m in range(q, top) for p in range(1, top)),
+         "not less"),
+        ("dumbbell-path-shortening", {"max_param": pmax},
+         "shorten path, grow far cycle: radius never rises; equality "
+         "exactly in the fully balanced case",
+         ((f"B({m},{p},{q}) -> B({m},{p - 1},{q + 2})", spec_B(m, p - 1, q + 2),
+           spec_B(m, p, q), "equal" if m == p == q else "less")
+          for q in range(3, top) for m in range(q, top) for p in range(q, top)),
+         "{verdict} != {want}"),
+    ]
+
+
 def verify_family_grids(pmax: int = 9) -> list[VerificationReport]:
     """Certified radius comparisons across the bicyclic families.
 
@@ -519,168 +590,20 @@ def verify_family_grids(pmax: int = 9) -> list[VerificationReport]:
     brackets; equalities use polynomial gcd certificates.
     """
     reports = []
-
-    # theta-dumbbell equal radius: rho(P(m,p,m)) = rho(B(m,p,m)) exactly
-    bad = []
-    total = 0
-    for m in range(3, pmax + 1):
-        for p in range(1, pmax + 1):
+    for claim_id, params, detail, pairs, wording in _grid_claims(pmax):
+        bad = []
+        total = 0
+        for label, a, b, want in pairs:
             total += 1
-            verdict = compare_rho_certified(
-                _family_graph(spec_P(m, p, m)), _family_graph(spec_B(m, p, m))
+            verdict = compare_rho_certified(build_bicyclic(a)[0], build_bicyclic(b)[0])
+            if verdict != want:
+                bad.append((label, wording.format(verdict=verdict, want=want)))
+        reports.append(
+            VerificationReport(
+                claim_id, {**params, "pairs": total}, "fail" if bad else "pass",
+                witnesses=bad[:10], detail=detail,
             )
-            if verdict != "equal":
-                bad.append((f"P({m},{p},{m})/B({m},{p},{m})", verdict))
-    reports.append(
-        VerificationReport(
-            "theta-dumbbell-equal-radius", {"grid": f"m,p <= {pmax}", "pairs": total},
-            "fail" if bad else "pass", witnesses=bad[:10],
-            detail="exact equality via characteristic polynomial gcd",
         )
-    )
-
-    # theta balance: with m+p+q fixed, every balancing move (shift one unit
-    # from a longer to a shorter path) strictly lowers the radius.  The
-    # comparable pairs are exactly the majorization-ordered ones; triples
-    # with smaller spread but incomparable under majorization can go the
-    # other way (e.g. P(1,6,6) vs P(2,3,8)), so spread alone is not ordered.
-    bad = []
-    total = 0
-    thetas: dict[int, list[tuple[int, int, int]]] = {}
-    for m in range(1, pmax + 1):
-        for p in range(max(m, 2), pmax + 1):
-            for q in range(p, pmax + 1):
-                thetas.setdefault(m + p + q, []).append((m, p, q))
-    for s, items in sorted(thetas.items()):
-        for t1 in items:
-            for t2 in items:
-                if _strictly_majorizes(t2, t1):
-                    total += 1
-                    if not _certified_less(
-                        _family_graph(spec_P(*t1)), _family_graph(spec_P(*t2))
-                    ):
-                        bad.append((f"P{t1} vs P{t2}", "not certified less"))
-    reports.append(
-        VerificationReport(
-            "theta-balance-monotone", {"max_param": pmax, "pairs": total},
-            "fail" if bad else "pass", witnesses=bad[:10],
-            detail="fixed total length: balancing moves strictly lower the radius",
-        )
-    )
-
-    # figure-eight balance: with m+q fixed, smaller |m-q| means smaller radius
-    bad = []
-    total = 0
-    rings: dict[int, list[tuple[int, int]]] = {}
-    for m in range(3, pmax + 1):
-        for q in range(m, pmax + 1):
-            rings.setdefault(m + q, []).append((m, q))
-    for s, items in rings.items():
-        for m1, q1 in items:
-            for m2, q2 in items:
-                if q1 - m1 < q2 - m2:
-                    total += 1
-                    if not _certified_less(
-                        _family_graph(spec_C(m1, q1)), _family_graph(spec_C(m2, q2))
-                    ):
-                        bad.append((f"C({m1},{q1}) vs C({m2},{q2})", "not less"))
-    reports.append(
-        VerificationReport(
-            "figure-eight-balance-monotone", {"max_param": pmax, "pairs": total},
-            "fail" if bad else "pass", witnesses=bad[:10],
-            detail="fixed ring total: balancing the two rings lowers the radius",
-        )
-    )
-
-    # dumbbell end-cycle balance: p and m+q fixed, smaller |m-q| smaller radius
-    bad = []
-    total = 0
-    for p in range(1, pmax + 1):
-        groups: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-        for m in range(3, pmax + 1):
-            for q in range(m, pmax + 1):
-                groups.setdefault(m + q, []).append((q - m, (m, q)))
-        for s, items in groups.items():
-            for d1, (m1, q1) in items:
-                for d2, (m2, q2) in items:
-                    if d1 < d2:
-                        total += 1
-                        if not _certified_less(
-                            _family_graph(spec_B(m1, p, q1)),
-                            _family_graph(spec_B(m2, p, q2)),
-                        ):
-                            bad.append(
-                                (f"B({m1},{p},{q1}) vs B({m2},{p},{q2})", "not less")
-                            )
-    reports.append(
-        VerificationReport(
-            "dumbbell-endcycle-balance-monotone", {"max_param": pmax, "pairs": total},
-            "fail" if bad else "pass", witnesses=bad[:10],
-            detail="fixed path and cycle total: balancing the cycles lowers the radius",
-        )
-    )
-
-    # path/cycle swap: rho(B(m,p,m)) < rho(B(m,m,p)) for distinct m, p >= 3
-    bad = []
-    total = 0
-    for m in range(3, pmax + 1):
-        for p in range(3, pmax + 1):
-            if m == p:
-                continue
-            total += 1
-            if not _certified_less(
-                _family_graph(spec_B(m, p, m)), _family_graph(spec_B(m, m, p))
-            ):
-                bad.append((f"B({m},{p},{m}) vs B({m},{m},{p})", "not less"))
-    reports.append(
-        VerificationReport(
-            "dumbbell-path-swap-strict", {"max_param": pmax, "pairs": total},
-            "fail" if bad else "pass", witnesses=bad[:10],
-            detail="middle/cycle parameter swap strictly raises the radius",
-        )
-    )
-
-    # dumbbell below figure-eight: rho(B(m,p,q)) < rho(C(m+p,q)) for m >= q
-    bad = []
-    total = 0
-    for q in range(3, pmax + 1):
-        for m in range(q, pmax + 1):
-            for p in range(1, pmax + 1):
-                total += 1
-                if not _certified_less(
-                    _family_graph(spec_B(m, p, q)), _family_graph(spec_C(m + p, q))
-                ):
-                    bad.append((f"B({m},{p},{q}) vs C({m + p},{q})", "not less"))
-    reports.append(
-        VerificationReport(
-            "dumbbell-vs-figure-eight", {"max_param": pmax, "pairs": total},
-            "fail" if bad else "pass", witnesses=bad[:10],
-            detail="merging the path into one cycle raises the radius",
-        )
-    )
-
-    # path shortening: rho(B(m,p,q)) >= rho(B(m,p-1,q+2)), equal iff m=p=q
-    bad = []
-    total = 0
-    for q in range(3, pmax + 1):
-        for m in range(q, pmax + 1):
-            for p in range(q, pmax + 1):
-                total += 1
-                a = _family_graph(spec_B(m, p, q))
-                b = _family_graph(spec_B(m, p - 1, q + 2))
-                verdict = compare_rho_certified(b, a)
-                want = "equal" if m == p == q else "less"
-                if verdict != want:
-                    bad.append((f"B({m},{p},{q}) -> B({m},{p - 1},{q + 2})",
-                                f"{verdict} != {want}"))
-    reports.append(
-        VerificationReport(
-            "dumbbell-path-shortening", {"max_param": pmax, "pairs": total},
-            "fail" if bad else "pass", witnesses=bad[:10],
-            detail="shorten path, grow far cycle: radius never rises; equality "
-                   "exactly in the fully balanced case",
-        )
-    )
 
     # parity formulas for the independence number of all three families
     bad = []

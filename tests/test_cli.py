@@ -1,6 +1,8 @@
 """CLI surface: parsing, exit codes, output contracts."""
 
-from spectramin.cli import main
+import pytest
+
+from spectramin.cli import CHECKPOINT_ENV, main
 from spectramin.formats import to_graph6
 from spectramin.graphs import build_cycle
 
@@ -64,6 +66,34 @@ class TestVerify:
         out = tmp_path / "reports.csv"
         assert main(["verify", "small-n-remark", "--out", str(out), "--format", "csv"]) == 0
         assert out.read_text().startswith("claim_id,")
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv, checkpoint",
+        [
+            (["verify", "theorem-1.1", "--n", "7", "--tol", "1e-9"], None),
+            (["verify", "lemmas", "--grid", "4..9"], None),
+            (["verify", "lemmas", "--grid", "7..4"], None),
+            (["verify", "lemmas", "--grid", "x"], None),
+            (["verify", "theorem-1.1", "--n", "7,x"], None),
+            (["sweep", "--grid", "5..3"], None),
+            (["sweep", "--grid", "x"], None),
+            (["verify", "theorem-1.1", "--n", "10", "--extended"], '{"n": 10, "alph'),
+        ],
+    )
+    def test_exits_2_with_message(self, argv, checkpoint, tmp_path, monkeypatch, capsys):
+        if checkpoint is not None:
+            path = tmp_path / "ck.json"
+            path.write_text(checkpoint)
+            monkeypatch.setenv(CHECKPOINT_ENV, str(path))
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects unknown flags itself
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error" in err and "Traceback" not in err
 
 
 class TestSweep:

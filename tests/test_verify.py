@@ -1,7 +1,17 @@
 """Minimizer search and the claim harness on small, fast instances."""
 
+import contextlib
+import json
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import time
+
 import pytest
 
+import spectramin
 from spectramin.graphs import canonical_form
 from spectramin.verify import (
     MinimizerResult,
@@ -70,6 +80,9 @@ class TestMinimizer:
         b = minimizer(7, 3, workers=2)
         assert argmin_forms(a) == argmin_forms(b)
         assert a.class_size == b.class_size
+        assert a.searched == b.searched
+        assert a.min_rho == b.min_rho
+        assert a.unresolved == b.unresolved
 
     def test_argmin_members_satisfy_the_class(self):
         from spectramin.graphs import independence_number, is_connected
@@ -103,6 +116,44 @@ class TestMinimizer:
         assert argmin_forms(resumed) == argmin_forms(full)
         assert partial.class_size == full.class_size
 
+    def test_kill_and_resume(self, tmp_path):
+        # a parallel run killed mid-search leaves a readable checkpoint, and
+        # resuming it under either worker count gives the uninterrupted result
+        ck = tmp_path / "ck.json"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spectramin.__file__)))
+        code = (
+            "import sys; from spectramin.verify import minimizer; "
+            "minimizer(8, 3, workers=2, checkpoint=sys.argv[1])"
+        )
+        start = time.monotonic()
+        proc = subprocess.Popen([sys.executable, "-c", code, str(ck)], env=env,
+                                start_new_session=True)
+        try:
+            while not ck.exists() and proc.poll() is None and time.monotonic() - start < 300:
+                time.sleep(0.02)
+            first_save = time.monotonic() - start
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=60)
+        assert ck.exists()
+        data = json.loads(ck.read_text())
+        assert data["done"] < data["units"] - 1  # the kill interrupted the search
+        shutil.copy(ck, tmp_path / "ck1.json")
+
+        start = time.monotonic()
+        clean = minimizer(8, 3, workers=2)
+        # the first branch is saved long before the whole search could end
+        # (about a tenth of the way in); a driver that saves only after the
+        # pool has drained cannot beat a clean run
+        assert first_save < time.monotonic() - start
+        for workers, path in [(2, ck), (1, tmp_path / "ck1.json")]:
+            resumed = minimizer(8, 3, workers=workers, checkpoint=str(path))
+            assert resumed.searched == clean.searched == 11117
+            assert resumed.class_size == clean.class_size
+            assert resumed.min_rho == clean.min_rho
+            assert argmin_forms(resumed) == argmin_forms(clean)
+
 
 class TestMinimizerBicyclic:
     def test_unrestricted_pair(self):
@@ -120,6 +171,9 @@ class TestMinimizerBicyclic:
         a = minimizer_bicyclic(9, None, workers=1)
         b = minimizer_bicyclic(9, None, workers=2)
         assert argmin_forms(a) == argmin_forms(b)
+        assert a.searched == b.searched
+        assert a.min_rho == b.min_rho
+        assert a.unresolved == b.unresolved
 
 
 class TestHarness:
