@@ -11,6 +11,22 @@ Two engines:
   off it, so they are produced directly from (core, forest assignment) pairs
   deduplicated by core automorphisms.  This is what makes the n <= 16
   fixed-edge-count sweeps affordable.
+
+The structural generator also yields the independence number of every class,
+computed while the forest is chosen rather than on the built graph.  For a
+rooted tree T with root r let a_out(T) = alpha(T - r) and
+a_in(T) = 1 + alpha(T - N[r]); then a_in <= a_out + 1, and the gain g(T) is 1
+when a_in > a_out and 0 otherwise.  With tree T_v hung at each core vertex v,
+
+    alpha = sum_v a_out(T_v) + alpha(core[W]),   W = {v : g(T_v) = 1},
+
+because an independent set gets at most a_out(T_v) from a tree whose root
+it leaves out and at most a_in(T_v) <= a_out(T_v) + g(T_v) from one whose
+root it takes, with equality in both for a best choice; so taking a root
+pays exactly when its gain is 1, and the roots taken must be independent in
+the core.  (a_out, g) is tabulated once per tree shape and alpha(core[W]) is
+memoized per core, so a search by independence number drops a class before
+its graph is built.
 """
 
 from __future__ import annotations
@@ -23,6 +39,7 @@ from .graphs import (
     InvalidParameterError,
     _canon,
     _delete_vertex_rows,
+    _mis,
     automorphisms,
     build_bicyclic,
     is_connected,
@@ -35,6 +52,8 @@ FULL_SPACE_CAP = 9
 EXTENDED_CAP = 10
 EDGE_MODE_CAP = 16
 BRANCH_LEVEL = 5
+
+Assignment = tuple[tuple[int, ...], ...]  # one canonical rooted tree per core vertex
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +251,35 @@ def rooted_tree_sequences(n: int) -> list[tuple[int, ...]]:
         out.append(tuple(seq))
 
 
-_TREE_CACHE: dict[int, list[tuple[int, ...]]] = {}
+_TREE_CACHE: dict[int, list[tuple[tuple[int, ...], int, int]]] = {}
 
 
-def _trees_of_size(s: int) -> list[tuple[int, ...]]:
+def _tree_alpha(tree: tuple[int, ...]) -> tuple[int, int]:
+    """(a_out, gain) of the rooted tree with level sequence ``tree``.
+
+    A tree DP over (root taken, root left out); see the module docstring
+    for how the pair composes over a core.
+    """
+    parent = [0] * len(tree)
+    path: list[int] = []
+    for i, level in enumerate(tree):
+        del path[level:]
+        if path:
+            parent[i] = path[-1]
+        path.append(i)
+    take = [1] * len(tree)
+    skip = [0] * len(tree)
+    for i in range(len(tree) - 1, 0, -1):
+        p = parent[i]
+        take[p] += skip[i]
+        skip[p] += max(take[i], skip[i])
+    return skip[0], int(take[0] > skip[0])
+
+
+def _trees_of_size(s: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """(level sequence, a_out, gain) of every rooted tree on ``s`` nodes."""
     if s not in _TREE_CACHE:
-        _TREE_CACHE[s] = rooted_tree_sequences(s)
+        _TREE_CACHE[s] = [(t, *_tree_alpha(t)) for t in rooted_tree_sequences(s)]
     return _TREE_CACHE[s]
 
 
@@ -269,34 +311,40 @@ def _attach_forest(
 
 def _forest_assignments(
     core: Graph, extra: int
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Rooted-forest assignments to core vertices, one per isomorphism class.
+) -> Iterator[tuple[tuple[int, ...], Assignment, int]]:
+    """(core rows, forest assignment, alpha), one per isomorphism class.
 
     An assignment maps each core vertex to a canonical rooted tree (size 1 =
     nothing attached); two assignments related by a core automorphism give
     isomorphic graphs, so only the lexicographic orbit minimum is emitted.
+    alpha of the grown graph comes from the composition law of the module
+    docstring, with alpha(core[W]) memoized per core.
     """
     c = core.n
+    rows = core.rows
     auts = [a for a in automorphisms(core) if a != tuple(range(c))]
+    trees = [_trees_of_size(s) for s in range(extra + 2)]
+    memo: dict[int, int] = {}
+    everyone = (1 << c) - 1
     current: list[tuple[int, ...]] = [(0,)] * c
 
-    def rec(v: int, budget: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if v == c:
+    def rec(v: int, budget: int, out_sum: int, w: int):
+        if budget == 0:
+            # vertices v.. stay bare: a_out 0 and gain 1 each
             t = tuple(current)
             for a in auts:
-                if tuple(current[a[i]] for i in range(c)) < t:
-                    break
-            else:
-                yield t
+                if tuple(map(current.__getitem__, a)) < t:
+                    return
+            yield rows, t, out_sum + _mis(rows, w | everyone >> v << v, memo)
             return
         sizes = (budget + 1,) if v == c - 1 else range(1, budget + 2)
         for size in sizes:
-            for tree in _trees_of_size(size):
+            for tree, a_out, gain in trees[size]:
                 current[v] = tree
-                yield from rec(v + 1, budget - (size - 1))
+                yield from rec(v + 1, budget - (size - 1), out_sum + a_out, w | gain << v)
         current[v] = (0,)
 
-    yield from rec(0, extra)
+    yield from rec(0, extra, 0, 0)
 
 
 def _core_specs_bicyclic(n: int):
@@ -322,6 +370,21 @@ def _core_specs_bicyclic(n: int):
     return specs
 
 
+def _bicyclic_classes(
+    n: int, cores: Sequence[BicyclicSpec] | None = None
+) -> Iterator[tuple[tuple[int, ...], Assignment, int]]:
+    """(core rows, forest assignment, alpha) of every (n+1)-edge class.
+
+    ``cores``, a subset of ``_core_specs_bicyclic(n)``, restricts the stream
+    to the classes grown from those cores: one parallel unit of a search.
+    """
+    if n < 4:
+        return
+    for spec in _core_specs_bicyclic(n) if cores is None else cores:
+        core, _ = build_bicyclic(spec)
+        yield from _forest_assignments(core, n - core.n)
+
+
 def bicyclic_graphs(
     n: int, cores: Sequence[BicyclicSpec] | None = None
 ) -> Iterator[Graph]:
@@ -331,22 +394,15 @@ def bicyclic_graphs(
     forests attached; cores are enumerated by normalized parameters and the
     forest placements modulo core automorphisms.  ``cores``, a subset of
     ``_core_specs_bicyclic(n)``, restricts the stream to the graphs grown
-    from those cores: one parallel unit of a search.
+    from those cores.
     """
-    if n < 4:
-        return
-    for spec in _core_specs_bicyclic(n) if cores is None else cores:
-        core, _ = build_bicyclic(spec)
-        extra = n - core.n
-        for assignment in _forest_assignments(core, extra):
-            yield Graph.from_rows(n, _attach_forest(core.rows, assignment))
+    for rows, assignment, _ in _bicyclic_classes(n, cores):
+        yield Graph.from_rows(n, _attach_forest(rows, assignment))
 
 
 def unicyclic_graphs(n: int) -> Iterator[Graph]:
     """Connected graphs with exactly ``n`` edges, up to isomorphism."""
-    if n < 3:
-        return
     for k in range(3, n + 1):
         core = Graph(k, [(i, (i + 1) % k) for i in range(k)])
-        for assignment in _forest_assignments(core, n - k):
-            yield Graph.from_rows(n, _attach_forest(core.rows, assignment))
+        for rows, assignment, _ in _forest_assignments(core, n - k):
+            yield Graph.from_rows(n, _attach_forest(rows, assignment))

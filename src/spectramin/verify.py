@@ -24,9 +24,11 @@ from .enumeration import (
     EDGE_MODE_CAP,
     EXTENDED_CAP,
     FULL_SPACE_CAP,
+    _attach_forest,
+    _bicyclic_classes,
     _core_specs_bicyclic,
     _root_form,
-    bicyclic_graphs,
+    bicyclic_graphs,  # unused here, kept patchable: perfbench/tracing.py wraps it
     branch_states,
     enumerate_connected,
     enumerate_connected_from_branch,
@@ -233,9 +235,24 @@ def _minimizer_branch(args) -> tuple[int, int, float, list[tuple[float, str]]]:
 
 
 def _bicyclic_branch(args) -> tuple[int, int, float, list[tuple[float, str]]]:
-    """Bicyclic work unit: scan the graphs grown from some cores (None: all)."""
+    """Bicyclic work unit: scan the graphs grown from some cores (None: all).
+
+    Each class arrives with its alpha, so only the classes in the alpha
+    class (all of them when ``alpha`` is None) are built as graphs; every
+    class counts as searched.
+    """
     n, alpha, cores = args
-    return _scan_stream(bicyclic_graphs(n, cores), alpha)
+    searched = 0
+
+    def in_class():
+        nonlocal searched
+        for rows, assignment, a in _bicyclic_classes(n, cores):
+            searched += 1
+            if alpha is None or a == alpha:
+                yield Graph.from_rows(n, _attach_forest(rows, assignment))
+
+    _, count, best, cands = _scan_stream(in_class(), None)
+    return searched, count, best, cands
 
 
 def _load_checkpoint(path: str | None, key: dict):
@@ -281,6 +298,8 @@ def _search(
     finished prefix is saved to ``checkpoint`` (keyed by n, alpha and the
     number of parts), from which a later run with any worker count resumes.
     """
+    if workers < 1:
+        raise InvalidParameterError(f"workers must be >= 1, got {workers}")
     key = {"n": n, "alpha": alpha, "units": len(parts)}
     saved = _load_checkpoint(checkpoint, key)
     done, (seen, count, best, cands) = saved or (-1, (0, 0, float("inf"), []))

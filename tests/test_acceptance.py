@@ -409,6 +409,10 @@ class TestCriterion1FullSpace:
 # -- criterion 3: bicyclic mode for even n = 10..16 ------------------------------
 
 
+# n -> (two-cycle classes searched, classes with alpha = n/2 - 1)
+BICYCLIC_COUNTS = {10: (2678, 30), 12: (28908, 171), 14: (300748, 990), 16: (3042808, 5670)}
+
+
 class TestCriterion3BicyclicMode:
     @pytest.mark.parametrize("n", [10, 12, 14, 16])
     def test_even_case_table(self, n):
@@ -416,9 +420,8 @@ class TestCriterion3BicyclicMode:
         res = minimizer_bicyclic(n, n // 2 - 1, workers=WORKERS)
         assert _argmin_is(res, [expected]), (n, [to_graph6(g) for g in res.argmin])
         assert len(res.argmin) == 1 and not res.unresolved
-        if n == 10:
-            # pinned against the orderly engine (exact class-set equality)
-            assert res.searched == 2678
+        # n = 10 is pinned against the orderly engine (exact class-set equality)
+        assert (res.searched, res.class_size) == BICYCLIC_COUNTS[n]
         _ok(f"criterion 3: n={n} two-cycle argmin with alpha={n // 2 - 1} is {expected} "
             f"({res.searched} two-cycle classes searched, {res.class_size} in the class)")
 

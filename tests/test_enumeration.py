@@ -6,7 +6,10 @@ import networkx as nx
 import pytest
 
 from spectramin.enumeration import (
+    _attach_forest,
     _augment,
+    _bicyclic_classes,
+    _forest_assignments,
     _ROOT_ROWS,
     _root_form,
     bicyclic_graphs,
@@ -22,6 +25,7 @@ from spectramin.graphs import (
     Graph,
     InvalidParameterError,
     canonical_form,
+    independence_number,
     is_connected,
     spec_C,
     spec_P,
@@ -166,10 +170,24 @@ class TestStructuralGenerators:
                 orderly.add(canonical_form(g))
         assert structural == orderly
 
+    def test_streamed_alpha_matches_independence_number(self):
+        # the composition law against the general solver, class by class
+        bicyclic = [(n, _bicyclic_classes(n)) for n in range(4, 13)]
+        unicyclic = [
+            (n, _forest_assignments(Graph(k, [(i, (i + 1) % k) for i in range(k)]), n - k))
+            for n in range(3, 13)
+            for k in range(3, n + 1)
+        ]
+        checked = 0
+        for n, stream in bicyclic + unicyclic:
+            for rows, assignment, alpha in stream:
+                g = Graph.from_rows(n, _attach_forest(rows, assignment))
+                assert alpha == independence_number(g), (n, rows, assignment)
+                checked += 1
+        assert checked == 41_544 + 7_872  # bicyclic + unicyclic classes
+
     def test_unicyclic_alpha_floor(self):
         # every connected one-cycle graph on even order has alpha >= n/2
-        from spectramin.graphs import independence_number
-
         for n in (4, 6, 8, 10):
             for g in unicyclic_graphs(n):
                 assert independence_number(g) >= n // 2

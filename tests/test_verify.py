@@ -167,11 +167,13 @@ class TestMinimizerBicyclic:
         res = minimizer_bicyclic(10, 4)
         assert argmin_forms(res) == [canonical_form(graph_from_family("B:3,5,3"))]
 
-    def test_workers_agree(self):
-        a = minimizer_bicyclic(9, None, workers=1)
-        b = minimizer_bicyclic(9, None, workers=2)
+    @pytest.mark.parametrize("n, alpha", [(9, None), (12, 5)])
+    def test_workers_agree(self, n, alpha):
+        a = minimizer_bicyclic(n, alpha, workers=1)
+        b = minimizer_bicyclic(n, alpha, workers=2)
         assert argmin_forms(a) == argmin_forms(b)
         assert a.searched == b.searched
+        assert a.class_size == b.class_size
         assert a.min_rho == b.min_rho
         assert a.unresolved == b.unresolved
 
