@@ -385,18 +385,14 @@ def _bicyclic_classes(
         yield from _forest_assignments(core, n - core.n)
 
 
-def bicyclic_graphs(
-    n: int, cores: Sequence[BicyclicSpec] | None = None
-) -> Iterator[Graph]:
+def bicyclic_graphs(n: int) -> Iterator[Graph]:
     """Connected graphs with exactly ``n + 1`` edges, up to isomorphism.
 
     Every such graph is a theta, figure-eight, or dumbbell core with rooted
     forests attached; cores are enumerated by normalized parameters and the
-    forest placements modulo core automorphisms.  ``cores``, a subset of
-    ``_core_specs_bicyclic(n)``, restricts the stream to the graphs grown
-    from those cores.
+    forest placements modulo core automorphisms.
     """
-    for rows, assignment, _ in _bicyclic_classes(n, cores):
+    for rows, assignment, _ in _bicyclic_classes(n):
         yield Graph.from_rows(n, _attach_forest(rows, assignment))
 
 

@@ -281,6 +281,11 @@ def _save_checkpoint(path: str, state: dict) -> None:
     os.replace(tmp, path)
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise InvalidParameterError(f"workers must be >= 1, got {workers}")
+
+
 def _search(
     unit,
     n: int,
@@ -298,8 +303,7 @@ def _search(
     finished prefix is saved to ``checkpoint`` (keyed by n, alpha and the
     number of parts), from which a later run with any worker count resumes.
     """
-    if workers < 1:
-        raise InvalidParameterError(f"workers must be >= 1, got {workers}")
+    _check_workers(workers)
     key = {"n": n, "alpha": alpha, "units": len(parts)}
     saved = _load_checkpoint(checkpoint, key)
     done, (seen, count, best, cands) = saved or (-1, (0, 0, float("inf"), []))
@@ -388,6 +392,7 @@ def verify_minimum_radius_case_table(
     denser graph in the class has radius above some spanning bicyclic
     subgraph's, so the bicyclic minimizer is the global one.
     """
+    _check_workers(workers)
     reports = []
     for n in n_list:
         alpha = (n + 1) // 2 - 1

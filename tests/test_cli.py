@@ -82,6 +82,7 @@ class TestBadInput:
             (["verify", "theorem-1.1", "--n", "10", "--extended"], '{"n": 10, "alph'),
             (["verify", "theorem-1.1", "--n", "6", "--workers", "-2"], None),
             (["verify", "theorem-1.1", "--n", "6", "--workers", "0"], None),
+            (["verify", "theorem-1.1", "--n", "11", "--workers", "0"], None),
         ],
     )
     def test_exits_2_with_message(self, argv, checkpoint, tmp_path, monkeypatch, capsys):

@@ -167,8 +167,8 @@ class TestMinimizerBicyclic:
         res = minimizer_bicyclic(10, 4)
         assert argmin_forms(res) == [canonical_form(graph_from_family("B:3,5,3"))]
 
-    @pytest.mark.parametrize("n, alpha", [(9, None), (12, 5)])
-    def test_workers_agree(self, n, alpha):
+    @staticmethod
+    def _assert_workers_agree(n, alpha):
         a = minimizer_bicyclic(n, alpha, workers=1)
         b = minimizer_bicyclic(n, alpha, workers=2)
         assert argmin_forms(a) == argmin_forms(b)
@@ -176,6 +176,12 @@ class TestMinimizerBicyclic:
         assert a.class_size == b.class_size
         assert a.min_rho == b.min_rho
         assert a.unresolved == b.unresolved
+
+    def test_workers_agree(self):
+        self._assert_workers_agree(9, None)
+
+    def test_workers_agree_alpha_filtered(self):
+        self._assert_workers_agree(12, 5)
 
 
 class TestHarness:
