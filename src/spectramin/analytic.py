@@ -6,18 +6,22 @@ prescribed endpoint values a, b is the hyperbolic-sine interpolant
 
     f_i(t, k, a, b) = (b sinh(it) + a sinh((k-i)t)) / sinh(kt),
 
-with ``rho = 2 cosh t``.  The two hub equations then turn into a symmetric
-2x2 system M(rho) (a, b)^T = 0, so rho is the largest root of det M and
-(a, b) spans its kernel.  This module solves that boundary problem, rebuilds
-the full Perron vector in closed form, exposes the shared equitable-partition
-quotient behind rho(P(m,p,m)) = rho(B(m,p,m)), and evaluates the positive
-gap expression certifying rho(B(m,p,m)) < rho(B(m,m,p)).
+with ``rho = 2 cosh t``.  Eliminating the stretch interiors turns the two hub
+equations into a symmetric 2x2 system M(rho) (a, b)^T = 0: M(rho) is the
+Schur complement of rho I - A onto the two hubs.  The interiors are paths of
+radius below 2, so for rho > 2 the interior block is positive definite, and
+Haynsworth's inertia additivity, In(rho I - A) = In(interior) + In(M(rho)),
+makes M(rho) positive definite exactly when rho > rho(B).  This module finds
+rho by bisecting that predicate, takes (a, b) from the kernel of M(rho),
+rebuilds the full Perron vector in closed form, exposes the shared
+equitable-partition quotient behind rho(P(m,p,m)) = rho(B(m,p,m)), and
+evaluates the positive gap expression certifying rho(B(m,p,m)) < rho(B(m,m,p)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import acosh, cosh, exp, log, sqrt
+from math import acosh, cosh, exp
 
 import numpy as np
 
@@ -31,7 +35,7 @@ from .graphs import (
 )
 from .spectral import NumericFailure
 
-_SCAN_POINTS = 4096
+HUB_RESIDUAL_TOL = 1e-10  # absolute bound on both hub equation residuals
 
 
 def f_value(i: int, t: float, k: int, a: float, b: float) -> float:
@@ -51,11 +55,6 @@ def f_value(i: int, t: float, k: int, a: float, b: float) -> float:
     return num / den
 
 
-def f_limit(i: int, k: int, a: float, b: float) -> float:
-    """t -> 0 limit of f: plain linear interpolation between a and b."""
-    return (b * i + a * (k - i)) / k
-
-
 def t_of_rho(rho: float) -> float:
     """Inverse of rho = 2 cosh t, i.e. log((rho + sqrt(rho^2 - 4)) / 2)."""
     if rho < 2.0:
@@ -72,8 +71,11 @@ def boundary_matrix(m: int, p: int, q: int, rho: float) -> np.ndarray:
     """Coefficient matrix M(rho) of the two hub equations of B(m, p, q).
 
     Row 1 is the hub-a balance ``rho a = 2 f_1(t,m,a,a) + f_1(t,p,a,b)``
-    split into coefficients of a and b, row 2 the hub-b counterpart; the
-    spectral radius is the largest rho > 2 with det M(rho) = 0.
+    split into coefficients of a and b, row 2 the hub-b counterpart.  This is
+    exactly the Schur complement of rho I - A onto the two hubs (for p = 1
+    the hub edge gives the off-diagonal -1).  For rho > 2 the stretch
+    interiors, paths of radius below 2, form a positive definite block, so by
+    inertia additivity M(rho) is positive definite exactly when rho > rho(B).
     """
     spec_B(m, p, q)  # validates the family parameters
     if rho <= 2.0:
@@ -113,49 +115,29 @@ class AnalyticSolution:
         return 2.0 * cosh(self.t)
 
 
-def rho_analytic(m: int, p: int, q: int, tol: float = 1e-10) -> AnalyticSolution:
-    """Spectral radius of B(m, p, q) from the boundary determinant alone.
+def rho_analytic(m: int, p: int, q: int) -> AnalyticSolution:
+    """Spectral radius of B(m, p, q) from the 2x2 hub system alone.
 
-    Scans det M(rho) from the degree bound downward, takes the first sign
-    change (the largest root), bisects it tight, applies one Newton polish,
-    and extracts the positive kernel direction (a, b).  Independent of the
-    eigensolver route; residuals of the hub equations certify the solve.
+    M(rho) is the Schur complement of rho I - A onto the hubs, and for
+    rho > 2 the interior block is positive definite, so by Haynsworth's
+    inertia additivity, In(rho I - A) = In(interior) + In(M(rho)), M(rho) is
+    positive definite exactly when rho > rho(B).  rho(B) lies in (2, 3]: B
+    properly contains a cycle and has maximum degree 3.  One bisection of
+    "m11 > 0 and det M > 0" over (2, 4] therefore converges to rho(B); det M
+    alone is not monotone, as it turns positive again below the second
+    eigenvalue.  One Newton polish on det M follows, then the positive kernel
+    direction (a, b) = (-m12, m11).  Independent of the eigensolver route;
+    residuals of the hub equations certify the solve.
     """
     spec_B(m, p, q)  # validates the family parameters
-    hi = 1.0 + 3.0  # spectral radius is below 1 + max degree
-    lo_limit = 2.0 + 1e-9
-    step = (hi - lo_limit) / _SCAN_POINTS
-    x_hi = hi
-    d_hi = boundary_det(m, p, q, x_hi)
-    x = x_hi
-    bracket = None
-    while x - step >= lo_limit:
-        x_lo = x - step
-        d_lo = boundary_det(m, p, q, x_lo)
-        if d_lo == 0.0:
-            bracket = (x_lo, x_lo)
-            break
-        if (d_lo < 0.0) != (d_hi < 0.0):
-            bracket = (x_lo, x)
-            break
-        x, d_hi = x_lo, d_lo
-    if bracket is None:
-        raise NumericFailure(f"no sign change of det M below {hi} for B({m},{p},{q})")
-    lo, hi = bracket
-    if lo != hi:
-        f_lo = boundary_det(m, p, q, lo)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if hi - lo <= 1e-15 * max(1.0, hi):
-                break
-            f_mid = boundary_det(m, p, q, mid)
-            if f_mid == 0.0:
-                lo = hi = mid
-                break
-            if (f_mid < 0.0) == (f_lo < 0.0):
-                lo, f_lo = mid, f_mid
-            else:
-                hi = mid
+    lo, hi = 2.0, 4.0  # M(rho) is undefined at 2 and positive definite at 4
+    while hi - lo > 1e-15 * hi:
+        mid = 0.5 * (lo + hi)
+        mat = boundary_matrix(m, p, q, mid)
+        if mat[0, 0] > 0.0 and mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0] > 0.0:
+            hi = mid
+        else:
+            lo = mid
     root = 0.5 * (lo + hi)
     # one Newton polish on the determinant
     h = 1e-7
@@ -165,7 +147,7 @@ def rho_analytic(m: int, p: int, q: int, tol: float = 1e-10) -> AnalyticSolution
     slope = (dp - dm) / (2 * h)
     if slope != 0.0:
         cand = root - d0 / slope
-        if lo_limit < cand < 4.0 and abs(boundary_det(m, p, q, cand)) <= abs(d0):
+        if 2.0 < cand < 4.0 and abs(boundary_det(m, p, q, cand)) <= abs(d0):
             root = cand
 
     mat = boundary_matrix(m, p, q, root)
@@ -180,9 +162,9 @@ def rho_analytic(m: int, p: int, q: int, tol: float = 1e-10) -> AnalyticSolution
     res_a = abs(root * a - (2.0 * f_value(1, t, m, a, a) + f_value(1, t, p, a, b)))
     res_b = abs(root * b - (2.0 * f_value(1, t, q, b, b) + f_value(p - 1, t, p, a, b)))
     sol = AnalyticSolution(m, p, q, t, a, b, res_a, res_b)
-    if max(res_a, res_b) > tol:
+    if max(res_a, res_b) > HUB_RESIDUAL_TOL:
         raise NumericFailure(
-            f"hub equation residuals {res_a:.3g}/{res_b:.3g} above {tol} "
+            f"hub equation residuals {res_a:.3g}/{res_b:.3g} above {HUB_RESIDUAL_TOL} "
             f"for B({m},{p},{q})"
         )
     return sol
@@ -205,28 +187,6 @@ def perron_closed_form(sol: AnalyticSolution) -> np.ndarray:
     for i in range(1, q):
         x[m + p - 1 + i] = f_value(i, t, q, b, b)
     return x
-
-
-def hub_identity_residuals(sol: AnalyticSolution) -> tuple[float, float]:
-    """Absolute errors of the two rearranged hub identities.
-
-    The hub balance equations can be rewritten with all interpolants taken
-    at equal endpoint values:
-
-        a cosh t - f_1(t,m,a,a) - f_1(t,p,a,a)/2 = -(a-b)/2 * sinh t / sinh pt
-        a cosh t - f_1(t,q,a,a) - f_1(t,p,a,a)/2 = a(a-b)/(2b) * sinh t / sinh pt
-
-    Both must vanish-match at the solved (rho, a, b); they are exact
-    rearrangements, so the residuals are numerically zero.
-    """
-    m, p, q, t, a, b = sol.m, sol.p, sol.q, sol.t, sol.a, sol.b
-    ch = cosh(t)
-    ratio = _sinh_ratio(t, p)
-    lhs1 = a * ch - f_value(1, t, m, a, a) - 0.5 * f_value(1, t, p, a, a)
-    rhs1 = -(a - b) / 2.0 * ratio
-    lhs2 = a * ch - f_value(1, t, q, a, a) - 0.5 * f_value(1, t, p, a, a)
-    rhs2 = a * (a - b) / (2.0 * b) * ratio
-    return abs(lhs1 - rhs1), abs(lhs2 - rhs2)
 
 
 # ---------------------------------------------------------------------------
@@ -319,25 +279,3 @@ def path_cycle_swap_gap(m: int, p: int) -> float:
         raise InvalidParameterError("both parameters must be at least 3")
     sol = rho_analytic(m, m, p)
     return (sol.a - sol.b) ** 2 / (2.0 * sol.b) * _sinh_ratio(sol.t, m)
-
-
-def swap_gap_direct(m: int, p: int) -> float:
-    """Oracle twin of path_cycle_swap_gap: evaluate the hub defect directly.
-
-    Builds the transplanted vector on B(m, p, m) explicitly and returns
-    ``sigma * x_hub - sum of neighbor entries`` at the q-side hub.
-    """
-    sol = rho_analytic(m, m, p)
-    sigma, t, a = sol.rho, sol.t, sol.a
-    # entries around the q-side hub of B(m, p, m) built from f with value a
-    x_hub = a
-    x_cycle = f_value(1, t, m, a, a)
-    x_path_end = f_value(p - 1, t, p, a, a)
-    return sigma * x_hub - (2.0 * x_cycle + x_path_end)
-
-
-def log_form_t(rho: float) -> float:
-    """Reference formula log((rho + sqrt(rho^2 - 4)) / 2); equals t_of_rho."""
-    if rho < 2.0:
-        raise InvalidParameterError(f"need rho >= 2, got {rho}")
-    return log((rho + sqrt(rho * rho - 4.0)) / 2.0)

@@ -21,6 +21,8 @@ DENSE_CAP = 512
 EXACT_CAP = 64
 RHO_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
+POWER_MAX_ITER = 500000
+CERTIFY_MAX_ROUNDS = 60
 
 
 class NumericFailure(RuntimeError):
@@ -42,7 +44,7 @@ def rho_numeric(g: Graph) -> float:
     return float(np.linalg.eigvalsh(g.adjacency_matrix())[-1])
 
 
-def perron_pair(g: Graph, tol: float = RESIDUAL_TOL, max_iter: int = 500000) -> SpectralResult:
+def perron_pair(g: Graph, tol: float = RESIDUAL_TOL) -> SpectralResult:
     """Perron root and positive unit eigenvector by power iteration.
 
     Iterates on A + I so bipartite graphs (where +-rho are both extreme)
@@ -60,7 +62,7 @@ def perron_pair(g: Graph, tol: float = RESIDUAL_TOL, max_iter: int = 500000) -> 
     shifted = a + np.eye(n)
     x = np.full(n, 1.0 / np.sqrt(n))
     rho = 0.0
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         y = shifted @ x
         x = y / np.linalg.norm(y)
         ax = a @ x
@@ -71,7 +73,7 @@ def perron_pair(g: Graph, tol: float = RESIDUAL_TOL, max_iter: int = 500000) -> 
                 raise NumericFailure("power iteration produced a non-positive vector")
             return SpectralResult(rho, x, residual, "power")
     raise NumericFailure(
-        f"power iteration did not reach residual {tol} in {max_iter} iterations "
+        f"power iteration did not reach residual {tol} in {POWER_MAX_ITER} iterations "
         f"(n={n}, last rho={rho})"
     )
 
@@ -290,7 +292,7 @@ def rho_bracket(g: Graph, width: Fraction | float = Fraction(1, 10**12)) -> RhoB
     return cert.bracket()
 
 
-def compare_rho_certified(g1: Graph, g2: Graph, max_rounds: int = 60) -> str:
+def compare_rho_certified(g1: Graph, g2: Graph) -> str:
     """Certified ordering of two spectral radii.
 
     Returns ``"less"``, ``"greater"``, ``"equal"`` or ``"unresolved"``.
@@ -302,7 +304,7 @@ def compare_rho_certified(g1: Graph, g2: Graph, max_rounds: int = 60) -> str:
     width = Fraction(1, 10**9)
     gcd_poly: tuple[int, ...] | None = None
     gcd_chain = None
-    for _ in range(max_rounds):
+    for _ in range(CERTIFY_MAX_ROUNDS):
         c1.refine(width)
         c2.refine(width)
         if c1.hi <= c2.lo:

@@ -28,6 +28,9 @@ from .graphs import (
 )
 from .spectral import perron_pair, rho_numeric
 
+PERRON_MARGIN = 1e-9  # slack when checking the split anchor's minimum Perron entry
+MONOTONE_TOL = 1e-10  # slack on each replay step's numeric radius comparison
+
 
 class ExemptionError(InvalidParameterError):
     """The rewrite is refused because its radius law exempts this graph."""
@@ -122,7 +125,7 @@ def shift_neighbors(g: Graph, u: int, v: int, subset) -> Graph:
     return out
 
 
-def split_vertex(g: Graph, v: int, first_side, perron_margin: float = 1e-9) -> Graph:
+def split_vertex(g: Graph, v: int, first_side) -> Graph:
     """Split hub ``v`` along a cut edge into two vertices sharing that anchor.
 
     ``first_side`` is the neighbor set of the first replacement vertex; it
@@ -150,7 +153,7 @@ def split_vertex(g: Graph, v: int, first_side, perron_margin: float = 1e-9) -> G
         raise InvalidParameterError(
             f"first side must contain the minimum-Perron neighbor {w1}"
         )
-    if any(x[w1] > x[w] + perron_margin for w in nv):
+    if any(x[w1] > x[w] + PERRON_MARGIN for w in nv):
         raise InvalidParameterError("anchor does not attain the minimum Perron entry")
     bridges = set(cut_edges(g))
     if (min(v, w1), max(v, w1)) not in bridges:
@@ -350,7 +353,7 @@ def _core_subdivision_target(g: Graph, core: set[int]) -> tuple[int, int]:
     return verts[a], verts[b]
 
 
-def proof_replay(g: Graph, tol: float = 1e-10) -> list[RewriteStep]:
+def proof_replay(g: Graph) -> list[RewriteStep]:
     """Monotone descent from ``g`` onto a two-cycle family member.
 
     Requires a connected graph with at least n + 1 edges whose independence
@@ -413,7 +416,7 @@ def proof_replay(g: Graph, tol: float = 1e-10) -> list[RewriteStep]:
         core.add(w)
         cur = nxt
     for st in steps:
-        if st.rho_after > st.rho_before + tol:
+        if st.rho_after > st.rho_before + MONOTONE_TOL:
             raise InvalidInputError(
                 f"non-monotone step {st.kind}: {st.rho_before} -> {st.rho_after}"
             )

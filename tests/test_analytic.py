@@ -7,17 +7,14 @@ import numpy as np
 import pytest
 
 from spectramin.analytic import (
+    AnalyticSolution,
     boundary_det,
     boundary_matrix,
-    f_limit,
     f_value,
-    hub_identity_residuals,
-    log_form_t,
     path_cycle_swap_gap,
     perron_closed_form,
     quotient_matrix_symmetric,
     rho_analytic,
-    swap_gap_direct,
     t_of_rho,
 )
 from spectramin.graphs import (
@@ -27,6 +24,56 @@ from spectramin.graphs import (
     spec_P,
 )
 from spectramin.spectral import perron_pair, rho_numeric
+
+# ---------------------------------------------------------------------------
+# reference formulas the tests check the package against
+
+
+def f_limit(i: int, k: int, a: float, b: float) -> float:
+    """t -> 0 limit of f: plain linear interpolation between a and b."""
+    return (b * i + a * (k - i)) / k
+
+
+def log_form_t(rho: float) -> float:
+    """Reference formula log((rho + sqrt(rho^2 - 4)) / 2); equals t_of_rho."""
+    return math.log((rho + math.sqrt(rho * rho - 4.0)) / 2.0)
+
+
+def hub_identity_residuals(sol: AnalyticSolution) -> tuple[float, float]:
+    """Absolute errors of the two rearranged hub identities.
+
+    The hub balance equations can be rewritten with all interpolants taken
+    at equal endpoint values:
+
+        a cosh t - f_1(t,m,a,a) - f_1(t,p,a,a)/2 = -(a-b)/2 * sinh t / sinh pt
+        a cosh t - f_1(t,q,a,a) - f_1(t,p,a,a)/2 = a(a-b)/(2b) * sinh t / sinh pt
+
+    Both sides must match at the solved (rho, a, b); they are exact
+    rearrangements, so the residuals are numerically zero.
+    """
+    m, p, q, t, a, b = sol.m, sol.p, sol.q, sol.t, sol.a, sol.b
+    ch = math.cosh(t)
+    ratio = math.sinh(t) / math.sinh(p * t)
+    lhs1 = a * ch - f_value(1, t, m, a, a) - 0.5 * f_value(1, t, p, a, a)
+    rhs1 = -(a - b) / 2.0 * ratio
+    lhs2 = a * ch - f_value(1, t, q, a, a) - 0.5 * f_value(1, t, p, a, a)
+    rhs2 = a * (a - b) / (2.0 * b) * ratio
+    return abs(lhs1 - rhs1), abs(lhs2 - rhs2)
+
+
+def swap_gap_direct(m: int, p: int) -> float:
+    """Twin of path_cycle_swap_gap: evaluate the hub defect directly.
+
+    Builds the transplanted vector on B(m, p, m) explicitly and returns
+    ``sigma * x_hub - sum of neighbor entries`` at the q-side hub.
+    """
+    sol = rho_analytic(m, m, p)
+    sigma, t, a = sol.rho, sol.t, sol.a
+    # entries around the q-side hub of B(m, p, m) built from f with value a
+    x_hub = a
+    x_cycle = f_value(1, t, m, a, a)
+    x_path_end = f_value(p - 1, t, p, a, a)
+    return sigma * x_hub - (2.0 * x_cycle + x_path_end)
 
 
 class TestInterpolant:
@@ -120,9 +167,24 @@ class TestBoundaryMatrix:
         mat = boundary_matrix(5, 3, 4, 2.4)
         assert mat[0, 1] == mat[1, 0]
 
+    def test_positive_definite_exactly_above_rho(self):
+        # inertia additivity: M(x) is positive definite iff x > rho(B)
+        for m in range(3, 10):
+            for p in range(1, 10):
+                for q in range(3, 10):
+                    rho = rho_numeric(build_bicyclic(spec_B(m, p, q))[0])
+                    above = np.linalg.eigvalsh(boundary_matrix(m, p, q, rho + 1e-9))
+                    below = np.linalg.eigvalsh(boundary_matrix(m, p, q, rho - 1e-9))
+                    assert above[0] > 0.0, (m, p, q)
+                    assert below[0] <= 0.0, (m, p, q)
+
 
 class TestRhoAnalytic:
-    @pytest.mark.parametrize("m,p,q", [(4, 2, 4), (5, 2, 3), (3, 1, 3), (9, 9, 9)])
+    @pytest.mark.parametrize(
+        "m,p,q",
+        # the last three have rho - lambda_2 below 5e-4: the solve must tell close roots apart
+        [(4, 2, 4), (5, 2, 3), (3, 1, 3), (9, 9, 9), (3, 16, 3), (3, 17, 3), (4, 20, 4)],
+    )
     def test_matches_power_iteration(self, m, p, q):
         sol = rho_analytic(m, p, q)
         g, _ = build_bicyclic(spec_B(m, p, q))

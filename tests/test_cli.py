@@ -14,16 +14,18 @@ class TestRho:
         assert "rho (power iteration)   = 2" in out
 
     def test_b_family_three_methods(self, capsys):
-        assert main(["rho", "B:3,1,3"]) == 0
-        out = capsys.readouterr().out
-        assert "analytic boundary" in out
-        assert "certified bracket" in out
-        deltas = [
-            float(line.rsplit("delta", 1)[1].lstrip(" ="))
-            for line in out.splitlines()
-            if "delta" in line
-        ]
-        assert all(d <= 1e-9 for d in deltas)
+        # B(3,17,3) has rho - lambda_2 = 1.9e-4: the analytic solve must tell them apart
+        for spec in ("B:3,1,3", "B:3,17,3"):
+            assert main(["rho", spec]) == 0
+            out = capsys.readouterr().out
+            assert "analytic boundary" in out
+            assert "certified bracket" in out
+            deltas = [
+                float(line.rsplit("delta", 1)[1].lstrip(" ="))
+                for line in out.splitlines()
+                if "delta" in line
+            ]
+            assert all(d <= 1e-9 for d in deltas), spec
 
     def test_malformed_exits_2(self, capsys):
         assert main(["rho", "B:3,1"]) == 2
