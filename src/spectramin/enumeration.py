@@ -168,7 +168,7 @@ def enumerate_connected(n: int, extended: bool = False) -> Iterator[Graph]:
             yield g
 
 
-def branch_states(max_edges: int | None = None) -> list[tuple[tuple[int, ...], bytes, int]]:
+def branch_states() -> list[tuple[tuple[int, ...], bytes, int]]:
     """Deterministic level-5 generation states partitioning all larger graphs.
 
     Every graph on more than 5 vertices descends from exactly one of these
@@ -178,7 +178,7 @@ def branch_states(max_edges: int | None = None) -> list[tuple[tuple[int, ...], b
     for _ in range(BRANCH_LEVEL - 1):
         nxt = []
         for rows, form, e in states:
-            nxt.extend(_accepted_children(len(rows), rows, form, e, max_edges))
+            nxt.extend(_accepted_children(len(rows), rows, form, e, None))
         states = nxt
     return states
 

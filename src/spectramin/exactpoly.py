@@ -2,8 +2,9 @@
 
 Polynomials are tuples of Python ints in ascending order (constant term
 first).  Everything here is exact: sign evaluation at rationals, Sturm
-chains (valid for non-squarefree inputs too, counting distinct roots), and
-primitive-PRS gcd.
+chains (valid for non-squarefree inputs too, counting distinct roots in
+``(a, b]``; an endpoint at a multiple root is refused), and primitive-PRS
+gcd.
 """
 
 from __future__ import annotations
@@ -47,13 +48,6 @@ def content(p: IntPoly) -> int:
 def primitive(p: IntPoly) -> IntPoly:
     g = content(p)
     return tuple(c // g for c in p) if g > 1 else normalize(p)
-
-
-def eval_at_int(p: IntPoly, x: int) -> int:
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def sign_at(p: IntPoly, x: Fraction) -> int:
@@ -119,13 +113,19 @@ def _variations(signs: list[int]) -> int:
 
 
 def variations_at(chain: list[IntPoly], x: Fraction) -> int:
-    return _variations([sign_at(q, x) for q in chain])
+    signs = [sign_at(q, x) for q in chain]
+    if signs[-1] == 0:
+        raise ValueError(f"Sturm endpoint {x} is a multiple root")
+    return _variations(signs)
 
 
 def count_roots_in(chain: list[IntPoly], a: Fraction, b: Fraction) -> int:
-    """Distinct real roots of the chain's polynomial in the open interval (a, b).
+    """Distinct real roots of the chain's polynomial in ``(a, b]``.
 
-    Both endpoints must be non-roots (checked by the caller via sign_at).
+    V(a) - V(b) counts them whenever the chain's last member, gcd(p, p'), is
+    non-zero at a and b; a simple root at an endpoint is fine.  At a
+    multiple root every chain member vanishes and the count means nothing,
+    so such an endpoint raises ``ValueError``.
     """
     if a >= b:
         return 0
@@ -147,21 +147,6 @@ def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     if a[-1] < 0:
         a = tuple(-c for c in a)
     return a
-
-
-def deflate_root(p: IntPoly, r: int) -> tuple[IntPoly, int]:
-    """Divide out ``(x - r)`` as often as it divides exactly; returns (q, multiplicity)."""
-    mult = 0
-    cur = normalize(p)
-    while eval_at_int(cur, r) == 0 and degree(cur) >= 1:
-        out = [0] * degree(cur)
-        acc = 0
-        for i in range(degree(cur), 0, -1):
-            acc = acc * r + cur[i]
-            out[i - 1] = acc
-        cur = normalize(out)
-        mult += 1
-    return cur, mult
 
 
 def poly_to_line(p: IntPoly) -> str:

@@ -113,4 +113,7 @@ def from_edge_list(text: str) -> Graph:
         edges.append((int(parts[0]), int(parts[1])))
     if len(edges) != m:
         raise InvalidParameterError(f"edge list declares {m} edges, found {len(edges)}")
-    return Graph(n, edges)
+    g = Graph(n, edges)
+    if g.edge_count != m:
+        raise InvalidParameterError(f"edge list repeats an edge ({m} lines, {g.edge_count} edges)")
+    return g

@@ -5,6 +5,12 @@ Three independent routes to the spectral radius: power iteration on A + I
 an exact integer characteristic polynomial with certified rational root
 brackets.  Strict orderings and equalities between radii are settled with
 the exact route, never by floating-point closeness.
+
+A certified bracket keeps one invariant: rho is the only root of the
+characteristic polynomial in ``(lo, hi]`` and no root lies above ``hi``.
+Sturm counts establish it (a count over ``(a, b]`` is trusted only where
+gcd(p, p'), the chain's last member, is non-zero at both endpoints) and
+sign bisection keeps it, since rho is simple and the polynomial monic.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ RHO_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 POWER_MAX_ITER = 500000
 CERTIFY_MAX_ROUNDS = 60
+INTERLACING_TOL = 1e-8
 
 
 class NumericFailure(RuntimeError):
@@ -100,19 +107,8 @@ class CharPoly:
 
     coeffs: tuple[int, ...]
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def sign_at(self, x: Fraction) -> int:
-        return xp.sign_at(self.coeffs, x)
-
     def serialize(self) -> str:
         return xp.poly_to_line(self.coeffs)
-
-    @classmethod
-    def parse(cls, line: str) -> "CharPoly":
-        return cls(xp.poly_from_line(line))
 
 
 def char_poly(g: Graph) -> CharPoly:
@@ -170,112 +166,65 @@ class RhoBracket:
         return f"({self.lo}, {self.hi}]"
 
 
-def _dyadic(x: float, scale: int = 1 << 24) -> Fraction:
-    return Fraction(round(x * scale), scale)
-
-
-def _as_int(x: Fraction) -> int:
-    # a rational root of a monic integer polynomial is an integer
-    assert x.denominator == 1, f"expected an integer root, got {x}"
-    return x.numerator
+def _dyadic(x: float) -> Fraction:
+    return Fraction(round(x * (1 << 24)), 1 << 24)
 
 
 class _CertifiedRho:
-    """Char poly, Sturm chain, and a shrinking certified bracket for one graph."""
+    """Char poly, Sturm chain, and a shrinking certified bracket for one graph.
+
+    Invariant: the top root rho is the only root of the characteristic
+    polynomial p in ``(lo, hi]``, and no root lies above ``hi``.  The law:
+
+    * The graph is connected, so rho is simple (Perron-Frobenius); p is
+      monic, so p < 0 just below rho and p > 0 above it.  Inside an
+      isolating bracket, p(mid) >= 0 exactly when mid >= rho, so one sign
+      evaluation halves the bracket; an integer rho becomes ``hi`` once a
+      midpoint lands on it.
+    * No root lies above ``hi``, so rho is in ``(mid, hi]`` exactly when
+      that interval holds any root: a Sturm count sheds lower roots soundly
+      even when lambda_2 lies inside the bracket.
+    * Every root lies in ``(-U, U)`` with U = 1 + max degree: widening ``hi``
+      to U, or ``lo`` to -U, restores the invariant when the seed misses rho.
+    """
 
     def __init__(self, g: Graph):
         if not is_connected(g):
             raise InvalidInputError("certified radius requires a connected graph")
         self.poly = char_poly(g).coeffs
         self.chain = xp.sturm_chain(self.poly)
-        self.upper = Fraction(1 + max(g.degrees()) if g.edge_count else 1)
-        self.exact_root: int | None = None
-        self._deflated: tuple[int, ...] | None = None
-        seed = rho_numeric(g)
-        self.lo, self.hi = self._initial_bracket(seed)
-
-    def _initial_bracket(self, seed: float) -> tuple[Fraction, Fraction]:
-        name = "top-root bracket"
-        r = round(seed)
-        if abs(seed - r) < 1e-7 and xp.eval_at_int(self.poly, r) == 0:
-            return self._exact_bracket(r)
-        x = _dyadic(seed)
-        if xp.sign_at(self.poly, x) == 0:
-            # the dyadic seed landed on the root itself (then it is an integer)
-            return self._exact_bracket(int(x))
+        upper = Fraction(1 + max(g.degrees()) if g.edge_count else 1)
+        x = _dyadic(rho_numeric(g))
         step = Fraction(1, 1 << 20)
-        if xp.sign_at(self.poly, x) > 0:
-            hi = x
-            lo = x - step
-            while xp.sign_at(self.poly, lo) > 0:
-                step *= 2
-                lo = x - step
-                if lo < -self.upper:
-                    raise NumericFailure(f"{name}: no sign change below seed {seed}")
-            if xp.sign_at(self.poly, lo) == 0:
-                return self._exact_bracket(int(lo))
-        else:
-            lo = x
-            hi = x + step
-            while xp.sign_at(self.poly, hi) < 0:
-                step *= 2
-                hi = x + step
-                if hi > self.upper:
-                    raise NumericFailure(f"{name}: no sign change above seed {seed}")
-            if xp.sign_at(self.poly, hi) == 0:
-                return self._exact_bracket(int(hi))
-        # shrink away any lower roots that slipped into the interval
-        tries = 0
-        while xp.count_roots_in(self.chain, lo, hi) > 1 and tries < 200:
+        lo, hi = (x - step, x) if xp.sign_at(self.poly, x) >= 0 else (x, x + step)
+        if self._roots(hi, upper):
+            hi = upper
+        roots = self._roots(lo, hi)
+        if not roots:
+            lo = -upper
+            roots = self._roots(lo, hi)
+        while roots > 1:
             mid = (lo + hi) / 2
-            s = xp.sign_at(self.poly, mid)
-            if s == 0:
-                return self._exact_bracket(_as_int(mid))
-            if s < 0:
-                lo = mid
+            above = self._roots(mid, hi)
+            if above:
+                lo, roots = mid, above
             else:
                 hi = mid
-            tries += 1
-        self._certify(lo, hi)
-        return lo, hi
+        self.lo, self.hi = lo, hi
 
-    def _exact_bracket(self, r: int) -> tuple[Fraction, Fraction]:
-        self.exact_root = r
-        deflated, mult = xp.deflate_root(self.poly, r)
-        if mult != 1:
-            raise NumericFailure(f"top root {r} is not simple (multiplicity {mult})")
-        self._deflated = deflated
-        dchain = xp.sturm_chain(deflated)
-        hi = Fraction(r)
-        if xp.count_roots_in(dchain, hi, self.upper) != 0:
-            raise NumericFailure(f"certification failed: roots above exact root {r}")
-        lo = hi - Fraction(1, 1 << 20)
-        while xp.sign_at(deflated, lo) == 0 or xp.count_roots_in(dchain, lo, hi) != 0:
-            lo = (lo + hi) / 2
-        return lo, hi
-
-    def _certify(self, lo: Fraction, hi: Fraction) -> None:
-        if xp.count_roots_in(self.chain, lo, hi) != 1:
-            raise NumericFailure(f"bracket ({lo}, {hi}) does not isolate one root")
-        if xp.count_roots_in(self.chain, hi, self.upper) != 0:
-            raise NumericFailure(f"roots remain above bracket ({lo}, {hi})")
+    def _roots(self, a: Fraction, b: Fraction) -> int:
+        try:
+            return xp.count_roots_in(self.chain, a, b)
+        except ValueError as exc:
+            raise NumericFailure(f"top-root bracket: {exc}") from None
 
     def refine(self, width: Fraction) -> None:
         while self.hi - self.lo > width:
-            if self.exact_root is not None:
-                self.lo = (self.lo + self.hi) / 2
-                continue
             mid = (self.lo + self.hi) / 2
-            s = xp.sign_at(self.poly, mid)
-            if s == 0:
-                self.lo, self.hi = self._exact_bracket(_as_int(mid))
-            elif s < 0:
-                self.lo = mid
-            else:
+            if xp.sign_at(self.poly, mid) >= 0:
                 self.hi = mid
-
-    def bracket(self) -> RhoBracket:
-        return RhoBracket(self.lo, self.hi)
+            else:
+                self.lo = mid
 
 
 def rho_bracket(g: Graph, width: Fraction | float = Fraction(1, 10**12)) -> RhoBracket:
@@ -289,7 +238,7 @@ def rho_bracket(g: Graph, width: Fraction | float = Fraction(1, 10**12)) -> RhoB
         raise InvalidParameterError("bracket width must be positive")
     cert = _CertifiedRho(g)
     cert.refine(w)
-    return cert.bracket()
+    return RhoBracket(cert.lo, cert.hi)
 
 
 def compare_rho_certified(g1: Graph, g2: Graph) -> str:
@@ -311,8 +260,6 @@ def compare_rho_certified(g1: Graph, g2: Graph) -> str:
             return "less"
         if c2.hi <= c1.lo:
             return "greater"
-        if c1.exact_root is not None and c2.exact_root is not None:
-            return "equal" if c1.exact_root == c2.exact_root else "unresolved"
         if gcd_poly is None:
             gcd_poly = xp.poly_gcd(c1.poly, c2.poly)
             if xp.degree(gcd_poly) >= 1:
@@ -331,7 +278,7 @@ def compare_rho_certified(g1: Graph, g2: Graph) -> str:
     return "unresolved"
 
 
-def interlacing_holds(g: Graph, subset, tol: float = 1e-8) -> bool:
+def interlacing_holds(g: Graph, subset) -> bool:
     """Check eigenvalue interlacing for the induced subgraph on ``subset``."""
     vs = sorted(set(subset))
     if not vs:
@@ -340,6 +287,6 @@ def interlacing_holds(g: Graph, subset, tol: float = 1e-8) -> bool:
     mu = full_spectrum(g.subgraph(vs))
     n, m = g.n, len(vs)
     for i in range(m):
-        if not (lam[i] >= mu[i] - tol and mu[i] >= lam[n - m + i] - tol):
+        if not (lam[i] >= mu[i] - INTERLACING_TOL and mu[i] >= lam[n - m + i] - INTERLACING_TOL):
             return False
     return True

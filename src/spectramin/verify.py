@@ -494,13 +494,13 @@ def verify_max_extremal(n: int) -> VerificationReport:
         if alpha == n:  # only the edgeless graph, never connected for n > 1
             continue
         checked += 1
-        r = rho_numeric(g)
         bound = join_rho[alpha]
-        if r > bound + 1e-9:
-            failures.append((to_graph6(g), f"rho {r} > bound {bound}"))
-        elif r > bound - 1e-9 and canonical_form(g) != joins[alpha]:
-            if compare_rho_certified(g, build_join_extremal(n, alpha)) != "less":
-                failures.append((to_graph6(g), f"non-join graph attains the bound {bound}"))
+        # a numeric reading only clears a graph; one near or above the bound
+        # fails only when the certified comparison does not say "less"
+        if rho_numeric(g) > bound - 1e-9 and canonical_form(g) != joins[alpha]:
+            verdict = compare_rho_certified(g, build_join_extremal(n, alpha))
+            if verdict != "less":
+                failures.append((to_graph6(g), f"not certified below bound {bound}: {verdict}"))
     return VerificationReport(
         "max-radius-join-bound",
         {"n": n, "checked": checked},

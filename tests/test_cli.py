@@ -4,7 +4,7 @@ import pytest
 
 from spectramin.cli import CHECKPOINT_ENV, main
 from spectramin.formats import to_graph6
-from spectramin.graphs import build_cycle
+from spectramin.graphs import build_bicyclic, build_cycle, spec_B
 
 
 class TestRho:
@@ -34,6 +34,9 @@ class TestRho:
     def test_graph6_input(self, capsys):
         assert main(["rho", to_graph6(build_cycle(5))]) == 0
         assert "= 2" in capsys.readouterr().out
+        # B(3,30,3): rho - lambda_2 = 3.7e-7, inside the certified bracket's seed window
+        assert main(["rho", to_graph6(build_bicyclic(spec_B(3, 30, 3))[0])]) == 0
+        assert "certified bracket" in capsys.readouterr().out
 
     def test_file_inputs(self, tmp_path, capsys):
         p = tmp_path / "g.g6"

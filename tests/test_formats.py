@@ -63,3 +63,5 @@ class TestEdgeList:
             from_edge_list("3 2\n0 1\n")  # promises two edges, has one
         with pytest.raises(InvalidParameterError):
             from_edge_list("")
+        with pytest.raises(InvalidParameterError):
+            from_edge_list("3 3\n0 1\n0 1\n1 2\n")  # 0-1 listed twice

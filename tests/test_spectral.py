@@ -44,6 +44,19 @@ class TestExactPoly:
         assert xp.count_roots_in(chain, Fraction(0), Fraction(4)) == 3
         assert xp.count_roots_in(chain, Fraction(3, 2), Fraction(5, 2)) == 1
         assert xp.count_roots_in(chain, Fraction(4), Fraction(9)) == 0
+        # a simple root at an endpoint: the count is over (a, b]
+        assert xp.count_roots_in(chain, Fraction(1), Fraction(2)) == 1
+        assert xp.count_roots_in(chain, Fraction(2), Fraction(3)) == 1
+
+    def test_sturm_refuses_multiple_root_endpoint(self):
+        # (x-1)^2 (x-3): every chain member vanishes at 1, so V(1) means nothing
+        p = (-3, 7, -5, 1)
+        chain = xp.sturm_chain(p)
+        assert xp.count_roots_in(chain, Fraction(0), Fraction(4)) == 2
+        with pytest.raises(ValueError):
+            xp.count_roots_in(chain, Fraction(1), Fraction(4))
+        with pytest.raises(ValueError):
+            xp.count_roots_in(chain, Fraction(0), Fraction(1))
 
     def test_sturm_with_multiplicities(self):
         # (x-1)^2 (x+2): distinct roots 1 and -2
@@ -56,10 +69,6 @@ class TestExactPoly:
         g = (2, -3, 1)  # (x-1)(x-2)
         assert xp.poly_gcd(f, g) == (-2, 1)
         assert xp.degree(xp.poly_gcd((1, 1), (1, 0, 1))) == 0
-
-    def test_deflate(self):
-        q, mult = xp.deflate_root((-4, 0, 1), 2)  # x^2 - 4
-        assert mult == 1 and q == (2, 1)
 
     def test_serialization_round_trip(self):
         p = (3, 12, 11, -4, -7, 0, 1)
@@ -192,6 +201,17 @@ class TestRhoBracket:
         br = rho_bracket(g, Fraction(1, 10**12))
         assert abs(float(br.midpoint()) - (lo + hi) / 2) < 1e-9
 
+    @pytest.mark.parametrize("m,p", [(3, 30), (4, 34), (5, 35), (3, 42)])
+    def test_tiny_top_gap(self, m, p):
+        # rho - lambda_2 is below the 2^-20 seed window (3.7e-7 for B(3,30,3)):
+        # only Sturm counts, not sign bisection, can shed lambda_2
+        g, _ = build_bicyclic(spec_B(m, p, m))
+        eig = np.linalg.eigvalsh(g.adjacency_matrix())
+        br = rho_bracket(g, Fraction(1, 10**12))
+        assert br.lo < Fraction(float(eig[-1])) + Fraction(1, 10**13)
+        assert Fraction(float(eig[-1])) - Fraction(1, 10**13) <= br.hi
+        assert br.lo > Fraction(float(eig[-2]))
+
 
 class TestCompareCertified:
     def test_equal_family_pairs(self):
@@ -208,6 +228,9 @@ class TestCompareCertified:
         b443 = build_bicyclic(spec_B(4, 4, 3))[0]
         assert compare_rho_certified(b434, b443) == "less"
         assert compare_rho_certified(b443, b434) == "greater"
+        b3303 = build_bicyclic(spec_B(3, 30, 3))[0]
+        b3304 = build_bicyclic(spec_B(3, 30, 4))[0]
+        assert compare_rho_certified(b3303, b3304) == "greater"
 
     def test_irrational_equality_via_gcd(self):
         a = build_bicyclic(spec_B(3, 3, 3))[0]

@@ -197,6 +197,21 @@ class TestHarness:
         assert verify_max_extremal(5).status == "pass"
         assert verify_max_extremal(6).status == "pass"
 
+    def test_max_extremal_band_is_certified(self, monkeypatch):
+        # a float reading above the join bound is not a failure by itself:
+        # the certified comparison with the join graph decides
+        from spectramin import verify
+        from spectramin.graphs import build_cycle, build_join_extremal
+
+        real = verify.rho_numeric
+        target = canonical_form(build_cycle(5))  # alpha 2, radius 2
+        bound = real(build_join_extremal(5, 2))
+        monkeypatch.setattr(
+            verify, "rho_numeric",
+            lambda g: bound + 1e-8 if canonical_form(g) == target else real(g),
+        )
+        assert verify_max_extremal(5).status == "pass"
+
     def test_max_extremal_full_n7(self):
         assert verify_max_extremal(7).status == "pass"
 
