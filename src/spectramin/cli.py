@@ -43,13 +43,17 @@ def _fmt(x: float) -> str:
 
 
 def load_graph(token: str) -> tuple[Graph, str]:
-    """Resolve an input token: a file path (graph6 or edge list) or a family spec."""
+    """Resolve an input token: a file path (graph6 or edge list) or a family spec.
+
+    A file is an edge list when its first non-blank line has two tokens.
+    """
     if os.path.exists(token):
-        text = open(token).read()
-        try:
+        with open(token) as fh:
+            text = fh.read()
+        first = next((ln.strip() for ln in text.splitlines() if ln.strip()), "")
+        if len(first.split()) == 2:
             return from_edge_list(text), "edge-list file"
-        except (InvalidParameterError, ValueError):
-            return from_graph6(text.strip().splitlines()[0]), "graph6 file"
+        return from_graph6(first), "graph6 file"
     if ":" in token:
         return graph_from_family(token), "family spec"
     return from_graph6(token), "graph6 string"

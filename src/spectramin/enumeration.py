@@ -2,10 +2,11 @@
 
 Two engines:
 
-* canonical augmentation ("orderly" generation): grow graphs one vertex at a
-  time over all neighbor subsets and keep a child exactly when deleting the
-  vertex at the last canonical position reproduces the parent, so each
-  isomorphism class appears once without any global seen-set;
+* canonical augmentation ("orderly" generation, McKay 1998): grow graphs one
+  vertex at a time over one neighbor subset per orbit of the parent's group,
+  and keep a child exactly when the new vertex lies in the orbit of the
+  vertex at its last canonical position.  The child's one ``_canon`` call
+  gives that orbit and the generators its own children use;
 * structural generation for connected graphs with exactly ``n`` or ``n + 1``
   edges: such graphs are a cycle / two-cycle core with rooted forests hanging
   off it, so they are produced directly from (core, forest assignment) pairs
@@ -38,7 +39,6 @@ from .graphs import (
     Graph,
     InvalidParameterError,
     _canon,
-    _delete_vertex_rows,
     _mis,
     automorphisms,
     build_bicyclic,
@@ -54,6 +54,8 @@ EDGE_MODE_CAP = 16
 BRANCH_LEVEL = 5
 
 Assignment = tuple[tuple[int, ...], ...]  # one canonical rooted tree per core vertex
+Generators = tuple[tuple[int, ...], ...]  # automorphism group generators, as image tuples
+State = tuple[tuple[int, ...], Generators, int]  # (rows, group generators, edge count)
 
 
 # ---------------------------------------------------------------------------
@@ -63,46 +65,37 @@ Assignment = tuple[tuple[int, ...], ...]  # one canonical rooted tree per core v
 def _accepted_children(
     k: int,
     rows: tuple[int, ...],
-    parent_form: bytes,
+    gens: Generators,
     edge_count: int,
     max_edges: int | None,
-) -> Iterator[tuple[tuple[int, ...], bytes, int]]:
+) -> Iterator[State]:
     """Children of a parent on ``k`` vertices, one per isomorphism class.
 
     A child is the parent plus vertex ``k`` joined to a neighbor subset
-    ``S`` (iterated in increasing bitmask order for determinism).  Subsets
-    that are automorphic images of a smaller subset are skipped up front;
-    a surviving child is kept iff removing the vertex at its last canonical
-    position gives back the parent's class.  Children of one parent are
-    deduplicated by canonical form.
+    ``S``.  One ascending pass marks each subset's orbit under ``gens``, the
+    parent's group generators, so only the least ``S`` of an orbit is tried.
+    The child is accepted exactly when vertex ``k`` lies in the orbit of the
+    vertex at its last canonical position (McKay's canonical augmentation).
+    That orbit is an isomorphism invariant, so a class is accepted from one
+    parent only, and from one orbit of ``S`` only.
     """
-    seen: set[bytes] = set()
     bit_k = 1 << k
-    auts = [a for a in automorphisms(Graph.from_rows(k, rows)) if a != tuple(range(k))]
-    for S in range(1 << k):
+    marked = bytearray(bit_k)
+    for S in range(bit_k):
         add = S.bit_count()
-        if max_edges is not None and edge_count + add > max_edges:
+        if marked[S] or max_edges is not None and edge_count + add > max_edges:
             continue
-        if auts and any(_apply_perm_mask(a, S) < S for a in auts):
-            continue
-        child = list(rows)
-        m = S
-        while m:
-            b = m & -m
-            child[b.bit_length() - 1] |= bit_k
-            m ^= b
-        child.append(S)
-        child_t = tuple(child)
-        form, perm = _canon(k + 1, child_t)
-        if form in seen:
-            continue
-        w = perm[k]
-        if w != k:
-            dform, _ = _canon(k, tuple(_delete_vertex_rows(child_t, w)))
-            if dform != parent_form:
-                continue
-        seen.add(form)
-        yield child_t, form, edge_count + add
+        orbit = [S]
+        for T in orbit:
+            for g in gens:
+                U = _apply_perm_mask(g, T)
+                if not marked[U]:
+                    marked[U] = 1
+                    orbit.append(U)
+        child = tuple(r | bit_k if S >> i & 1 else r for i, r in enumerate(rows)) + (S,)
+        _, perm, orbits, child_gens = _canon(k + 1, child)
+        if orbits[k] == orbits[perm[k]]:
+            yield child, child_gens, edge_count + add
 
 
 def _apply_perm_mask(perm: Sequence[int], mask: int) -> int:
@@ -118,7 +111,7 @@ def _augment(
     n_target: int,
     k: int,
     rows: tuple[int, ...],
-    form: bytes,
+    gens: Generators,
     edge_count: int,
     max_edges: int | None,
 ) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -130,24 +123,20 @@ def _augment(
     floor = 0
     if max_edges is not None:
         floor = max_edges - sum(range(k + 1, n_target))
-    for child, cform, ce in _accepted_children(k, rows, form, edge_count, max_edges):
+    for child, cgens, ce in _accepted_children(k, rows, gens, edge_count, max_edges):
         if max_edges is not None and ce < floor:
             continue
-        yield from _augment(n_target, k + 1, child, cform, ce, max_edges)
+        yield from _augment(n_target, k + 1, child, cgens, ce, max_edges)
 
 
 _ROOT_ROWS: tuple[int, ...] = (0,)
-
-
-def _root_form() -> bytes:
-    return _canon(1, _ROOT_ROWS)[0]
 
 
 def enumerate_all_graphs(n: int) -> Iterator[Graph]:
     """All simple graphs on ``n`` vertices, one per isomorphism class."""
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
-    for rows, _ in _augment(n, 1, _ROOT_ROWS, _root_form(), 0, None):
+    for rows, _ in _augment(n, 1, _ROOT_ROWS, (), 0, None):
         yield Graph.from_rows(n, rows)
 
 
@@ -162,33 +151,31 @@ def enumerate_connected(n: int, extended: bool = False) -> Iterator[Graph]:
         raise InvalidParameterError(
             f"enumerate_connected supports n <= {cap} (extended={extended}), got {n}"
         )
-    for rows, _ in _augment(n, 1, _ROOT_ROWS, _root_form(), 0, None):
+    for rows, _ in _augment(n, 1, _ROOT_ROWS, (), 0, None):
         g = Graph.from_rows(n, rows)
         if is_connected(g):
             yield g
 
 
-def branch_states() -> list[tuple[tuple[int, ...], bytes, int]]:
+def branch_states() -> list[State]:
     """Deterministic level-5 generation states partitioning all larger graphs.
 
     Every graph on more than 5 vertices descends from exactly one of these
     states, so they are the unit of parallel work and of checkpointing.
     """
-    states = [(_ROOT_ROWS, _root_form(), 0)]
+    states: list[State] = [(_ROOT_ROWS, (), 0)]
     for _ in range(BRANCH_LEVEL - 1):
         nxt = []
-        for rows, form, e in states:
-            nxt.extend(_accepted_children(len(rows), rows, form, e, None))
+        for rows, gens, e in states:
+            nxt.extend(_accepted_children(len(rows), rows, gens, e, None))
         states = nxt
     return states
 
 
-def enumerate_connected_from_branch(
-    n: int, state: tuple[tuple[int, ...], bytes, int]
-) -> Iterator[Graph]:
+def enumerate_connected_from_branch(n: int, state: State) -> Iterator[Graph]:
     """Connected n-vertex descendants of one level-5 branch state."""
-    rows, form, e = state
-    for out_rows, _ in _augment(n, len(rows), rows, form, e, None):
+    rows, gens, e = state
+    for out_rows, _ in _augment(n, len(rows), rows, gens, e, None):
         g = Graph.from_rows(n, out_rows)
         if is_connected(g):
             yield g
@@ -215,7 +202,7 @@ def enumerate_with_edge_count(n: int, m_edges: int) -> Iterator[Graph]:
         return
     if n > EXTENDED_CAP:
         raise InvalidParameterError(f"general edge-count mode capped at n = {EXTENDED_CAP}")
-    for rows, e in _augment(n, 1, _ROOT_ROWS, _root_form(), 0, m_edges):
+    for rows, e in _augment(n, 1, _ROOT_ROWS, (), 0, m_edges):
         if e != m_edges:
             continue
         g = Graph.from_rows(n, rows)
@@ -322,7 +309,7 @@ def _forest_assignments(
     """
     c = core.n
     rows = core.rows
-    auts = [a for a in automorphisms(core) if a != tuple(range(c))]
+    auts = automorphisms(core)[1:]  # sorted: the identity comes first
     trees = [_trees_of_size(s) for s in range(extra + 2)]
     memo: dict[int, int] = {}
     everyone = (1 << c) - 1

@@ -97,20 +97,21 @@ def to_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int_pair(line: str) -> tuple[int, int]:
+    try:
+        u, v = map(int, line.split())
+    except ValueError:
+        raise InvalidParameterError(
+            f"edge list lines must be two integers ('n m', then 'u v'), got {line!r}"
+        ) from None
+    return u, v
+
+
 def from_edge_list(text: str) -> Graph:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise InvalidParameterError("empty edge list")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise InvalidParameterError("edge list must start with 'n m'")
-    n, m = int(head[0]), int(head[1])
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise InvalidParameterError(f"bad edge line: {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+    (n, m), *edges = map(_int_pair, lines)
     if len(edges) != m:
         raise InvalidParameterError(f"edge list declares {m} edges, found {len(edges)}")
     g = Graph(n, edges)

@@ -451,14 +451,26 @@ def _refined_colors(n: int, rows: Sequence[int]) -> list[int]:
     return colors
 
 
-def _canon(n: int, rows: Sequence[int]) -> tuple[bytes, tuple[int, ...]]:
-    """Canonical form and labeling.
+def _canon(
+    n: int, rows: Sequence[int]
+) -> tuple[bytes, tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Canonical form, canonical labeling, orbits and automorphism generators.
 
-    Searches for the minimal packed adjacency encoding over all orderings
-    that respect the refined color classes; automorphisms discovered along
-    the way prune equivalent root branches.  Returns ``(form, perm)`` with
-    ``perm[i]`` the input vertex at canonical position ``i``; two graphs get
-    equal forms iff they are isomorphic.
+    Searches for the least packed adjacency encoding over all orderings
+    that respect the refined color classes.  Returns ``(form, perm, orbits,
+    gens)``: ``perm[i]`` is the input vertex at canonical position ``i``;
+    ``gens`` are automorphisms as image tuples (``sigma[v]`` = image of
+    ``v``); ``orbits[v]`` is the least vertex of ``v``'s orbit.  Two graphs
+    get equal forms iff they are isomorphic.
+
+    The generators are every leaf that ties the best encoding (as the map
+    from the first least leaf to it) plus every twin swap the search prunes
+    by.  The search skips a subtree only when its prefix encodes above the
+    best, when a twin swap maps it onto a tried sibling, or when a found
+    automorphism maps its root vertex onto a tried root.  So every least leaf is
+    the image of the first one under the group these generate, and since
+    the least leaves form one coset of Aut(G), the generators generate
+    Aut(G) and ``orbits`` are its orbits.
     """
     colors = _refined_colors(n, rows)
     order = sorted(range(n), key=lambda v: (colors[v], v))
@@ -469,9 +481,9 @@ def _canon(n: int, rows: Sequence[int]) -> tuple[bytes, tuple[int, ...]]:
         else:
             cells.append([v])
 
-    if all(len(c) == 1 for c in cells):
+    if len(cells) == n:
         perm = tuple(order)
-        return _pack_form(n, rows, perm), perm
+        return _pack_form(n, rows, perm), perm, tuple(range(n)), ()
 
     # flat list of vertices in cells strictly after index ci
     tails: list[list[int]] = [[] for _ in cells]
@@ -481,7 +493,8 @@ def _canon(n: int, rows: Sequence[int]) -> tuple[bytes, tuple[int, ...]]:
     best_rows = [_INF_ROW] * n
     best_perm: list[int] = [0] * n
     best_complete = False
-    # union-find over vertices for root-level orbit pruning
+    gens: dict[tuple[int, ...], None] = {}  # insertion-ordered set
+    # union-find over vertices: the orbits of the generators found so far
     uf = list(range(n))
 
     def find(x: int) -> int:
@@ -490,25 +503,34 @@ def _canon(n: int, rows: Sequence[int]) -> tuple[bytes, tuple[int, ...]]:
             x = uf[x]
         return x
 
+    def record(sigma: tuple[int, ...]) -> None:
+        if sigma in gens:
+            return
+        gens[sigma] = None
+        for v in range(n):
+            a, b = find(v), find(sigma[v])
+            if a != b:
+                uf[a] = b
+
     placed: list[int] = []
     tried_roots: list[int] = []
 
-    def search(ci: int, rem: list[int], rv: list[int], equal_so_far: bool) -> None:
+    def search(ci: int, rem: list[int], rv: list[int]) -> None:
         nonlocal best_complete
         pos = len(placed)
         if pos == n:
-            if equal_so_far and best_complete:
-                # same encoding reached twice: best_perm -> placed is an automorphism
+            if best_complete:
+                # every position matched the best: best_perm -> placed is an automorphism
+                sigma = [0] * n
                 for i in range(n):
-                    a, b = find(best_perm[i]), find(placed[i])
-                    if a != b:
-                        uf[a] = b
+                    sigma[best_perm[i]] = placed[i]
+                record(tuple(sigma))
             else:
                 best_perm[:] = placed
                 best_complete = True
             return
         if not rem:
-            search(ci + 1, list(cells[ci + 1]), rv, equal_so_far)
+            search(ci + 1, list(cells[ci + 1]), rv)
             return
         at_root = pos == 0
         cands = sorted(rem, key=lambda v: rv[v])
@@ -517,27 +539,26 @@ def _canon(n: int, rows: Sequence[int]) -> tuple[bytes, tuple[int, ...]]:
             if at_root and any(find(v) == find(w) for w in tried_roots):
                 continue
             rv_v = rv[v]
-            skip = False
+            twin = -1
             for w in tried:
-                # twins: swapping v and w is an automorphism fixing everything
-                # else, so the w-subtree already covered this branch
                 if rv[w] == rv_v and rows[v] & ~(1 << w) == rows[w] & ~(1 << v):
-                    skip = True
+                    twin = w
                     break
-            if skip:
+            if twin >= 0:
+                # swapping the twins fixes everything else, so the twin's
+                # subtree already covered this branch
+                swap = list(range(n))
+                swap[v], swap[twin] = twin, v
+                record(tuple(swap))
                 continue
-            x = rv_v
             b = best_rows[pos]
-            if x > b:
+            if rv_v > b:
                 break  # candidates are sorted ascending
-            if x < b:
-                best_rows[pos] = x
+            if rv_v < b:
+                best_rows[pos] = rv_v
                 for j in range(pos + 1, n):
                     best_rows[j] = _INF_ROW
                 best_complete = False
-                eq = False
-            else:
-                eq = equal_so_far
             if at_root:
                 tried_roots.append(v)
             tried.append(v)
@@ -548,13 +569,15 @@ def _canon(n: int, rows: Sequence[int]) -> tuple[bytes, tuple[int, ...]]:
                 rv2[u] = (rv2[u] << 1) | ((rows[u] >> v) & 1)
             for u in tails[ci]:
                 rv2[u] = (rv2[u] << 1) | ((rows[u] >> v) & 1)
-            search(ci, rem2, rv2, eq)
+            search(ci, rem2, rv2)
             placed.pop()
 
-    search(0, list(cells[0]), [0] * n, True)
+    search(0, list(cells[0]), [0] * n)
 
     perm = tuple(best_perm)
-    return _pack_form(n, rows, perm), perm
+    least: dict[int, int] = {}
+    orbits = tuple(least.setdefault(find(v), v) for v in range(n))
+    return _pack_form(n, rows, perm), perm, orbits, tuple(gens)
 
 
 def _pack_form(n: int, rows: Sequence[int], perm: Sequence[int]) -> bytes:
@@ -585,45 +608,17 @@ def canonical_labeling(g: Graph) -> tuple[int, ...]:
 
 
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:
-    """All automorphisms as image tuples (``sigma[v]`` = image of ``v``).
+    """All automorphisms as image tuples (``sigma[v]`` = image of ``v``), sorted.
 
-    Backtracking over color-respecting assignments; meant for the small
-    structured graphs (family cores) where the group is tiny.
+    The closure of the generators ``_canon`` finds.
     """
-    n = g.n
-    rows = g.rows
-    colors = _refined_colors(n, rows)
-    by_color: dict[int, list[int]] = {}
-    for v in range(n):
-        by_color.setdefault(colors[v], []).append(v)
-    image = [-1] * n
-    used = 0
-    out: list[tuple[int, ...]] = []
-
-    def rec(v: int) -> None:
-        nonlocal used
-        if v == n:
-            out.append(tuple(image))
-            return
-        for w in by_color[colors[v]]:
-            if (used >> w) & 1:
-                continue
-            ok = True
-            for u in _bits(rows[v] & ((1 << v) - 1)):
-                if not (rows[w] >> image[u]) & 1:
-                    ok = False
-                    break
-            if ok and (rows[v] & ((1 << v) - 1)).bit_count() == (
-                rows[w] & used
-            ).bit_count():
-                image[v] = w
-                used |= 1 << w
-                rec(v + 1)
-                used &= ~(1 << w)
-                image[v] = -1
-
-    rec(0)
-    return out
+    gens = _canon(g.n, g.rows)[3]
+    frontier = {tuple(range(g.n))}
+    group = set(frontier)
+    while frontier:
+        frontier = {tuple(map(a.__getitem__, s)) for a in frontier for s in gens} - group
+        group |= frontier
+    return sorted(group)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from .enumeration import (
     _attach_forest,
     _bicyclic_classes,
     _core_specs_bicyclic,
-    _root_form,
     bicyclic_graphs,  # unused here, kept patchable: perfbench/tracing.py wraps it
     branch_states,
     enumerate_connected,
@@ -344,7 +343,7 @@ def minimizer(
     if not 1 <= n <= cap:
         raise InvalidParameterError(f"minimizer supports n <= {cap}, got {n}")
     expected = theorem_prediction(n) if n >= 3 else "K:1"
-    states = branch_states() if n >= BRANCH_LEVEL else [(_ROOT_ROWS, _root_form(), 0)]
+    states = branch_states() if n >= BRANCH_LEVEL else [(_ROOT_ROWS, (), 0)]
     return _search(_minimizer_branch, n, alpha, states, expected, workers, checkpoint)
 
 

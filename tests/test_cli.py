@@ -46,6 +46,21 @@ class TestRho:
         e.write_text("3 3\n0 1\n1 2\n2 0\n")
         assert main(["rho", str(e)]) == 0
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("3 3\n0 1\n0 1\n1 2\n", "edge list repeats an edge"),
+            ("x 1\n0 1\n", "edge list lines must be two integers"),
+        ],
+    )
+    def test_bad_edge_list_reports_itself(self, text, message, tmp_path, capsys):
+        # a two-token first line makes the file an edge list: no graph6 fallback
+        e = tmp_path / "g.edges"
+        e.write_text(text)
+        assert main(["rho", str(e)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "graph6" not in err
+
     def test_disconnected_rejected(self, tmp_path):
         e = tmp_path / "g.edges"
         e.write_text("4 2\n0 1\n2 3\n")

@@ -1,5 +1,6 @@
 """Generators: orderly augmentation, structural one/two-cycle classes, trees."""
 
+import hashlib
 import itertools
 
 import networkx as nx
@@ -11,7 +12,6 @@ from spectramin.enumeration import (
     _bicyclic_classes,
     _forest_assignments,
     _ROOT_ROWS,
-    _root_form,
     bicyclic_graphs,
     branch_states,
     enumerate_all_graphs,
@@ -33,6 +33,7 @@ from spectramin.graphs import (
 
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+BRANCH_ROWS_SHA256 = "e94338128edbbc91a05b1d1763fe9b5a9adea3fe162346b23bcf6610e8d3caf6"
 
 
 class TestOrderlyGeneration:
@@ -60,6 +61,11 @@ class TestOrderlyGeneration:
         forms = [canonical_form(g) for g in enumerate_all_graphs(6)]
         assert len(forms) == len(set(forms))
 
+    def test_no_duplicates_at_8(self):
+        # acceptance is by orbit alone, with no seen-set behind it
+        forms = [canonical_form(g) for g in enumerate_all_graphs(8)]
+        assert len(forms) == len(set(forms)) == ALL_COUNTS[8]
+
     def test_cap(self):
         with pytest.raises(InvalidParameterError):
             next(enumerate_connected(10))
@@ -85,6 +91,10 @@ class TestOrderlyGeneration:
     def test_branches_partition_the_space(self):
         states = branch_states()
         assert len(states) == ALL_COUNTS[5]
+        # a checkpoint names its resume point by unit index alone, so the
+        # rows of the level-5 units and their order are pinned
+        rows = repr([rows for rows, _, _ in states]).encode()
+        assert hashlib.sha256(rows).hexdigest() == BRANCH_ROWS_SHA256
         forms = []
         for st in states:
             forms.extend(canonical_form(g) for g in enumerate_connected_from_branch(7, st))
@@ -162,7 +172,7 @@ class TestStructuralGenerators:
     def test_structural_equals_orderly(self, n):
         structural = {canonical_form(g) for g in bicyclic_graphs(n)}
         orderly = set()
-        for rows, e in _augment(n, 1, _ROOT_ROWS, _root_form(), 0, n + 1):
+        for rows, e in _augment(n, 1, _ROOT_ROWS, (), 0, n + 1):
             if e != n + 1:
                 continue
             g = Graph.from_rows(n, rows)

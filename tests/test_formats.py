@@ -65,3 +65,7 @@ class TestEdgeList:
             from_edge_list("")
         with pytest.raises(InvalidParameterError):
             from_edge_list("3 3\n0 1\n0 1\n1 2\n")  # 0-1 listed twice
+        with pytest.raises(InvalidParameterError):
+            from_edge_list("x 1\n0 1\n")  # non-integer header token
+        with pytest.raises(InvalidParameterError):
+            from_edge_list("3 1\n0 y\n")  # non-integer edge token

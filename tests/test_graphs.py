@@ -9,6 +9,7 @@ from spectramin.graphs import (
     Graph,
     InvalidInputError,
     InvalidParameterError,
+    _canon,
     automorphisms,
     build_bicyclic,
     build_complete,
@@ -370,3 +371,19 @@ class TestAutomorphisms:
         g = build_bicyclic(spec_B(4, 2, 4))[0]
         for sigma in automorphisms(g):
             assert g.relabel(list(sigma)) == g
+
+    def test_generators_against_atlas(self):
+        # every graph on at most 7 vertices: the generators are automorphisms,
+        # their closure is the whole group, and the orbits are the group's
+        for G in nx.graph_atlas_g()[1:]:
+            g = Graph(G.number_of_nodes(), G.edges())
+            _, _, orbits, gens = _canon(g.n, g.rows)
+            assert all(g.relabel(list(sigma)) == g for sigma in gens), g.edges()
+            isos = list(nx.algorithms.isomorphism.GraphMatcher(G, G).isomorphisms_iter())
+            assert len(automorphisms(g)) == len(isos), g.edges()
+            assert orbits == tuple(min(iso[v] for iso in isos) for v in range(g.n)), g.edges()
+
+    def test_orbits_merge_across_components(self):
+        # two disjoint edges: one orbit {0, 2, 3, 4} around the isolated vertex 1
+        _, _, orbits, _ = _canon(5, Graph(5, [(0, 2), (3, 4)]).rows)
+        assert orbits == (0, 1, 0, 0, 0)

@@ -22,6 +22,7 @@ from spectramin.graphs import (
     spec_C,
     spec_P,
 )
+from spectramin import transforms
 from spectramin.spectral import perron_pair, rho_numeric
 from spectramin.transforms import (
     ExemptionError,
@@ -333,6 +334,23 @@ class TestProofReplay:
         assert sorted(final.degrees()) == [2] * 8 + [3, 3]
         b353 = build_bicyclic(spec_B(3, 5, 3))[0]
         assert rho_numeric(final) >= rho_numeric(b353) - 1e-10
+
+    def test_high_reading_settled_by_certificate(self, monkeypatch):
+        # a real descent step whose after-reading comes out 1e-6 above its
+        # before-reading still passes: the certified comparison says "less"
+        g = _c_core_test_graph()
+        step = proof_replay(g)[0]
+        real = transforms.rho_numeric
+        high = real(step.before) + 1e-6
+        monkeypatch.setattr(
+            transforms, "rho_numeric", lambda h: high if h == step.after else real(h)
+        )
+        steps = proof_replay(g)
+        assert steps[0].rho_after == high > steps[0].rho_before
+        # the same reading fails once the certificate does not say less or equal
+        monkeypatch.setattr(transforms, "compare_rho_certified", lambda a, b: "unresolved")
+        with pytest.raises(InvalidInputError, match="non-monotone"):
+            proof_replay(g)
 
     def test_trace_serialization(self):
         g = _c_core_test_graph()
