@@ -35,7 +35,7 @@ from .graphs import (
 )
 from .spectral import NumericFailure
 
-HUB_RESIDUAL_TOL = 1e-10  # absolute bound on both hub equation residuals
+HUB_BACKWARD_TOL = 1e-11  # bound on the relative root error behind the hub residuals
 
 
 def f_value(i: int, t: float, k: int, a: float, b: float) -> float:
@@ -127,7 +127,7 @@ def rho_analytic(m: int, p: int, q: int) -> AnalyticSolution:
     alone is not monotone, as it turns positive again below the second
     eigenvalue.  One Newton polish on det M follows, then the positive kernel
     direction (a, b) = (-m12, m11).  Independent of the eigensolver route;
-    residuals of the hub equations certify the solve.
+    the hub residuals, read as a backward error, certify the solve.
     """
     spec_B(m, p, q)  # validates the family parameters
     lo, hi = 2.0, 4.0  # M(rho) is undefined at 2 and positive definite at 4
@@ -150,24 +150,49 @@ def rho_analytic(m: int, p: int, q: int) -> AnalyticSolution:
         if 2.0 < cand < 4.0 and abs(boundary_det(m, p, q, cand)) <= abs(d0):
             root = cand
 
-    mat = boundary_matrix(m, p, q, root)
+    return _solution_at(m, p, q, root)
+
+
+def _hub_state(m: int, p: int, q: int, rho: float) -> tuple[float, float, float, float]:
+    """(a, b, residual a, residual b): the kernel direction of M(rho), scaled
+    so min(a, b) = 1, and the signed residuals of the two hub equations."""
+    mat = boundary_matrix(m, p, q, rho)
     a, b = -mat[0, 1], mat[0, 0]
     if a <= 0.0 or b <= 0.0:
         raise NumericFailure(
-            f"kernel of det M is not positive at rho={root} for B({m},{p},{q})"
+            f"kernel of det M is not positive at rho={rho} for B({m},{p},{q})"
         )
     scale = min(a, b)
     a, b = a / scale, b / scale
-    t = t_of_rho(root)
-    res_a = abs(root * a - (2.0 * f_value(1, t, m, a, a) + f_value(1, t, p, a, b)))
-    res_b = abs(root * b - (2.0 * f_value(1, t, q, b, b) + f_value(p - 1, t, p, a, b)))
-    sol = AnalyticSolution(m, p, q, t, a, b, res_a, res_b)
-    if max(res_a, res_b) > HUB_RESIDUAL_TOL:
+    t = t_of_rho(rho)
+    return (a, b,
+            rho * a - (2.0 * f_value(1, t, m, a, a) + f_value(1, t, p, a, b)),
+            rho * b - (2.0 * f_value(1, t, q, b, b) + f_value(p - 1, t, p, a, b)))
+
+
+def _solution_at(m: int, p: int, q: int, root: float) -> AnalyticSolution:
+    """The solution at a solved ``root``, certified by its hub residuals.
+
+    The kernel (a, b) = (-m12, m11) zeroes the first hub equation, so the
+    residual vector r(rho) is (0, det M(rho) / scale) up to rounding, and
+    |r| / (rho |r'|) is the relative root error that would explain it: a
+    root moved by a relative d reads d.  The solve fails above
+    ``HUB_BACKWARD_TOL``.  An absolute bound on |r| would reject long
+    dumbbells, whose hub values differ by orders of magnitude and whose
+    residuals carry rounding of that size.  The slope is one forward
+    difference at h = 1e-9 rho.
+    """
+    a, b, res_a, res_b = _hub_state(m, p, q, root)
+    h = 1e-9 * root
+    _, _, moved_a, moved_b = _hub_state(m, p, q, root + h)
+    rate = max(abs(moved_a - res_a), abs(moved_b - res_b)) / h
+    backward = max(abs(res_a), abs(res_b)) / (root * rate)
+    if not backward <= HUB_BACKWARD_TOL:
         raise NumericFailure(
-            f"hub equation residuals {res_a:.3g}/{res_b:.3g} above {HUB_RESIDUAL_TOL} "
-            f"for B({m},{p},{q})"
+            f"hub equation residuals {abs(res_a):.3g}/{abs(res_b):.3g} explain a relative "
+            f"root error of {backward:.3g}, above {HUB_BACKWARD_TOL}, for B({m},{p},{q})"
         )
-    return sol
+    return AnalyticSolution(m, p, q, t_of_rho(root), a, b, abs(res_a), abs(res_b))
 
 
 def perron_closed_form(sol: AnalyticSolution) -> np.ndarray:

@@ -11,6 +11,12 @@ characteristic polynomial in ``(lo, hi]`` and no root lies above ``hi``.
 Sturm counts establish it (a count over ``(a, b]`` is trusted only where
 gcd(p, p'), the chain's last member, is non-zero at both endpoints) and
 sign bisection keeps it, since rho is simple and the polynomial monic.
+
+The invariant holds at every width and refinement only shrinks the
+bracket, so one graph's certificate can serve many comparisons: a verdict
+depends only on the two graphs, never on which earlier comparison refined
+either bracket.  ``compare_rho_certified`` therefore accepts a pool that a
+verification call keeps for its own length and certifies each graph once.
 """
 
 from __future__ import annotations
@@ -171,7 +177,7 @@ def _dyadic(x: float) -> Fraction:
 
 
 class _CertifiedRho:
-    """Char poly, Sturm chain, and a shrinking certified bracket for one graph.
+    """Char poly and a shrinking certified bracket for one graph.
 
     Invariant: the top root rho is the only root of the characteristic
     polynomial p in ``(lo, hi]``, and no root lies above ``hi``.  The law:
@@ -186,37 +192,41 @@ class _CertifiedRho:
       even when lambda_2 lies inside the bracket.
     * Every root lies in ``(-U, U)`` with U = 1 + max degree: widening ``hi``
       to U, or ``lo`` to -U, restores the invariant when the seed misses rho.
+
+    The Sturm chain is needed only to isolate rho; it is dropped once the
+    bracket holds one root, so a pooled certificate keeps just p and (lo, hi].
     """
 
     def __init__(self, g: Graph):
         if not is_connected(g):
             raise InvalidInputError("certified radius requires a connected graph")
         self.poly = char_poly(g).coeffs
-        self.chain = xp.sturm_chain(self.poly)
+        chain = xp.sturm_chain(self.poly)
+
+        def roots(a: Fraction, b: Fraction) -> int:
+            try:
+                return xp.count_roots_in(chain, a, b)
+            except ValueError as exc:
+                raise NumericFailure(f"top-root bracket: {exc}") from None
+
         upper = Fraction(1 + max(g.degrees()) if g.edge_count else 1)
         x = _dyadic(rho_numeric(g))
         step = Fraction(1, 1 << 20)
         lo, hi = (x - step, x) if xp.sign_at(self.poly, x) >= 0 else (x, x + step)
-        if self._roots(hi, upper):
+        if roots(hi, upper):
             hi = upper
-        roots = self._roots(lo, hi)
-        if not roots:
+        count = roots(lo, hi)
+        if not count:
             lo = -upper
-            roots = self._roots(lo, hi)
-        while roots > 1:
+            count = roots(lo, hi)
+        while count > 1:
             mid = (lo + hi) / 2
-            above = self._roots(mid, hi)
+            above = roots(mid, hi)
             if above:
-                lo, roots = mid, above
+                lo, count = mid, above
             else:
                 hi = mid
         self.lo, self.hi = lo, hi
-
-    def _roots(self, a: Fraction, b: Fraction) -> int:
-        try:
-            return xp.count_roots_in(self.chain, a, b)
-        except ValueError as exc:
-            raise NumericFailure(f"top-root bracket: {exc}") from None
 
     def refine(self, width: Fraction) -> None:
         while self.hi - self.lo > width:
@@ -241,15 +251,27 @@ def rho_bracket(g: Graph, width: Fraction | float = Fraction(1, 10**12)) -> RhoB
     return RhoBracket(cert.lo, cert.hi)
 
 
-def compare_rho_certified(g1: Graph, g2: Graph) -> str:
+def compare_rho_certified(
+    g1: Graph, g2: Graph, certs: dict[Graph, _CertifiedRho] | None = None
+) -> str:
     """Certified ordering of two spectral radii.
 
     Returns ``"less"``, ``"greater"``, ``"equal"`` or ``"unresolved"``.
     Strict verdicts come from disjoint certified brackets; equality from an
     integer polynomial gcd owning a root in the bracket overlap, never from
     numeric closeness.
+
+    ``certs`` maps each graph (by labelled adjacency) to its certificate.  A
+    caller that makes many comparisons passes one dict for the length of
+    its call, so each graph is certified once and later comparisons refine
+    the same bracket.  A strict or equal verdict is a fact about the two
+    radii, so it does not depend on which comparison refined a bracket first.
     """
-    c1, c2 = _CertifiedRho(g1), _CertifiedRho(g2)
+    certs = {} if certs is None else certs
+    for g in (g1, g2):
+        if g not in certs:
+            certs[g] = _CertifiedRho(g)
+    c1, c2 = certs[g1], certs[g2]
     width = Fraction(1, 10**9)
     gcd_poly: tuple[int, ...] | None = None
     gcd_chain = None

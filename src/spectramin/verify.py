@@ -14,6 +14,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -50,7 +51,7 @@ from .graphs import (
     spec_C,
     spec_P,
 )
-from .spectral import compare_rho_certified, rho_numeric
+from .spectral import compare_rho_certified, rho_bracket, rho_numeric
 
 SAFETY_BAND = 1e-7
 _BATCH = 4096
@@ -203,6 +204,7 @@ def _resolve_argmin(cands: list[tuple[float, str]]) -> tuple[list[Graph], bool]:
         return [], False
     order = sorted(cands, key=lambda rk: (rk[0], rk[1]))
     graphs = [from_graph6(k) for _, k in order]
+    certs: dict = {}
     pivot = 0
     unresolved = False
     while True:
@@ -211,7 +213,7 @@ def _resolve_argmin(cands: list[tuple[float, str]]) -> tuple[list[Graph], bool]:
         for i, g in enumerate(graphs):
             if i == pivot:
                 continue
-            verdict = compare_rho_certified(g, graphs[pivot])
+            verdict = compare_rho_certified(g, graphs[pivot], certs)
             if verdict == "less":
                 pivot = i
                 swapped = True
@@ -387,9 +389,20 @@ def verify_minimum_radius_case_table(
 
     Full-space enumeration where feasible (n <= 9, or 10 with extended);
     even n beyond that fall back to the (n+1)-edge class with the same
-    independence number, which is justified by the edge-deletion law: a
-    denser graph in the class has radius above some spanning bicyclic
-    subgraph's, so the bicyclic minimizer is the global one.
+    independence number, alpha = n/2 - 1.  That class holds the global
+    minimizer by two laws:
+
+    * Trees and unicyclic graphs have alpha >= n/2, so none is in the class:
+      a tree is bipartite, and deleting a cycle vertex v of a unicyclic
+      graph leaves a forest on n - 1 vertices, so alpha >= ceil((n-1)/2).
+    * A graph with m >= n + 2 edges has rho^2 >= sum(d^2)/n >= 4 + 20/n
+      (Hofmeister 1988; at degree sum 2n + 4 the least sum of squares puts
+      degree 3 on four vertices and 2 on the rest).  When the prediction's
+      certified ``hi`` has hi^2 < 4 + 20/n, checked in Fractions by
+      ``_denser_graphs_exceed``, every such graph lies above the prediction.
+
+    The premise holds for even n = 10..38 and fails at 40; an order where it
+    fails is reported unresolved.
     """
     _check_workers(workers)
     reports = []
@@ -412,8 +425,18 @@ def verify_minimum_radius_case_table(
                     )
                 )
                 continue
+            if not _denser_graphs_exceed(n):
+                reports.append(
+                    VerificationReport(
+                        "minimum-radius-case-table", {"n": n}, "unresolved",
+                        detail="rho(prediction)^2 not certified below 4 + 20/n: "
+                        "graphs with n+2 or more edges not excluded",
+                    )
+                )
+                continue
             res = minimizer_bicyclic(n, alpha, workers=workers)
-            mode = "bicyclic-mode (edge-minimal class; reduction by edge deletion)"
+            mode = ("bicyclic-mode (trees and unicyclic graphs have alpha >= n/2; "
+                    "n+2 or more edges give rho^2 >= 4+20/n > hi^2 of the prediction)")
         ok = _argmin_matches(res, [expected]) and not res.unresolved
         reports.append(
             VerificationReport(
@@ -425,6 +448,13 @@ def verify_minimum_radius_case_table(
             )
         )
     return reports
+
+
+def _denser_graphs_exceed(n: int) -> bool:
+    """True when every graph of order n with n + 2 or more edges has a larger
+    radius than the prediction: its certified ``hi`` has hi^2 < 4 + 20/n."""
+    hi = rho_bracket(graph_from_family(theorem_prediction(n))).hi
+    return hi * hi < 4 + Fraction(20, n)
 
 
 def verify_small_order_minimizers() -> list[VerificationReport]:
@@ -453,6 +483,7 @@ def verify_edge_minimal_pair(n_list: Iterable[int]) -> list[VerificationReport]:
     """Unrestricted (n+1)-edge minimizers: the balanced theta and dumbbell pair
     with exactly-certified equal radii."""
     reports = []
+    certs: dict = {}
     for n in n_list:
         k = -(-n // 3)
         p = n + 1 - 2 * k
@@ -460,7 +491,8 @@ def verify_edge_minimal_pair(n_list: Iterable[int]) -> list[VerificationReport]:
         want = [f"P:{k},{p},{k}", f"B:{k},{p},{k}"]
         ok = _argmin_matches(res, want) and not res.unresolved
         exact = (
-            compare_rho_certified(graph_from_family(want[0]), graph_from_family(want[1]))
+            compare_rho_certified(graph_from_family(want[0]), graph_from_family(want[1]),
+                                  certs)
             == "equal"
         )
         reports.append(
@@ -488,6 +520,7 @@ def verify_max_extremal(n: int) -> VerificationReport:
         joins[alpha] = canonical_form(jg)
         join_rho[alpha] = rho_numeric(jg)
     checked = 0
+    certs: dict = {}
     for g in enumerate_connected(n):
         alpha = independence_number(g)
         if alpha == n:  # only the edgeless graph, never connected for n > 1
@@ -497,7 +530,7 @@ def verify_max_extremal(n: int) -> VerificationReport:
         # a numeric reading only clears a graph; one near or above the bound
         # fails only when the certified comparison does not say "less"
         if rho_numeric(g) > bound - 1e-9 and canonical_form(g) != joins[alpha]:
-            verdict = compare_rho_certified(g, build_join_extremal(n, alpha))
+            verdict = compare_rho_certified(g, build_join_extremal(n, alpha), certs)
             if verdict != "less":
                 failures.append((to_graph6(g), f"not certified below bound {bound}: {verdict}"))
     return VerificationReport(
@@ -613,12 +646,13 @@ def verify_family_grids(pmax: int = 9) -> list[VerificationReport]:
     brackets; equalities use polynomial gcd certificates.
     """
     reports = []
+    certs: dict = {}
     for claim_id, params, detail, pairs, wording in _grid_claims(pmax):
         bad = []
         total = 0
         for label, a, b, want in pairs:
             total += 1
-            verdict = compare_rho_certified(build_bicyclic(a)[0], build_bicyclic(b)[0])
+            verdict = compare_rho_certified(build_bicyclic(a)[0], build_bicyclic(b)[0], certs)
             if verdict != want:
                 bad.append((label, wording.format(verdict=verdict, want=want)))
         reports.append(
@@ -674,6 +708,7 @@ def verify_descent_endpoint_readings(k_values: Iterable[int] = (4, 6, 8)) -> lis
     reading is recorded in the report detail.
     """
     reports = []
+    certs: dict = {}
     for k in k_values:
         if k % 2 == 1:
             raise InvalidParameterError("descent endpoint readings apply to even k")
@@ -681,7 +716,7 @@ def verify_descent_endpoint_readings(k_values: Iterable[int] = (4, 6, 8)) -> lis
         same_order = build_bicyclic(spec_P(k - 1, k + 1, k - 1))[0]
         target = build_bicyclic(spec_B(k - 1, k + 1, k - 1))[0]
         other = build_bicyclic(spec_P(k + 1, k - 1, k + 1))[0]
-        eq = compare_rho_certified(same_order, target)
+        eq = compare_rho_certified(same_order, target, certs)
         ok_a = eq == "equal" and same_order.n == n and other.n == n + 2
         reports.append(
             VerificationReport(
@@ -696,7 +731,7 @@ def verify_descent_endpoint_readings(k_values: Iterable[int] = (4, 6, 8)) -> lis
             )
         )
         lhs = build_bicyclic(spec_B(k - 1, k - 1, k + 1))[0]
-        verdict = compare_rho_certified(lhs, target)
+        verdict = compare_rho_certified(lhs, target, certs)
         reports.append(
             VerificationReport(
                 "descent-subcase-inequality",

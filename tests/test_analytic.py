@@ -229,6 +229,28 @@ class TestRhoAnalytic:
         sol = rho_analytic(6, 5, 8)
         assert max(sol.residual_a, sol.residual_b) <= 1e-10
 
+    def test_long_dumbbells_solve(self):
+        # every B(m, p, q) with 3 <= m <= q <= 15 and 1 <= p <= 30 solves and
+        # agrees with the dense eigensolver; an absolute hub residual bound
+        # rejected 669 of these 2,730
+        worst = 0.0
+        for m in range(3, 16):
+            for q in range(m, 16):
+                for p in range(1, 31):
+                    g, _ = build_bicyclic(spec_B(m, p, q))
+                    worst = max(worst, abs(rho_analytic(m, p, q).rho - rho_numeric(g)))
+        assert worst < 1e-13
+
+    @pytest.mark.parametrize("m,p,q", [(4, 2, 4), (6, 5, 8), (3, 19, 4), (3, 30, 15), (15, 1, 15)])
+    @pytest.mark.parametrize("shift", [1e-9, -1e-9])
+    def test_moved_root_is_refused(self, m, p, q, shift):
+        from spectramin.analytic import _solution_at
+        from spectramin.spectral import NumericFailure
+
+        root = rho_analytic(m, p, q).rho
+        with pytest.raises(NumericFailure):
+            _solution_at(m, p, q, root * (1 + shift))
+
     def test_rearranged_identities(self):
         for m, p, q in [(3, 1, 3), (5, 2, 3), (4, 7, 9), (8, 3, 6)]:
             r1, r2 = hub_identity_residuals(rho_analytic(m, p, q))

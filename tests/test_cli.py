@@ -154,6 +154,12 @@ class TestSweep:
         assert data[(4, 3, 4)] < data[(3, 3, 5)]
         assert data[(4, 5, 4)] < data[(3, 5, 5)]
 
+    def test_grid_to_19_exits_0(self, tmp_path):
+        # long dumbbells such as B(3,15,8) once failed an absolute residual bound
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--grid", "3..19", "--out", str(out)]) == 0
+        assert "\nB,3,15,8," in out.read_text()
+
 
 class TestReplay:
     def test_fixed_point(self, capsys):

@@ -271,3 +271,78 @@ class TestHarness:
         write_reports(verify_small_order_minimizers(), str(a), "csv")
         write_reports(verify_small_order_minimizers(), str(b), "csv")
         assert a.read_bytes() == b.read_bytes()
+
+
+def _grid_pairs(pmax):
+    """Every (graph a, graph b) pair that ``verify_family_grids(pmax)`` compares."""
+    from spectramin.graphs import build_bicyclic
+    from spectramin.verify import _grid_claims
+
+    return [(build_bicyclic(a)[0], build_bicyclic(b)[0])
+            for _, _, _, pairs, _ in _grid_claims(pmax) for _, a, b, _ in pairs]
+
+
+class TestCertificatePool:
+    @pytest.fixture
+    def charpoly_calls(self, monkeypatch):
+        from spectramin import spectral
+
+        calls = []
+        real = spectral.char_poly
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(spectral, "char_poly", counted)
+        return calls
+
+    def test_one_char_poly_per_distinct_graph(self, charpoly_calls):
+        pairs = _grid_pairs(4)
+        distinct = {g for pair in pairs for g in pair}
+        assert len(distinct) < 2 * len(pairs)
+        verify_family_grids(4)
+        assert len(charpoly_calls) == len(distinct)
+        assert set(charpoly_calls) == distinct
+
+    def test_pool_does_not_outlive_its_call(self, charpoly_calls):
+        verify_family_grids(4)
+        first = len(charpoly_calls)
+        verify_family_grids(4)
+        assert len(charpoly_calls) == 2 * first
+
+    def test_shared_pool_matches_fresh_certificates(self):
+        from spectramin.spectral import compare_rho_certified
+
+        pairs = _grid_pairs(4)
+        fresh = [compare_rho_certified(a, b) for a, b in pairs]
+        certs = {}
+        assert [compare_rho_certified(a, b, certs) for a, b in pairs] == fresh
+        # order independence: the same pairs in reverse through one new pool
+        certs = {}
+        backward = [compare_rho_certified(a, b, certs) for a, b in reversed(pairs)]
+        assert backward[::-1] == fresh
+        assert set(fresh) == {"less", "equal"}
+
+
+class TestCaseTableLaw:
+    def test_hofmeister_premise_holds_to_38(self):
+        # the prediction's certified hi has hi^2 < 4 + 20/n for even n = 10..38
+        from spectramin.verify import _denser_graphs_exceed
+
+        assert all(_denser_graphs_exceed(n) for n in range(10, 39, 2))
+        assert not _denser_graphs_exceed(40)
+
+    def test_bicyclic_mode_names_the_law(self):
+        (report,) = verify_minimum_radius_case_table([10])
+        assert report.status == "pass"
+        assert "alpha >= n/2" in report.parameters["mode"]
+        assert "rho^2 >= 4+20/n" in report.parameters["mode"]
+
+    def test_unmet_premise_is_unresolved(self, monkeypatch):
+        from spectramin import verify
+
+        monkeypatch.setattr(verify, "_denser_graphs_exceed", lambda n: False)
+        (report,) = verify_minimum_radius_case_table([10])
+        assert report.status == "unresolved"
+        assert "4 + 20/n" in report.detail
