@@ -73,6 +73,9 @@ def cmd_rho(args) -> int:
     if not is_connected(g):
         print("error: input graph is not connected", file=sys.stderr)
         return 2
+    if args.charpoly and g.n > EXACT_CAP:
+        raise InvalidParameterError(
+            f"--charpoly: exact characteristic polynomial capped at n = {EXACT_CAP}, got {g.n}")
     print(f"input: {args.input} ({kind}), n={g.n}, edges={g.edge_count}")
     res = perron_pair(g, tol=args.tol)
     print(f"rho (power iteration)   = {_fmt(res.rho)}   residual {res.residual:.3g}")
@@ -95,7 +98,24 @@ def cmd_rho(args) -> int:
     return 0
 
 
+# the options each claim reads; any other given a non-default value is an error
+_CLAIM_OPTIONS = {
+    "theorem-1.1": {"--n", "--extended", "--workers"},
+    "small-n-remark": set(),
+    "lemmas": {"--grid"},
+    "max-extremal": {"--n"},
+    "edge-minimal-pair": {"--n"},
+}
+
+
 def cmd_verify(args) -> int:
+    given = {"--n": args.n is not None, "--grid": args.grid is not None,
+             "--extended": args.extended, "--workers": args.workers != 1}
+    unread = [flag for flag, on in given.items() if on and flag not in _CLAIM_OPTIONS[args.claim]]
+    if unread:
+        raise InvalidParameterError(f"verify {args.claim} does not read {', '.join(unread)}")
+    if args.format != "text" and not args.out:
+        raise InvalidParameterError("--format is read only with --out")
     reports = []
     ns = [_parse_int(x, "--n") for x in args.n.split(",")] if args.n else None
     if args.claim == "theorem-1.1":
@@ -117,12 +137,9 @@ def cmd_verify(args) -> int:
     elif args.claim == "max-extremal":
         ns = ns or [5, 6, 7]
         reports = [verify_max_extremal(n) for n in ns]
-    elif args.claim == "edge-minimal-pair":
+    else:  # edge-minimal-pair
         ns = ns or list(range(7, 13))
         reports = verify_edge_minimal_pair(ns)
-    else:
-        print(f"error: unknown claim {args.claim!r}", file=sys.stderr)
-        return 2
     for r in reports:
         print(r.to_text())
     if args.out:
@@ -210,8 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rho)
 
     p = sub.add_parser("verify", help="run a claim verification suite")
-    p.add_argument("claim", choices=["theorem-1.1", "small-n-remark", "lemmas",
-                                     "max-extremal", "edge-minimal-pair"])
+    p.add_argument("claim", choices=list(_CLAIM_OPTIONS))
     p.add_argument("--n", help="comma-separated orders, e.g. 7,8,9")
     p.add_argument("--grid", help="parameter range 3..hi for the lemma grids")
     p.add_argument("--extended", action="store_true",

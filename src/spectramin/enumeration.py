@@ -93,7 +93,7 @@ def _accepted_children(
                     marked[U] = 1
                     orbit.append(U)
         child = tuple(r | bit_k if S >> i & 1 else r for i, r in enumerate(rows)) + (S,)
-        _, perm, orbits, child_gens = _canon(k + 1, child)
+        perm, orbits, child_gens = _canon(k + 1, child)
         if orbits[k] == orbits[perm[k]]:
             yield child, child_gens, edge_count + add
 

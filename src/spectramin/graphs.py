@@ -92,11 +92,7 @@ class Graph:
         return out
 
     def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for u in range(self.n):
-            for v in _bits(self.rows[u]):
-                a[u, v] = 1.0
-        return a
+        return adjacency_matrices([self])[0]
 
     # -- functional edits ---------------------------------------------------
 
@@ -173,6 +169,18 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()})"
+
+
+def adjacency_matrices(graphs: Sequence[Graph]) -> np.ndarray:
+    """Stacked ``(B, n, n)`` float64 adjacency matrices of graphs of one order,
+    unpacked from the little-endian bytes of each bitmask row (any ``n``)."""
+    n = graphs[0].n
+    if any(g.n != n for g in graphs):
+        raise InvalidParameterError("adjacency_matrices needs graphs of one order")
+    width = (n + 7) // 8
+    raw = b"".join(r.to_bytes(width, "little") for g in graphs for r in g.rows)
+    rows = np.frombuffer(raw, np.uint8).reshape(len(graphs), n, width)
+    return np.unpackbits(rows, axis=2, count=n, bitorder="little").astype(np.float64)
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -453,15 +461,15 @@ def _refined_colors(n: int, rows: Sequence[int]) -> list[int]:
 
 def _canon(
     n: int, rows: Sequence[int]
-) -> tuple[bytes, tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Canonical form, canonical labeling, orbits and automorphism generators.
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Canonical labeling, orbits and automorphism generators.
 
     Searches for the least packed adjacency encoding over all orderings
-    that respect the refined color classes.  Returns ``(form, perm, orbits,
+    that respect the refined color classes.  Returns ``(perm, orbits,
     gens)``: ``perm[i]`` is the input vertex at canonical position ``i``;
     ``gens`` are automorphisms as image tuples (``sigma[v]`` = image of
     ``v``); ``orbits[v]`` is the least vertex of ``v``'s orbit.  Two graphs
-    get equal forms iff they are isomorphic.
+    are isomorphic iff ``_pack_form`` gives them equal forms under ``perm``.
 
     The generators are every leaf that ties the best encoding (as the map
     from the first least leaf to it) plus every twin swap the search prunes
@@ -482,8 +490,7 @@ def _canon(
             cells.append([v])
 
     if len(cells) == n:
-        perm = tuple(order)
-        return _pack_form(n, rows, perm), perm, tuple(range(n)), ()
+        return tuple(order), tuple(range(n)), ()
 
     # flat list of vertices in cells strictly after index ci
     tails: list[list[int]] = [[] for _ in cells]
@@ -574,10 +581,9 @@ def _canon(
 
     search(0, list(cells[0]), [0] * n)
 
-    perm = tuple(best_perm)
     least: dict[int, int] = {}
     orbits = tuple(least.setdefault(find(v), v) for v in range(n))
-    return _pack_form(n, rows, perm), perm, orbits, tuple(gens)
+    return tuple(best_perm), orbits, tuple(gens)
 
 
 def _pack_form(n: int, rows: Sequence[int], perm: Sequence[int]) -> bytes:
@@ -599,12 +605,12 @@ def _pack_form(n: int, rows: Sequence[int], perm: Sequence[int]) -> bytes:
 
 def canonical_form(g: Graph) -> bytes:
     """Isomorphism-invariant byte string: equal iff graphs are isomorphic."""
-    return _canon(g.n, g.rows)[0]
+    return _pack_form(g.n, g.rows, _canon(g.n, g.rows)[0])
 
 
 def canonical_labeling(g: Graph) -> tuple[int, ...]:
     """Permutation ``perm`` with ``perm[i]`` = vertex at canonical position ``i``."""
-    return _canon(g.n, g.rows)[1]
+    return _canon(g.n, g.rows)[0]
 
 
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:
@@ -612,7 +618,7 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
 
     The closure of the generators ``_canon`` finds.
     """
-    gens = _canon(g.n, g.rows)[3]
+    gens = _canon(g.n, g.rows)[2]
     frontier = {tuple(range(g.n))}
     group = set(frontier)
     while frontier:

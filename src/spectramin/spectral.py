@@ -31,7 +31,6 @@ from .graphs import Graph, InvalidInputError, InvalidParameterError, is_connecte
 
 DENSE_CAP = 512
 EXACT_CAP = 64
-RHO_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 POWER_MAX_ITER = 500000
 CERTIFY_MAX_ROUNDS = 60
@@ -91,10 +90,10 @@ def perron_pair(g: Graph, tol: float = RESIDUAL_TOL) -> SpectralResult:
     )
 
 
-def full_spectrum(g: Graph, dense_cap: int = DENSE_CAP) -> np.ndarray:
+def full_spectrum(g: Graph) -> np.ndarray:
     """All adjacency eigenvalues, descending, with an eigenpair residual check."""
-    if g.n > dense_cap:
-        raise InvalidInputError(f"dense spectrum capped at n = {dense_cap}")
+    if g.n > DENSE_CAP:
+        raise InvalidInputError(f"dense spectrum capped at n = {DENSE_CAP}")
     a = g.adjacency_matrix()
     vals, vecs = np.linalg.eigh(a)
     residual = float(np.max(np.abs(a @ vecs - vecs * vals)))

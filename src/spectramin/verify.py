@@ -39,6 +39,7 @@ from .graphs import (
     Graph,
     InvalidInputError,
     InvalidParameterError,
+    adjacency_matrices,
     build_bicyclic,
     build_complete,
     build_cycle,
@@ -145,9 +146,8 @@ def graph_from_family(spec_str: str) -> Graph:
 # minimizer search
 
 
-def _rho_batch(mats: list[np.ndarray]) -> np.ndarray:
-    stacked = np.stack(mats)
-    return np.linalg.eigvalsh(stacked)[:, -1]
+def _rho_batch(graphs: list[Graph]) -> np.ndarray:
+    return np.linalg.eigvalsh(adjacency_matrices(graphs))[:, -1]
 
 
 def _scan_stream(
@@ -156,42 +156,33 @@ def _scan_stream(
     """One pass: alpha-filter, numeric radii, candidates near the minimum.
 
     Returns (graphs streamed, class size, numeric min, [(rho, graph6)] for
-    graphs within the safety band of the stream minimum).
+    graphs within the safety band of the stream minimum).  Matrices are built
+    from the bitmask rows one stream-order batch of ``_BATCH`` in-class graphs
+    at a time; the band holds graphs, and only its members become graph6.
     """
     seen = 0
     count = 0
     best = float("inf")
-    cands: list[tuple[float, str]] = []
-    mats: list[np.ndarray] = []
-    keys: list[str] = []
-
-    def flush():
-        nonlocal best, cands
-        if not mats:
-            return
-        rhos = _rho_batch(mats)
-        for r, g6 in zip(rhos, keys):
-            r = float(r)
+    band: list[tuple[float, Graph]] = []
+    batch: list[Graph] = []
+    stream = iter(graphs)
+    while True:
+        for g in stream:  # resumes where the last batch stopped
+            seen += 1
+            if alpha is None or independence_number(g) == alpha:
+                batch.append(g)
+                if len(batch) == _BATCH:
+                    break
+        if not batch:
+            return seen, count, best, [(r, to_graph6(g)) for r, g in band]
+        count += len(batch)
+        for r, g in zip(_rho_batch(batch).tolist(), batch):
             if r < best:
                 best = r
-                cands = [(rr, kk) for rr, kk in cands if rr <= best + SAFETY_BAND]
+                band = [(rr, gg) for rr, gg in band if rr <= best + SAFETY_BAND]
             if r <= best + SAFETY_BAND:
-                cands.append((r, g6))
-        mats.clear()
-        keys.clear()
-
-    for g in graphs:
-        seen += 1
-        if alpha is not None and independence_number(g) != alpha:
-            continue
-        count += 1
-        mats.append(g.adjacency_matrix())
-        keys.append(to_graph6(g))
-        if len(mats) >= _BATCH:
-            flush()
-    flush()
-    cands = [(r, k) for r, k in cands if r <= best + SAFETY_BAND]
-    return seen, count, best, cands
+                band.append((r, g))
+        batch = []
 
 
 def _resolve_argmin(cands: list[tuple[float, str]]) -> tuple[list[Graph], bool]:
@@ -265,11 +256,20 @@ def _load_checkpoint(path: str | None, key: dict):
             saved = json.load(fh)
         if any(saved.get(k) != v for k, v in key.items()):
             return None
+        done, seen, count = saved["done"], saved.get("seen", 0), saved["count"]
         cands = [(float(r), str(g6)) for r, g6 in saved["cands"]]
-        merged = (int(saved.get("seen", 0)), int(saved["count"]), float(saved["best"]), cands)
-        return int(saved["done"]), merged
+        best = float(saved["best"])
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise InvalidInputError(f"unreadable checkpoint {path}: {exc}") from exc
+    # type() rather than isinstance: a JSON true or false is no count
+    if type(done) is not int or not 0 <= done < key["units"]:
+        raise InvalidInputError(
+            f"checkpoint {path}: done = {done!r} is not a unit index 0..{key['units'] - 1}")
+    for name, value in (("seen", seen), ("count", count)):
+        if type(value) is not int or value < 0:
+            raise InvalidInputError(
+                f"checkpoint {path}: {name} = {value!r} is not a non-negative integer")
+    return done, (seen, count, best, cands)
 
 
 def _save_checkpoint(path: str, state: dict) -> None:

@@ -103,6 +103,20 @@ class TestBadInput:
             (["verify", "theorem-1.1", "--n", "6", "--workers", "-2"], None),
             (["verify", "theorem-1.1", "--n", "6", "--workers", "0"], None),
             (["verify", "theorem-1.1", "--n", "11", "--workers", "0"], None),
+            # options a claim does not read, --format without --out, and a
+            # polynomial beyond the exact cap
+            (["verify", "small-n-remark", "--n", "7"], None),
+            (["verify", "small-n-remark", "--grid", "3..5"], None),
+            (["verify", "small-n-remark", "--extended"], None),
+            (["verify", "small-n-remark", "--workers", "2"], None),
+            (["verify", "max-extremal", "--n", "5", "--workers", "2"], None),
+            (["verify", "max-extremal", "--n", "5", "--extended"], None),
+            (["verify", "lemmas", "--grid", "3..4", "--workers", "2"], None),
+            (["verify", "lemmas", "--grid", "3..4", "--n", "9"], None),
+            (["verify", "edge-minimal-pair", "--n", "7", "--grid", "3..4"], None),
+            (["verify", "theorem-1.1", "--n", "7", "--grid", "3..4"], None),
+            (["verify", "small-n-remark", "--format", "csv"], None),
+            (["rho", "C:70", "--charpoly"], None),
         ],
     )
     def test_exits_2_with_message(self, argv, checkpoint, tmp_path, monkeypatch, capsys):
@@ -117,6 +131,10 @@ class TestBadInput:
         assert code == 2
         err = capsys.readouterr().err
         assert "error" in err and "Traceback" not in err
+
+    def test_unread_option_is_named(self, capsys):
+        assert main(["verify", "lemmas", "--grid", "3..4", "--workers", "2", "--n", "9"]) == 2
+        assert "error: verify lemmas does not read --n, --workers" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -202,6 +202,16 @@ class TestStructuralGenerators:
             for g in unicyclic_graphs(n):
                 assert independence_number(g) >= n // 2
 
+    def test_unicyclic_alpha_floor_to_14(self):
+        # the same law over every class up to n = 14, by the streamed alpha
+        # (checked against independence_number above up to n = 12)
+        counts = {4: 2, 6: 13, 8: 89, 10: 657, 12: 5_026, 14: 39_260}
+        for n, count in counts.items():
+            alphas = [alpha for k in range(3, n + 1) for _, _, alpha in
+                      _forest_assignments(Graph(k, [(i, (i + 1) % k) for i in range(k)]), n - k)]
+            assert len(alphas) == count
+            assert min(alphas) == n // 2
+
 
 class TestRootedTrees:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 2), (4, 4), (5, 9), (6, 20), (7, 48)])

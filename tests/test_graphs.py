@@ -3,6 +3,7 @@
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from spectramin.graphs import (
@@ -10,6 +11,7 @@ from spectramin.graphs import (
     InvalidInputError,
     InvalidParameterError,
     _canon,
+    adjacency_matrices,
     automorphisms,
     build_bicyclic,
     build_complete,
@@ -69,6 +71,26 @@ class TestGraphType:
         h = g.relabel([2, 3, 4, 0, 1])
         assert sorted(h.degrees()) == sorted(g.degrees())
         assert canonical_form(g) == canonical_form(h)
+
+
+class TestAdjacencyMatrices:
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 63, 64, 65, 200])
+    def test_entries_are_the_edge_set(self, n):
+        # orders on both sides of the byte and int64 row boundaries
+        rng = random.Random(n)
+        graphs = [random_graph(rng, n, p) for p in (0.0, 0.3, 0.7, 1.0)]
+        stacked = adjacency_matrices(graphs)
+        assert stacked.shape == (len(graphs), n, n) and stacked.dtype == np.float64
+        for g, batched in zip(graphs, stacked):
+            want = np.zeros((n, n))
+            for u, v in g.edges():
+                want[u, v] = want[v, u] = 1.0
+            assert np.array_equal(batched, want)
+            assert np.array_equal(g.adjacency_matrix(), want)
+
+    def test_one_order_only(self):
+        with pytest.raises(InvalidParameterError):
+            adjacency_matrices([build_cycle(3), build_cycle(4)])
 
 
 class TestConstructors:
@@ -377,7 +399,7 @@ class TestAutomorphisms:
         # their closure is the whole group, and the orbits are the group's
         for G in nx.graph_atlas_g()[1:]:
             g = Graph(G.number_of_nodes(), G.edges())
-            _, _, orbits, gens = _canon(g.n, g.rows)
+            _, orbits, gens = _canon(g.n, g.rows)
             assert all(g.relabel(list(sigma)) == g for sigma in gens), g.edges()
             isos = list(nx.algorithms.isomorphism.GraphMatcher(G, G).isomorphisms_iter())
             assert len(automorphisms(g)) == len(isos), g.edges()
@@ -385,5 +407,5 @@ class TestAutomorphisms:
 
     def test_orbits_merge_across_components(self):
         # two disjoint edges: one orbit {0, 2, 3, 4} around the isolated vertex 1
-        _, _, orbits, _ = _canon(5, Graph(5, [(0, 2), (3, 4)]).rows)
+        _, orbits, _ = _canon(5, Graph(5, [(0, 2), (3, 4)]).rows)
         assert orbits == (0, 1, 0, 0, 0)

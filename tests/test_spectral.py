@@ -19,6 +19,7 @@ from spectramin.graphs import (
     spec_P,
 )
 from spectramin.spectral import (
+    DENSE_CAP,
     char_poly,
     compare_rho_certified,
     full_spectrum,
@@ -148,8 +149,9 @@ class TestFullSpectrum:
             assert abs(sp[0] - 2.0) < 1e-10
 
     def test_cap(self):
+        assert abs(full_spectrum(build_cycle(DENSE_CAP))[0] - 2.0) < 1e-9
         with pytest.raises(InvalidInputError):
-            full_spectrum(build_cycle(4), dense_cap=3)
+            full_spectrum(build_cycle(DENSE_CAP + 1))
 
     def test_top_simple_on_families(self):
         for m, p, q in [(3, 1, 3), (5, 4, 7), (9, 9, 9)]:

@@ -12,7 +12,7 @@ import time
 import pytest
 
 import spectramin
-from spectramin.graphs import canonical_form
+from spectramin.graphs import InvalidInputError, canonical_form
 from spectramin.verify import (
     MinimizerResult,
     VerificationReport,
@@ -115,6 +115,21 @@ class TestMinimizer:
         resumed = minimizer(6, 2, checkpoint=ck)
         assert argmin_forms(resumed) == argmin_forms(full)
         assert partial.class_size == full.class_size
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("done", -5), ("done", 40), ("done", 2.9), ("done", True), ("seen", -1),
+         ("count", 1.5), ("count", False)],
+    )
+    def test_checkpoint_fields_are_validated(self, tmp_path, field, value):
+        # -5 once resumed at unit -4 (searched 14), 40 past the last of the
+        # 34 units (searched 0), and 2.9 was truncated to 2 (searched 684)
+        ck = tmp_path / "ck.json"
+        saved = {"n": 7, "alpha": 3, "units": 34, "done": 3, "seen": 10, "count": 5,
+                 "best": 2.0, "cands": []}
+        ck.write_text(json.dumps({**saved, field: value}))
+        with pytest.raises(InvalidInputError, match=field):
+            minimizer(7, 3, checkpoint=str(ck))
 
     def test_kill_and_resume(self, tmp_path):
         # a parallel run killed mid-search leaves a readable checkpoint, and
