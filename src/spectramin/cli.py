@@ -12,6 +12,7 @@ import sys
 from fractions import Fraction
 
 from .analytic import rho_analytic
+from .enumeration import EXTENDED_CAP, FULL_SPACE_CAP
 from .formats import from_edge_list, from_graph6
 from .graphs import Graph, InvalidInputError, InvalidParameterError, is_connected
 from .spectral import (
@@ -26,6 +27,7 @@ from .transforms import proof_replay, serialize_trace
 from .verify import (
     graph_from_family,
     overall_exit_code,
+    reads_checkpoint,
     verify_descent_endpoint_readings,
     verify_edge_minimal_pair,
     verify_family_grids,
@@ -118,11 +120,17 @@ def cmd_verify(args) -> int:
         raise InvalidParameterError("--format is read only with --out")
     reports = []
     ns = [_parse_int(x, "--n") for x in args.n.split(",")] if args.n else None
+    checkpoint = os.environ.get(CHECKPOINT_ENV)
+    if checkpoint and not (args.claim == "theorem-1.1"
+                           and any(reads_checkpoint(n, args.extended) for n in ns or [])):
+        raise InvalidParameterError(
+            f"{CHECKPOINT_ENV} is set, but only verify theorem-1.1 --extended reads it, "
+            f"for n = {FULL_SPACE_CAP + 1}..{EXTENDED_CAP}"
+        )
     if args.claim == "theorem-1.1":
         ns = ns or [7, 8, 9]
         reports = verify_minimum_radius_case_table(
-            ns, extended=args.extended, workers=args.workers,
-            checkpoint=os.environ.get(CHECKPOINT_ENV),
+            ns, extended=args.extended, workers=args.workers, checkpoint=checkpoint,
         )
     elif args.claim == "small-n-remark":
         reports = verify_small_order_minimizers()

@@ -40,6 +40,7 @@ from .graphs import (
     InvalidParameterError,
     _canon,
     _mis,
+    _permute_mask,
     automorphisms,
     build_bicyclic,
     is_connected,
@@ -88,7 +89,7 @@ def _accepted_children(
         orbit = [S]
         for T in orbit:
             for g in gens:
-                U = _apply_perm_mask(g, T)
+                U = _permute_mask(g, T)
                 if not marked[U]:
                     marked[U] = 1
                     orbit.append(U)
@@ -98,45 +99,43 @@ def _accepted_children(
             yield child, child_gens, edge_count + add
 
 
-def _apply_perm_mask(perm: Sequence[int], mask: int) -> int:
-    out = 0
-    while mask:
-        b = mask & -mask
-        out |= 1 << perm[b.bit_length() - 1]
-        mask ^= b
-    return out
+_ROOT: State = ((0,), (), 0)  # the one-vertex graph, where every walk starts
 
 
-def _augment(
-    n_target: int,
-    k: int,
-    rows: tuple[int, ...],
-    gens: Generators,
-    edge_count: int,
-    max_edges: int | None,
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    if k == n_target:
-        yield rows, edge_count
+def _walk(n: int, state: State, max_edges: int | None = None) -> Iterator[State]:
+    """Every generation state on ``n`` vertices below ``state``, depth first
+    in generation order.
+
+    With ``max_edges``, no state exceeds that many edges, and a child is cut
+    when even joining each later vertex to all before it cannot reach
+    ``max_edges`` (the exact-count floor).
+    """
+    rows, gens, edge_count = state
+    k = len(rows)
+    if k == n:
+        yield state
         return
-    # vertices k+1 .. n_target-1 can contribute at most sum(k+1 .. n_target-1)
-    # further edges, so children below that floor can never hit an exact target
-    floor = 0
-    if max_edges is not None:
-        floor = max_edges - sum(range(k + 1, n_target))
-    for child, cgens, ce in _accepted_children(k, rows, gens, edge_count, max_edges):
-        if max_edges is not None and ce < floor:
-            continue
-        yield from _augment(n_target, k + 1, child, cgens, ce, max_edges)
+    floor = 0 if max_edges is None else max_edges - sum(range(k + 1, n))
+    for child in _accepted_children(k, rows, gens, edge_count, max_edges):
+        if child[2] >= floor:
+            yield from _walk(n, child, max_edges)
 
 
-_ROOT_ROWS: tuple[int, ...] = (0,)
+def _connected(n: int, state: State, m_edges: int | None = None) -> Iterator[Graph]:
+    """Connected n-vertex graphs below ``state``; with ``m_edges``, only those
+    with exactly that many edges."""
+    for rows, _, edge_count in _walk(n, state, m_edges):
+        if m_edges is None or edge_count == m_edges:
+            g = Graph.from_rows(n, rows)
+            if is_connected(g):
+                yield g
 
 
 def enumerate_all_graphs(n: int) -> Iterator[Graph]:
     """All simple graphs on ``n`` vertices, one per isomorphism class."""
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
-    for rows, _ in _augment(n, 1, _ROOT_ROWS, (), 0, None):
+    for rows, _, _ in _walk(n, _ROOT):
         yield Graph.from_rows(n, rows)
 
 
@@ -151,10 +150,7 @@ def enumerate_connected(n: int, extended: bool = False) -> Iterator[Graph]:
         raise InvalidParameterError(
             f"enumerate_connected supports n <= {cap} (extended={extended}), got {n}"
         )
-    for rows, _ in _augment(n, 1, _ROOT_ROWS, (), 0, None):
-        g = Graph.from_rows(n, rows)
-        if is_connected(g):
-            yield g
+    yield from _connected(n, _ROOT)
 
 
 def branch_states() -> list[State]:
@@ -163,22 +159,12 @@ def branch_states() -> list[State]:
     Every graph on more than 5 vertices descends from exactly one of these
     states, so they are the unit of parallel work and of checkpointing.
     """
-    states: list[State] = [(_ROOT_ROWS, (), 0)]
-    for _ in range(BRANCH_LEVEL - 1):
-        nxt = []
-        for rows, gens, e in states:
-            nxt.extend(_accepted_children(len(rows), rows, gens, e, None))
-        states = nxt
-    return states
+    return list(_walk(BRANCH_LEVEL, _ROOT))
 
 
 def enumerate_connected_from_branch(n: int, state: State) -> Iterator[Graph]:
     """Connected n-vertex descendants of one level-5 branch state."""
-    rows, gens, e = state
-    for out_rows, _ in _augment(n, len(rows), rows, gens, e, None):
-        g = Graph.from_rows(n, out_rows)
-        if is_connected(g):
-            yield g
+    yield from _connected(n, state)
 
 
 def enumerate_with_edge_count(n: int, m_edges: int) -> Iterator[Graph]:
@@ -202,12 +188,7 @@ def enumerate_with_edge_count(n: int, m_edges: int) -> Iterator[Graph]:
         return
     if n > EXTENDED_CAP:
         raise InvalidParameterError(f"general edge-count mode capped at n = {EXTENDED_CAP}")
-    for rows, e in _augment(n, 1, _ROOT_ROWS, (), 0, m_edges):
-        if e != m_edges:
-            continue
-        g = Graph.from_rows(n, rows)
-        if is_connected(g):
-            yield g
+    yield from _connected(n, _ROOT, m_edges)
 
 
 # ---------------------------------------------------------------------------

@@ -150,11 +150,8 @@ class Graph:
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Relabeled copy where old vertex ``v`` becomes ``perm[v]``."""
         rows = [0] * self.n
-        for v in range(self.n):
-            m = 0
-            for u in _bits(self.rows[v]):
-                m |= 1 << perm[u]
-            rows[perm[v]] = m
+        for v, r in enumerate(self.rows):
+            rows[perm[v]] = _permute_mask(perm, r)
         return Graph.from_rows(self.n, rows)
 
     # -- dunder -------------------------------------------------------------
@@ -181,6 +178,16 @@ def adjacency_matrices(graphs: Sequence[Graph]) -> np.ndarray:
     raw = b"".join(r.to_bytes(width, "little") for g in graphs for r in g.rows)
     rows = np.frombuffer(raw, np.uint8).reshape(len(graphs), n, width)
     return np.unpackbits(rows, axis=2, count=n, bitorder="little").astype(np.float64)
+
+
+def _permute_mask(perm: Sequence[int], mask: int) -> int:
+    """Image of the vertex set ``mask`` under ``perm``: bit ``v`` moves to bit ``perm[v]``."""
+    out = 0
+    while mask:
+        b = mask & -mask
+        out |= 1 << perm[b.bit_length() - 1]
+        mask ^= b
+    return out
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -592,14 +599,8 @@ def _pack_form(n: int, rows: Sequence[int], perm: Sequence[int]) -> bytes:
     inv = [0] * n
     for i, v in enumerate(perm):
         inv[v] = i
-    for i in range(n):
-        m = 0
-        r = rows[perm[i]]
-        while r:
-            bbit = r & -r
-            m |= 1 << inv[bbit.bit_length() - 1]
-            r ^= bbit
-        out += m.to_bytes(width, "big")
+    for v in perm:
+        out += _permute_mask(inv, rows[v]).to_bytes(width, "big")
     return bytes(out)
 
 
@@ -749,46 +750,27 @@ class VertexLabeling:
 def build_bicyclic(spec: BicyclicSpec) -> tuple[Graph, VertexLabeling]:
     """Construct the named family graph with the documented fixed indexing.
 
-    The length-m part takes vertices ``0..m-1`` (hub_a = 0), the interior
-    path ``m..m+p-2``, and the length-q part follows with hub_b first.
+    ``hub_a`` is vertex 0; the length-m part takes ``1..m-1``, the interior
+    path ``m..m+p-2``, ``hub_b`` comes next (B and P; C has one hub) and the
+    length-q part follows.  Each family is a set of hub-to-hub walks: the two
+    cycles closed at their hubs plus, for B, the path; for P, three walks
+    from ``hub_a`` to ``hub_b``.
     """
-    m, p, q = spec.m, spec.p, spec.q
-    if spec.family == "B":
-        hub_a, hub_b = 0, m + p - 1
-        edges = [(i, (i + 1) % m) for i in range(m)]
-        chain = [hub_a] + list(range(m, m + p - 1)) + [hub_b]
-        edges += list(zip(chain, chain[1:]))
-        cyc_q = [hub_b] + list(range(m + p, m + p + q - 1))
-        edges += [(cyc_q[i], cyc_q[(i + 1) % q]) for i in range(q)]
-        lab = VertexLabeling(
-            hub_a, hub_b, tuple(range(1, m)), tuple(range(m, m + p - 1)),
-            tuple(range(m + p, m + p + q - 1)),
-        )
-        return Graph(spec.order, edges), lab
-    if spec.family == "C":
-        hub = 0
-        edges = [(i, (i + 1) % m) for i in range(m)]
-        cyc_q = [hub] + list(range(m, m + q - 1))
-        edges += [(cyc_q[i], cyc_q[(i + 1) % q]) for i in range(q)]
-        lab = VertexLabeling(
-            hub, hub, tuple(range(1, m)), (), tuple(range(m, m + q - 1))
-        )
-        return Graph(spec.order, edges), lab
-    # theta graph: three hub-to-hub paths of lengths m, p, q
-    hub_a, hub_b = 0, m + p - 1
-    arm_m = [hub_a] + list(range(1, m)) + [hub_b]
-    arm_p = [hub_a] + list(range(m, m + p - 1)) + [hub_b]
-    arm_q = [hub_a] + list(range(m + p, m + p + q - 1)) + [hub_b]
-    edges = (
-        list(zip(arm_m, arm_m[1:]))
-        + list(zip(arm_p, arm_p[1:]))
-        + list(zip(arm_q, arm_q[1:]))
-    )
-    lab = VertexLabeling(
-        hub_a, hub_b, tuple(range(1, m)), tuple(range(m, m + p - 1)),
-        tuple(range(m + p, m + p + q - 1)),
-    )
-    return Graph(spec.order, edges), lab
+    m, q = spec.m, spec.q
+    p = spec.p or 0  # C: no path, so the length-q part starts at m
+    hub_a = 0
+    hub_b = hub_a if spec.family == "C" else m + p - 1
+    seg_m = tuple(range(1, m))
+    seg_p = tuple(range(m, m + p - 1))
+    seg_q = tuple(range(m + p, m + p + q - 1))
+    if spec.family == "P":
+        walks = [(hub_a, *seg, hub_b) for seg in (seg_m, seg_p, seg_q)]
+    else:
+        walks = [(hub_a, *seg_m, hub_a), (hub_b, *seg_q, hub_b)]
+        if spec.family == "B":
+            walks.append((hub_a, *seg_p, hub_b))
+    edges = [e for walk in walks for e in zip(walk, walk[1:])]
+    return Graph(spec.order, edges), VertexLabeling(hub_a, hub_b, seg_m, seg_p, seg_q)
 
 
 def predicted_independence(spec: BicyclicSpec) -> int:

@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .enumeration import (
-    _ROOT_ROWS,
+    _ROOT,
     BRANCH_LEVEL,
     EDGE_MODE_CAP,
     EXTENDED_CAP,
@@ -52,7 +52,7 @@ from .graphs import (
     spec_C,
     spec_P,
 )
-from .spectral import compare_rho_certified, rho_bracket, rho_numeric
+from .spectral import EXACT_CAP, compare_rho_certified, rho_bracket, rho_numeric
 
 SAFETY_BAND = 1e-7
 _BATCH = 4096
@@ -81,7 +81,6 @@ class MinimizerResult:
     alpha: int
     min_rho: float
     argmin: list[Graph]
-    expected: str
     class_size: int
     searched: int = -1  # total classes streamed before the alpha filter
     unresolved: bool = False
@@ -112,6 +111,11 @@ def theorem_prediction(n: int) -> str:
     if n % 6 == 2:
         return f"B:{k},{k},{k}"
     return f"B:{k - 1},{k + 1},{k - 1}"
+
+
+def target_alpha(n: int) -> int:
+    """Independence number of the theorem's class on ``n`` vertices, ceil(n/2) - 1."""
+    return (n + 1) // 2 - 1
 
 
 def graph_from_family(spec_str: str) -> Graph:
@@ -292,7 +296,6 @@ def _search(
     n: int,
     alpha: int | None,
     parts: list,
-    expected: str,
     workers: int,
     checkpoint: str | None,
 ) -> MinimizerResult:
@@ -321,8 +324,8 @@ def _search(
                                               "best": best, "cands": cands})
     argmin, unresolved = _resolve_argmin(cands)
     min_rho = min((r for r, _ in cands), default=float("nan"))
-    return MinimizerResult(n, -1 if alpha is None else alpha, min_rho, argmin, expected,
-                           count, seen, unresolved)
+    return MinimizerResult(n, -1 if alpha is None else alpha, min_rho, argmin, count, seen,
+                           unresolved)
 
 
 def minimizer(
@@ -344,9 +347,8 @@ def minimizer(
     cap = EXTENDED_CAP if extended else FULL_SPACE_CAP
     if not 1 <= n <= cap:
         raise InvalidParameterError(f"minimizer supports n <= {cap}, got {n}")
-    expected = theorem_prediction(n) if n >= 3 else "K:1"
-    states = branch_states() if n >= BRANCH_LEVEL else [(_ROOT_ROWS, (), 0)]
-    return _search(_minimizer_branch, n, alpha, states, expected, workers, checkpoint)
+    states = branch_states() if n >= BRANCH_LEVEL else [_ROOT]
+    return _search(_minimizer_branch, n, alpha, states, workers, checkpoint)
 
 
 def minimizer_bicyclic(n: int, alpha: int | None = None, workers: int = 1) -> MinimizerResult:
@@ -360,13 +362,8 @@ def minimizer_bicyclic(n: int, alpha: int | None = None, workers: int = 1) -> Mi
         raise InvalidParameterError(
             f"two-cycle minimizer supports 4 <= n <= {EDGE_MODE_CAP}, got {n}"
         )
-    if alpha is None:
-        k = -(-n // 3)
-        expected = f"P:{k},{n + 1 - 2 * k},{k} and B:{k},{n + 1 - 2 * k},{k}"
-    else:
-        expected = theorem_prediction(n)
     parts = [[spec] for spec in _core_specs_bicyclic(n)] if workers > 1 else [None]
-    return _search(_bicyclic_branch, n, alpha, parts, expected, workers, None)
+    return _search(_bicyclic_branch, n, alpha, parts, workers, None)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +376,16 @@ def _argmin_matches(result: MinimizerResult, expected_specs: list[str]) -> bool:
     return want == got
 
 
+def _witnesses(graphs: list[Graph]) -> list[tuple[str, str]]:
+    return [(to_graph6(g), f"rho~{rho_numeric(g):.12g}") for g in graphs]
+
+
+def reads_checkpoint(n: int, extended: bool) -> bool:
+    """True when the case-table row for ``n`` runs a checkpointed search:
+    a full-space row past ``FULL_SPACE_CAP``, which needs ``extended``."""
+    return extended and FULL_SPACE_CAP < n <= EXTENDED_CAP
+
+
 def verify_minimum_radius_case_table(
     n_list: Iterable[int],
     extended: bool = False,
@@ -388,7 +395,8 @@ def verify_minimum_radius_case_table(
     """Check the case table of minimum-radius graphs for each order.
 
     Full-space enumeration where feasible (n <= 9, or 10 with extended);
-    even n beyond that fall back to the (n+1)-edge class with the same
+    odd n beyond that are settled by the cycle law (``_odd_cycle_law``), and
+    even n fall back to the (n+1)-edge class with the same
     independence number, alpha = n/2 - 1.  That class holds the global
     minimizer by two laws:
 
@@ -407,23 +415,18 @@ def verify_minimum_radius_case_table(
     _check_workers(workers)
     reports = []
     for n in n_list:
-        alpha = (n + 1) // 2 - 1
+        alpha = target_alpha(n)
         expected = theorem_prediction(n)
         full = n <= FULL_SPACE_CAP or (extended and n <= EXTENDED_CAP)
         if full:
             res = minimizer(
                 n, alpha, extended=extended, workers=workers,
-                checkpoint=checkpoint if n > FULL_SPACE_CAP else None,
+                checkpoint=checkpoint if reads_checkpoint(n, extended) else None,
             )
             mode = "full-space"
         else:
             if n % 2 == 1:
-                reports.append(
-                    VerificationReport(
-                        "minimum-radius-case-table", {"n": n}, "unresolved",
-                        detail="odd n beyond full enumeration: cycle case not re-checked",
-                    )
-                )
+                reports.append(_odd_cycle_law(n, alpha))
                 continue
             if not _denser_graphs_exceed(n):
                 reports.append(
@@ -443,11 +446,41 @@ def verify_minimum_radius_case_table(
                 "minimum-radius-case-table",
                 {"n": n, "alpha": alpha, "mode": mode, "class_size": res.class_size},
                 "pass" if ok else "fail",
-                witnesses=[(to_graph6(g), f"rho~{rho_numeric(g):.12g}") for g in res.argmin],
+                witnesses=_witnesses(res.argmin),
                 detail=f"expected {expected}, found {len(res.argmin)} argmin",
             )
         )
     return reports
+
+
+def _odd_cycle_law(n: int, alpha: int) -> VerificationReport:
+    """The row for an odd order past full enumeration, settled by law.
+
+    A tree is bipartite, so its alpha is at least ceil(n/2), above the
+    class's (n - 1)/2.  Every other connected graph except C_n properly
+    contains a cycle C_k, so its radius exceeds rho(C_k) = 2: the radius of
+    a connected graph grows strictly from a proper subgraph (Perron-
+    Frobenius).  So C_n is the unique minimizer once alpha(C_n) = (n - 1)/2
+    and rho(C_n) = 2 hold; both are checked exactly, the radius by a gcd
+    certificate against C_3.  Above ``EXACT_CAP`` the row stays unresolved.
+    """
+    if n > EXACT_CAP:
+        return VerificationReport(
+            "minimum-radius-case-table", {"n": n}, "unresolved",
+            detail=f"odd n beyond full enumeration and the exact cap {EXACT_CAP}: "
+            "cycle law not certified",
+        )
+    cycle = build_cycle(n)
+    ok = (independence_number(cycle) == alpha
+          and compare_rho_certified(cycle, build_cycle(3)) == "equal")
+    mode = ("cycle-law (trees have alpha >= ceil(n/2); any other connected graph "
+            "properly contains a cycle, so rho > 2 = rho(C_n))")
+    return VerificationReport(
+        "minimum-radius-case-table", {"n": n, "alpha": alpha, "mode": mode},
+        "pass" if ok else "fail",
+        witnesses=_witnesses([cycle]),
+        detail=f"expected C:{n}, alpha(C_n) and rho(C_n) = 2 checked exactly",
+    )
 
 
 def _denser_graphs_exceed(n: int) -> bool:
@@ -461,8 +494,9 @@ def verify_small_order_minimizers() -> list[VerificationReport]:
     """The explicit minimizers for orders 3..6, plus uniqueness of the
     one-graph classes at orders 3 and 4."""
     reports = []
-    table = {3: ("K:3", 1), 4: ("K:4", 1), 5: ("C:5", 2), 6: ("B:3,1,3", 2)}
-    for n, (expected, alpha) in table.items():
+    for n in range(3, 7):
+        expected = theorem_prediction(n)
+        alpha = target_alpha(n)
         res = minimizer(n, alpha)
         ok = _argmin_matches(res, [expected])
         if n in (3, 4):
@@ -472,7 +506,7 @@ def verify_small_order_minimizers() -> list[VerificationReport]:
                 "small-order-minimizers",
                 {"n": n, "alpha": alpha, "class_size": res.class_size},
                 "pass" if ok else "fail",
-                witnesses=[(to_graph6(g), f"rho~{rho_numeric(g):.12g}") for g in res.argmin],
+                witnesses=_witnesses(res.argmin),
                 detail=f"expected {expected}",
             )
         )
@@ -500,7 +534,7 @@ def verify_edge_minimal_pair(n_list: Iterable[int]) -> list[VerificationReport]:
                 "edge-minimal-balanced-pair",
                 {"n": n, "k": k},
                 "pass" if ok and exact else "fail",
-                witnesses=[(to_graph6(g), f"rho~{rho_numeric(g):.12g}") for g in res.argmin],
+                witnesses=_witnesses(res.argmin),
                 detail=f"expected {want}, gcd-equality={'yes' if exact else 'no'}",
             )
         )

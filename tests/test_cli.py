@@ -81,6 +81,17 @@ class TestVerify:
 
     def test_theorem_small(self, capsys):
         assert main(["verify", "theorem-1.1", "--n", "7"]) == 0
+        assert "'mode': 'full-space'" in capsys.readouterr().out
+
+    def test_theorem_odd_rows_past_enumeration(self, capsys):
+        assert main(["verify", "theorem-1.1", "--n", "11,13"]) == 0
+        assert capsys.readouterr().out.count("'mode': 'cycle-law") == 2
+
+    def test_unread_checkpoint_is_named(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(CHECKPOINT_ENV, str(tmp_path / "ck.json"))
+        assert main(["verify", "theorem-1.1", "--n", "6"]) == 2
+        assert CHECKPOINT_ENV in capsys.readouterr().err
+        assert not (tmp_path / "ck.json").exists()
 
     def test_report_files(self, tmp_path, capsys):
         out = tmp_path / "reports.csv"
@@ -117,6 +128,10 @@ class TestBadInput:
             (["verify", "theorem-1.1", "--n", "7", "--grid", "3..4"], None),
             (["verify", "small-n-remark", "--format", "csv"], None),
             (["rho", "C:70", "--charpoly"], None),
+            # a checkpoint variable that no row of the run reads
+            (["verify", "theorem-1.1", "--n", "6"], ""),
+            (["verify", "theorem-1.1", "--n", "7", "--extended"], ""),
+            (["verify", "small-n-remark"], ""),
         ],
     )
     def test_exits_2_with_message(self, argv, checkpoint, tmp_path, monkeypatch, capsys):

@@ -7,11 +7,11 @@ import networkx as nx
 import pytest
 
 from spectramin.enumeration import (
+    _ROOT,
     _attach_forest,
-    _augment,
     _bicyclic_classes,
     _forest_assignments,
-    _ROOT_ROWS,
+    _walk,
     bicyclic_graphs,
     branch_states,
     enumerate_all_graphs,
@@ -172,7 +172,7 @@ class TestStructuralGenerators:
     def test_structural_equals_orderly(self, n):
         structural = {canonical_form(g) for g in bicyclic_graphs(n)}
         orderly = set()
-        for rows, e in _augment(n, 1, _ROOT_ROWS, (), 0, n + 1):
+        for rows, _, e in _walk(n, _ROOT, n + 1):
             if e != n + 1:
                 continue
             g = Graph.from_rows(n, rows)

@@ -1,5 +1,6 @@
 """Graph core: constructors, predicates, independence, canonical forms."""
 
+import hashlib
 import random
 
 import networkx as nx
@@ -30,6 +31,10 @@ from spectramin.graphs import (
     spec_C,
     spec_P,
 )
+
+# rows and VertexLabeling of build_bicyclic over the lemma grids, every
+# two-cycle core up to order 16, and the unit-length corners P(1,p,q), B(m,1,q)
+BICYCLIC_SHA256 = "949e79dd1c98b7502e547e81f75f5ff5d1e094fa1847c7dd397a12bb0159dd50"
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -187,6 +192,24 @@ class TestBicyclicFamilies:
         walk = (lab.hub_b,) + lab.seg_q + (lab.hub_b,)
         for a, b in zip(walk, walk[1:]):
             assert g.has_edge(a, b)
+
+    def test_rows_and_labeling_pinned(self):
+        # analytic.perron_closed_form and the symmetric-class tables read
+        # vertices by this indexing, so it must not move
+        from spectramin.enumeration import _core_specs_bicyclic
+        from spectramin.verify import _grid_specs
+
+        specs = _grid_specs(9) + _core_specs_bicyclic(16)
+        specs += [spec_P(1, p, q) for p in range(2, 8) for q in range(p, 10)]
+        specs += [spec_B(m, 1, q) for m in range(3, 8) for q in range(3, 9)]
+        digest = hashlib.sha256()
+        for s in specs:
+            g, lab = build_bicyclic(s)
+            row = (s.family, s.m, s.p, s.q, g.n, g.rows,
+                   lab.hub_a, lab.hub_b, lab.seg_m, lab.seg_p, lab.seg_q)
+            digest.update(repr(row).encode() + b"\n")
+        assert len(specs) == 1592
+        assert digest.hexdigest() == BICYCLIC_SHA256
 
 
 class TestPredictedIndependence:

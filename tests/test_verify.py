@@ -361,3 +361,22 @@ class TestCaseTableLaw:
         (report,) = verify_minimum_radius_case_table([10])
         assert report.status == "unresolved"
         assert "4 + 20/n" in report.detail
+
+    def test_odd_rows_by_cycle_law(self):
+        reports = verify_minimum_radius_case_table([11, 13, 63])
+        assert [r.status for r in reports] == ["pass"] * 3
+        for n, r in zip((11, 13, 63), reports):
+            assert r.parameters["mode"].startswith("cycle-law")
+            assert r.parameters["alpha"] == (n - 1) // 2
+            assert r.detail.startswith(f"expected C:{n}")
+
+    def test_odd_row_above_exact_cap_is_unresolved(self):
+        (report,) = verify_minimum_radius_case_table([65])
+        assert report.status == "unresolved"
+
+    def test_odd_row_fails_without_gcd_equality(self, monkeypatch):
+        from spectramin import verify
+
+        monkeypatch.setattr(verify, "compare_rho_certified", lambda a, b: "unresolved")
+        (report,) = verify_minimum_radius_case_table([11])
+        assert report.status == "fail"
