@@ -6,7 +6,11 @@ Two engines:
   vertex at a time over one neighbor subset per orbit of the parent's group,
   and keep a child exactly when the new vertex lies in the orbit of the
   vertex at its last canonical position.  The child's one ``_canon`` call
-  gives that orbit and the generators its own children use;
+  gives that orbit and the generators its own children use.  Most children
+  are rejected before that call: the last canonical position lies in the
+  last refined color cell, which lies inside the top-degree class, and an
+  orbit lies inside one cell, so a new vertex of less than the largest
+  degree, or outside the last cell, cannot be in the orbit;
 * structural generation for connected graphs with exactly ``n`` or ``n + 1``
   edges: such graphs are a cycle / two-cycle core with rooted forests hanging
   off it, so they are produced directly from (core, forest assignment) pairs
@@ -41,6 +45,7 @@ from .graphs import (
     _canon,
     _mis,
     _permute_mask,
+    _refined_colors,
     automorphisms,
     build_bicyclic,
     is_connected,
@@ -79,13 +84,32 @@ def _accepted_children(
     vertex at its last canonical position (McKay's canonical augmentation).
     That orbit is an isomorphism invariant, so a class is accepted from one
     parent only, and from one orbit of ``S`` only.
+
+    Two exact tests reject most children before ``_canon`` searches.
+    ``_canon`` places the vertices cell by cell, so the vertex ``perm[k]``
+    at the last position lies in the last refined cell; refinement starts
+    from degree and sorts by (previous color, ...), so that cell lies inside
+    the class of the largest degree; and every orbit lies inside one cell.
+    So vertex ``k`` fails the orbit test when its degree ``|S|`` is below
+    the child's largest degree (the degree test, O(1) per ``S``: an old
+    vertex reaches ``top + 1`` only if it had the parent's largest degree
+    ``top`` and lies in ``S``), or when its refined color is not the
+    largest (the refinement test, whose colors ``_canon`` then reuses).
+    Both tests are invariant under the parent's group, so a rejected orbit
+    is rejected member by member and the same least ``S`` survive; an
+    accepted child still gets its full ``_canon`` call.
     """
     bit_k = 1 << k
+    degrees = [r.bit_count() for r in rows]
+    top = max(degrees)
+    top_mask = sum(1 << i for i, d in enumerate(degrees) if d == top)
     marked = bytearray(bit_k)
     for S in range(bit_k):
         add = S.bit_count()
         if marked[S] or max_edges is not None and edge_count + add > max_edges:
             continue
+        if top + (1 if S & top_mask else 0) > add:
+            continue  # degree test
         orbit = [S]
         for T in orbit:
             for g in gens:
@@ -94,7 +118,10 @@ def _accepted_children(
                     marked[U] = 1
                     orbit.append(U)
         child = tuple(r | bit_k if S >> i & 1 else r for i, r in enumerate(rows)) + (S,)
-        perm, orbits, child_gens = _canon(k + 1, child)
+        colors = _refined_colors(k + 1, child)
+        if colors[k] != max(colors):
+            continue  # refinement test
+        perm, orbits, child_gens = _canon(k + 1, child, colors)
         if orbits[k] == orbits[perm[k]]:
             yield child, child_gens, edge_count + add
 

@@ -467,7 +467,7 @@ def _refined_colors(n: int, rows: Sequence[int]) -> list[int]:
 
 
 def _canon(
-    n: int, rows: Sequence[int]
+    n: int, rows: Sequence[int], colors: Sequence[int] | None = None
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Canonical labeling, orbits and automorphism generators.
 
@@ -486,8 +486,13 @@ def _canon(
     the image of the first one under the group these generate, and since
     the least leaves form one coset of Aut(G), the generators generate
     Aut(G) and ``orbits`` are its orbits.
+
+    ``colors``, when given, must be ``_refined_colors(n, rows)``; a caller
+    that already refined the graph passes them so the search does not
+    refine it again.
     """
-    colors = _refined_colors(n, rows)
+    if colors is None:
+        colors = _refined_colors(n, rows)
     order = sorted(range(n), key=lambda v: (colors[v], v))
     cells: list[list[int]] = []
     for v in order:

@@ -516,7 +516,18 @@ def verify_small_order_minimizers() -> list[VerificationReport]:
 
 def verify_edge_minimal_pair(n_list: Iterable[int]) -> list[VerificationReport]:
     """Unrestricted (n+1)-edge minimizers: the balanced theta and dumbbell pair
-    with exactly-certified equal radii."""
+    with exactly-certified equal radii.
+
+    Every order is checked before any class is scanned: the predicted
+    dumbbell B(k,p,k) needs cycles of length k = ceil(n/3) >= 3, so n >= 7,
+    and above ``EDGE_MODE_CAP`` the class is not generated.
+    """
+    n_list = list(n_list)
+    bad = [n for n in n_list if not 7 <= n <= EDGE_MODE_CAP]
+    if bad:
+        raise InvalidParameterError(
+            f"edge-minimal-pair --n must lie in 7..{EDGE_MODE_CAP}, got {bad[0]}"
+        )
     reports = []
     certs: dict = {}
     for n in n_list:

@@ -1,7 +1,13 @@
 """CLI surface: parsing, exit codes, output contracts."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import spectramin
 from spectramin.cli import CHECKPOINT_ENV, main
 from spectramin.formats import to_graph6
 from spectramin.graphs import build_bicyclic, build_cycle, spec_B
@@ -132,6 +138,11 @@ class TestBadInput:
             (["verify", "theorem-1.1", "--n", "6"], ""),
             (["verify", "theorem-1.1", "--n", "7", "--extended"], ""),
             (["verify", "small-n-remark"], ""),
+            # edge-minimal-pair orders outside 7..EDGE_MODE_CAP, checked before any scan
+            (["verify", "edge-minimal-pair", "--n", "6"], None),
+            (["verify", "edge-minimal-pair", "--n", "5"], None),
+            (["verify", "edge-minimal-pair", "--n", "7,6"], None),
+            (["verify", "edge-minimal-pair", "--n", "17"], None),
         ],
     )
     def test_exits_2_with_message(self, argv, checkpoint, tmp_path, monkeypatch, capsys):
@@ -150,6 +161,26 @@ class TestBadInput:
     def test_unread_option_is_named(self, capsys):
         assert main(["verify", "lemmas", "--grid", "3..4", "--workers", "2", "--n", "9"]) == 2
         assert "error: verify lemmas does not read --n, --workers" in capsys.readouterr().err
+
+    def test_edge_minimal_order_range_is_named(self, capsys):
+        # the n = 7 row is not scanned and printed before the bad order exits
+        assert main(["verify", "edge-minimal-pair", "--n", "7,6"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: edge-minimal-pair --n must lie in 7..16, got 6" in err
+
+
+class TestModuleEntry:
+    def test_python_m_runs_the_cli(self):
+        src = str(Path(spectramin.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "spectramin", "verify", "small-n-remark"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("[PASS]") == 4
 
 
 class TestSweep:

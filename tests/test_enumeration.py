@@ -6,6 +6,7 @@ import itertools
 import networkx as nx
 import pytest
 
+from spectramin import enumeration
 from spectramin.enumeration import (
     _ROOT,
     _attach_forest,
@@ -24,6 +25,8 @@ from spectramin.enumeration import (
 from spectramin.graphs import (
     Graph,
     InvalidParameterError,
+    _canon,
+    _refined_colors,
     canonical_form,
     independence_number,
     is_connected,
@@ -34,6 +37,12 @@ from spectramin.graphs import (
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 BRANCH_ROWS_SHA256 = "e94338128edbbc91a05b1d1763fe9b5a9adea3fe162346b23bcf6610e8d3caf6"
+# SHA-256 of repr of every generation state (rows, generators, edge count),
+# in walk order, as the walk made them before children were rejected ahead
+# of the canonical search
+WALK7_SHA256 = "d99c6dff3561e0b2cd882310ab6fabda4746aa2d1d96566ebe2ad92f317fe01e"
+WALK8_SHA256 = "fec40eacca7d12838fdb2359e6bb715ef977ab257c6e5bdb45e5d8fca277e1bc"
+WALK8_CANON_CALLS = 13_624  # 85,022 when every least subset was searched
 
 
 class TestOrderlyGeneration:
@@ -100,6 +109,52 @@ class TestOrderlyGeneration:
             forms.extend(canonical_form(g) for g in enumerate_connected_from_branch(7, st))
         assert len(forms) == CONNECTED_COUNTS[7]
         assert len(set(forms)) == CONNECTED_COUNTS[7]
+
+
+def _walk_sha256(n):
+    h = hashlib.sha256()
+    for state in _walk(n, _ROOT):
+        h.update(repr(state).encode())
+    return h.hexdigest()
+
+
+class TestPreSearchRejection:
+    """The degree and refinement tests that reject a child before its search."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_rejects_only_what_the_orbit_test_rejects(self, k):
+        for rows, _, _ in _walk(k, _ROOT):
+            degrees = [r.bit_count() for r in rows]
+            top = max(degrees)
+            top_mask = sum(1 << i for i, d in enumerate(degrees) if d == top)
+            for S in range(1 << k):
+                child = tuple(r | 1 << k if S >> i & 1 else r for i, r in enumerate(rows))
+                child += (S,)
+                child_degrees = [r.bit_count() for r in child]
+                old_top = max(child_degrees[:k])
+                assert old_top == top + (1 if S & top_mask else 0)
+                colors = _refined_colors(k + 1, child)
+                last_cell = [v for v in range(k + 1) if colors[v] == max(colors)]
+                assert all(child_degrees[v] == max(child_degrees) for v in last_cell)
+                perm, orbits, _ = _canon(k + 1, child)
+                assert perm[k] in last_cell
+                accepted = orbits[k] == orbits[perm[k]]
+                if old_top > S.bit_count() or colors[k] != max(colors):
+                    assert not accepted, (rows, S)
+
+    def test_walk7_states_pinned(self):
+        assert _walk_sha256(7) == WALK7_SHA256
+
+    def test_walk8_states_and_search_count_pinned(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return _canon(*args)
+
+        monkeypatch.setattr(enumeration, "_canon", counting)
+        assert _walk_sha256(8) == WALK8_SHA256
+        assert len(calls) == WALK8_CANON_CALLS
 
 
 class TestEdgeCountMode:
