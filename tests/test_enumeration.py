@@ -37,9 +37,9 @@ from spectramin.graphs import (
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 BRANCH_ROWS_SHA256 = "e94338128edbbc91a05b1d1763fe9b5a9adea3fe162346b23bcf6610e8d3caf6"
-# SHA-256 of repr of every generation state (rows, generators, edge count),
-# in walk order, as the walk made them before children were rejected ahead
-# of the canonical search
+# SHA-256 of repr of every generation state (rows, generators, edge count)
+# in walk order, computed when every least subset was searched: rejecting
+# children before the search must not change a state
 WALK7_SHA256 = "d99c6dff3561e0b2cd882310ab6fabda4746aa2d1d96566ebe2ad92f317fe01e"
 WALK8_SHA256 = "fec40eacca7d12838fdb2359e6bb715ef977ab257c6e5bdb45e5d8fca277e1bc"
 WALK8_CANON_CALLS = 13_624  # 85,022 when every least subset was searched
