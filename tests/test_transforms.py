@@ -1,5 +1,6 @@
 """Radius-law rewrites: deletion, subdivision, relocation, shift, split, replay."""
 
+import hashlib
 import random
 
 import pytest
@@ -35,6 +36,13 @@ from spectramin.transforms import (
     split_vertex,
     subdivide_internal,
 )
+
+# SHA-256 over every connected graph with 4..7 vertices and at least n + 1
+# edges (917 graphs) of the minimal core (family, params, sorted vertices,
+# sorted edges), and of the serialized replay of the 562 with alpha =
+# ceil(n/2) - 1, computed before the replay's searches were merged into one
+CORES7_SHA256 = "aa4d8b2687788fc1c54f26c22c6a32918d9097f3d07d6b069b7441f2f0b7826d"
+REPLAYS7_SHA256 = "cfc740561a112e09544fc9d460b38c11aac79be12524399d236112170ba0093f"
 
 
 def random_connected(rng, n, p=0.4) -> Graph:
@@ -351,6 +359,24 @@ class TestProofReplay:
         monkeypatch.setattr(transforms, "compare_rho_certified", lambda a, b: "unresolved")
         with pytest.raises(InvalidInputError, match="non-monotone"):
             proof_replay(g)
+
+    def test_cores_and_replays_to_7_pinned(self):
+        cores, replays = hashlib.sha256(), hashlib.sha256()
+        counts = [0, 0]
+        for n in range(4, 8):
+            for g in enumerate_connected(n):
+                if g.edge_count < n + 1:
+                    continue
+                fam, params, verts, edges = find_minimal_bicyclic_core(g)
+                core = (fam, params, sorted(verts), sorted(sorted(e) for e in edges))
+                cores.update(repr(core).encode())
+                counts[0] += 1
+                if independence_number(g) == (n + 1) // 2 - 1:
+                    replays.update(serialize_trace(proof_replay(g)).encode() + b"\n")
+                    counts[1] += 1
+        assert counts == [917, 562]
+        assert cores.hexdigest() == CORES7_SHA256
+        assert replays.hexdigest() == REPLAYS7_SHA256
 
     def test_trace_serialization(self):
         g = _c_core_test_graph()
