@@ -210,7 +210,7 @@ def _delete_vertex_rows(rows: Sequence[int], v: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# connectivity, blocks, paths
+# connectivity, bridges, paths
 
 
 def is_connected(g: Graph) -> bool:
@@ -225,80 +225,31 @@ def connected_components(g: Graph) -> list[int]:
 
 
 def cut_edges(g: Graph) -> list[tuple[int, int]]:
-    """All bridges of a connected graph, sorted: the one-edge blocks."""
+    """All bridges of a connected graph, sorted: the edges whose removal disconnects it."""
     if not is_connected(g):
         raise InvalidInputError("cut_edges requires a connected graph")
-    return sorted(
-        (min(block[0]), max(block[0])) for block in _biconnected_blocks(g) if len(block) == 1
-    )
-
-
-def _biconnected_blocks(g: Graph) -> list[list[tuple[int, int]]]:
-    """Edge lists of the biconnected blocks (per component), by iterative
-    low-link DFS."""
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    edge_stack: list[tuple[int, int]] = []
-    blocks = []
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack = [(root, -1, iter(g.neighbors(root)))]
-        while stack:
-            v, pv, it = stack[-1]
-            advanced = False
-            for u in it:
-                if disc[u] == -1:
-                    edge_stack.append((v, u))
-                    disc[u] = low[u] = timer
-                    timer += 1
-                    stack.append((u, v, iter(g.neighbors(u))))
-                    advanced = True
-                    break
-                elif u != pv and disc[u] < disc[v]:
-                    edge_stack.append((v, u))
-                    if disc[u] < low[v]:
-                        low[v] = disc[u]
-            if not advanced:
-                stack.pop()
-                if pv != -1:
-                    if low[v] < low[pv]:
-                        low[pv] = low[v]
-                    if low[v] >= disc[pv]:
-                        block = []
-                        while True:
-                            e = edge_stack.pop()
-                            block.append(e)
-                            if e == (pv, v):
-                                break
-                        blocks.append(block)
-    return blocks
+    return [(u, v) for u, v in g.edges() if not is_connected(g.without_edge(u, v))]
 
 
 def cycles_mutually_disjoint(g: Graph) -> bool:
     """True iff no two cycles share a vertex.
 
-    Block form: every biconnected block must be a single edge or a chordless
-    cycle (blocks with more edges than vertices hold two cycles sharing a
-    path), and no vertex may sit on two cycle blocks (cycles meeting at a
-    cut vertex, the figure-eight case).
+    Every cycle avoids the bridges, and a bridgeless connected graph holds
+    two cycles sharing a vertex unless it is one cycle: a second cycle
+    through any edge leaving the first meets it.  So with the bridges
+    deleted, every component of two or more vertices must have as many
+    edges as vertices.
     """
     if not is_connected(g):
         raise InvalidInputError("cycles_mutually_disjoint requires a connected graph")
-    cycle_hits = [0] * g.n
-    for block in _biconnected_blocks(g):
-        verts = {v for e in block for v in e}
-        if len(block) > len(verts):
+    rows = list(g.rows)
+    for u, v in cut_edges(g):
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+    for comp in _mask_components(rows, (1 << g.n) - 1):
+        size = comp.bit_count()
+        if size > 1 and sum(rows[v].bit_count() for v in _bits(comp)) != 2 * size:
             return False
-        if len(block) == len(verts):  # this block is a cycle
-            for v in verts:
-                cycle_hits[v] += 1
-                if cycle_hits[v] > 1:
-                    return False
     return True
 
 

@@ -12,7 +12,9 @@ two-cycle family member with non-increasing radius, returning the trace.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 
 from .graphs import (
     Graph,
@@ -155,18 +157,13 @@ def split_vertex(g: Graph, v: int, first_side) -> Graph:
         )
     if any(x[w1] > x[w] + PERRON_MARGIN for w in nv):
         raise InvalidParameterError("anchor does not attain the minimum Perron entry")
-    bridges = set(cut_edges(g))
-    if (min(v, w1), max(v, w1)) not in bridges:
+    if (min(v, w1), max(v, w1)) not in cut_edges(g):
         raise InvalidParameterError(f"edge ({v},{w1}) is not a cut edge")
     rest = [w for w in nv if w not in side]
-    rows = list(g.rows)
     # v keeps the first side, the appended vertex takes the anchor plus the rest
-    for w in nv:
-        rows[w] &= ~(1 << v)
-        rows[v] &= ~(1 << w)
-    out = Graph.from_rows(g.n, rows)
-    for w in side:
-        out = out.with_edge(v, w)
+    out = g
+    for w in rest:
+        out = out.without_edge(v, w)
     return out.with_vertex([w1] + rest)
 
 
@@ -174,54 +171,46 @@ def split_vertex(g: Graph, v: int, first_side) -> Graph:
 # descent replay
 
 
-def _shortest_cycle_through(g: Graph, e: tuple[int, int]) -> tuple[int, ...] | None:
-    """Shortest cycle containing edge ``e`` as a vertex tuple, or None."""
-    u, v = e
-    h = g.without_edge(u, v)
-    prev = {u: -1}
-    frontier = [u]
-    while frontier and v not in prev:
-        nxt = []
-        for a in frontier:
-            for b in h.neighbors(a):
-                if b not in prev:
-                    prev[b] = a
-                    nxt.append(b)
-        frontier = nxt
-    if v not in prev:
-        return None
-    path = [v]
-    while path[-1] != u:
-        path.append(prev[path[-1]])
-    return tuple(path)
+def _bfs(g: Graph, sources):
+    """Breadth-first first discoveries ``(a, b)``: ``b`` is first reached from ``a``.
+
+    The sources are expanded in ascending order, then every vertex in the
+    order it was discovered.
+    """
+    seen = set(sources)
+    queue = deque(sorted(seen))
+    while queue:
+        a = queue.popleft()
+        for b in g.neighbors(a):
+            if b not in seen:
+                seen.add(b)
+                yield a, b
+                queue.append(b)
+
+
+def _shortest_path(g: Graph, sources, targets):
+    """Vertex tuple from the first target discovered back to a source, or None.
+
+    The search stops at that target, so no target and no source is interior.
+    """
+    prev: dict[int, int] = {}
+    for a, b in _bfs(g, sources):
+        prev[b] = a
+        if b in targets:
+            path = [b]
+            while path[-1] in prev:
+                path.append(prev[path[-1]])
+            return tuple(path)
+    return None
+
+
+def _edge_set(walk) -> set[frozenset]:
+    """Edges between consecutive vertices of ``walk``."""
+    return {frozenset(pp) for pp in zip(walk, walk[1:])}
 
 
 def _cycle_edges(cyc: tuple[int, ...]) -> set[frozenset]:
-    es = {frozenset((cyc[i], cyc[i + 1])) for i in range(len(cyc) - 1)}
-    es.add(frozenset((cyc[-1], cyc[0])))
-    return es
-
-
-def _connecting_path(g: Graph, avoid: set[int], src: set[int], dst: set[int]):
-    """Shortest path between two vertex sets with interior outside both."""
-    prev: dict[int, int] = {s: -1 for s in src}
-    frontier = sorted(src)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in g.neighbors(a):
-                if b in prev:
-                    continue
-                if b in dst:
-                    path = [b, a]
-                    while path[-1] not in src:
-                        path.append(prev[path[-1]])
-                    return tuple(reversed(path))
-                if b not in avoid:
-                    prev[b] = a
-                    nxt.append(b)
-        frontier = sorted(nxt)
-    return None
+    return _edge_set(cyc + cyc[:1])
 
 
 def _theta_from_pair(c1: tuple[int, ...], c2: tuple[int, ...]):
@@ -229,7 +218,7 @@ def _theta_from_pair(c1: tuple[int, ...], c2: tuple[int, ...]):
 
     Takes the shortest arc of ``c1`` whose interior avoids ``c2`` and whose
     edge is not itself a ``c2`` edge; its endpoints split ``c2`` into two
-    more internally disjoint paths.  Returns (params, verts, edges) or None.
+    more internally disjoint paths.  Returns (params, edges) or None.
     """
     s2 = set(c2)
     e2 = _cycle_edges(c2)
@@ -255,10 +244,7 @@ def _theta_from_pair(c1: tuple[int, ...], c2: tuple[int, ...]):
     length, x, y, arc = best
     j0, j1 = c2.index(x), c2.index(y)
     d = (j1 - j0) % len(c2)
-    params = tuple(sorted((length, d, len(c2) - d)))
-    verts = set(arc) | s2
-    edges = e2 | {frozenset(pp) for pp in zip(arc, arc[1:])}
-    return params, verts, edges
+    return tuple(sorted((length, d, len(c2) - d))), e2 | _edge_set(arc)
 
 
 def find_minimal_bicyclic_core(g: Graph):
@@ -267,15 +253,16 @@ def find_minimal_bicyclic_core(g: Graph):
     Short cycles are collected per edge (shortest cycle through each) and
     classified pairwise into shared-vertex (figure-eight), shared-stretch
     (theta), or disjoint (dumbbell, via a shortest connecting path)
-    candidates, keeping the smallest total length, ties broken on family
-    then the normalized parameter triple.
+    candidates, keeping the fewest edges, ties broken on family then the
+    normalized parameter triple.
     """
     if g.edge_count < g.n + 1:
         raise InvalidInputError("a two-cycle subgraph needs at least n + 1 edges")
     pool = []
     seen_cycles = set()
-    for e in g.edges():
-        cyc = _shortest_cycle_through(g, e)
+    for u, v in g.edges():
+        # the shortest cycle through uv closes a shortest v-u path without it
+        cyc = _shortest_path(g.without_edge(u, v), (u,), (v,))
         if cyc is None:
             continue
         key = frozenset(cyc)
@@ -283,61 +270,39 @@ def find_minimal_bicyclic_core(g: Graph):
             seen_cycles.add(key)
             pool.append(cyc)
     best = None
-    for i in range(len(pool)):
-        for j in range(i + 1, len(pool)):
-            c1, c2 = pool[i], pool[j]
-            s1, s2 = set(c1), set(c2)
-            inter = s1 & s2
-            if not inter:
-                path = _connecting_path(g, s1 | s2, s1, s2)
-                if path is None:
-                    continue
-                m, p, q = len(c1), len(path) - 1, len(c2)
-                if m > q:
-                    m, q = q, m
-                verts = s1 | s2 | set(path)
-                edges = _cycle_edges(c1) | _cycle_edges(c2)
-                edges |= {frozenset(pp) for pp in zip(path, path[1:])}
-                cand = (len(c1) + len(c2) + p, 2, (m, p, q), "B", verts, edges)
-            elif len(inter) == 1:
-                m, q = sorted((len(c1), len(c2)))
-                verts = s1 | s2
-                edges = _cycle_edges(c1) | _cycle_edges(c2)
-                cand = (m + q, 0, (m, 0, q), "C", verts, edges)
-            else:
-                theta = _theta_from_pair(c1, c2)
-                if theta is None:
-                    theta = _theta_from_pair(c2, c1)
-                if theta is None:
-                    continue
-                params, verts, edges = theta
-                cand = (sum(params), 1, params, "P", verts, edges)
-            if best is None or cand[:3] < best[:3]:
-                best = cand
+    for c1, c2 in combinations(pool, 2):
+        s1, s2 = set(c1), set(c2)
+        shared = len(s1 & s2)
+        m, q = sorted((len(c1), len(c2)))
+        if shared == 0:
+            path = _shortest_path(g, s1, s2)
+            if path is None:
+                continue
+            rank, family, params = 2, "B", (m, len(path) - 1, q)
+            edges = _cycle_edges(c1) | _cycle_edges(c2) | _edge_set(path)
+        elif shared == 1:
+            rank, family, params = 0, "C", (m, 0, q)
+            edges = _cycle_edges(c1) | _cycle_edges(c2)
+        else:
+            theta = _theta_from_pair(c1, c2) or _theta_from_pair(c2, c1)
+            if theta is None:
+                continue
+            rank, family, (params, edges) = 1, "P", theta
+        cand = (len(edges), rank, params, family, edges)
+        if best is None or cand[:3] < best[:3]:
+            best = cand
     if best is None:
         raise InvalidInputError("no pair of cycles found")
-    _, _, params, family, verts, edges = best
-    return family, params, verts, edges
+    _, _, params, family, edges = best
+    return family, params, {v for e in edges for v in e}, edges
 
 
 def _farthest_outside(g: Graph, core: set[int]) -> int:
     """Outside vertex at maximum BFS distance from the core (ties: max index)."""
-    dist = {v: 0 for v in core}
-    frontier = sorted(core)
-    far = -1
-    far_d = -1
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in g.neighbors(a):
-                if b not in dist:
-                    dist[b] = dist[a] + 1
-                    nxt.append(b)
-                    if dist[b] > far_d or (dist[b] == far_d and b > far):
-                        far_d = dist[b]
-                        far = b
-        frontier = sorted(nxt)
-    return far
+    dist = dict.fromkeys(core, 0)
+    for a, b in _bfs(g, core):
+        dist[b] = dist[a] + 1
+    return max((d, v) for v, d in dist.items() if v not in core)[1]
 
 
 def _core_subdivision_target(g: Graph, core: set[int]) -> tuple[int, int]:
@@ -377,45 +342,26 @@ def proof_replay(g: Graph) -> list[RewriteStep]:
         raise InvalidInputError(
             f"replay requires independence number {want}, got {alpha}"
         )
-    _, _, core_verts, core_edges = find_minimal_bicyclic_core(g)
-    core = set(core_verts)
-    steps: list[RewriteStep] = []
+    _, _, core, core_edges = find_minimal_bicyclic_core(g)
+    moves = []  # (kind, rule, graph after the step)
     cur = g
-    while True:
-        extras = [
-            (u, v)
-            for (u, v) in cur.edges()
-            if u in core and v in core and frozenset((u, v)) not in core_edges
-        ]
-        if not extras:
-            break
-        e = min(extras)
-        nxt = delete_edge(cur, e)
-        steps.append(
-            RewriteStep("delete-edge", cur, nxt, rho_numeric(cur), rho_numeric(nxt),
-                        "edge-deletion")
-        )
-        cur = nxt
+    # deleting a non-core edge between core vertices creates no other
+    for u, v in g.edges():
+        if u in core and v in core and frozenset((u, v)) not in core_edges:
+            cur = delete_edge(cur, (u, v))
+            moves.append(("delete-edge", "edge-deletion", cur))
     while len(core) < cur.n:
         v = _farthest_outside(cur, core)
-        target = _core_subdivision_target(cur, core)
-        nxt = relocate_vertex(cur, v, target)
-        steps.append(
-            RewriteStep("relocate-vertex", cur, nxt, rho_numeric(cur),
-                        rho_numeric(nxt), "relocation-into-internal-path")
-        )
-        # reindex the core and its edge set below the removed vertex
-        core = {u - (u > v) for u in core}
-        core_edges = {
-            frozenset((a - (a > v), b - (b > v))) for e2 in core_edges for a, b in [tuple(e2)]
-        }
-        a2, b2 = target[0] - (target[0] > v), target[1] - (target[1] > v)
-        w = nxt.n - 1
-        core_edges.discard(frozenset((a2, b2)))
-        core_edges.add(frozenset((a2, w)))
-        core_edges.add(frozenset((w, b2)))
-        core.add(w)
-        cur = nxt
+        cur = relocate_vertex(cur, v, _core_subdivision_target(cur, core))
+        moves.append(("relocate-vertex", "relocation-into-internal-path", cur))
+        # v lay outside the core: reindex the core below it, add the new vertex
+        core = {u - (u > v) for u in core} | {cur.n - 1}
+    walk = [g] + [h for _, _, h in moves]
+    rho = [rho_numeric(h) for h in walk] if moves else []
+    steps = [
+        RewriteStep(kind, walk[i], h, rho[i], rho[i + 1], rule)
+        for i, (kind, rule, h) in enumerate(moves)
+    ]
     for st in steps:
         # a reading only clears a step that drops clearly; any other step
         # fails only when the certified comparison says neither less nor equal

@@ -55,6 +55,7 @@ from .graphs import (
 from .spectral import EXACT_CAP, compare_rho_certified, rho_bracket, rho_numeric
 
 SAFETY_BAND = 1e-7
+MAX_EXTREMAL_CAP = 8  # the max-extremal sweep enumerates every connected graph
 _BATCH = 4096
 
 
@@ -410,33 +411,34 @@ def verify_minimum_radius_case_table(
       ``_denser_graphs_exceed``, every such graph lies above the prediction.
 
     The premise holds for even n = 10..38 and fails at 40; an order where it
-    fails is reported unresolved.
+    fails is reported unresolved.  Every order is routed before any row
+    runs, so an order with no route is refused up front.
     """
     _check_workers(workers)
+    routes = [(n, _case_route(n, extended)) for n in n_list]
     reports = []
-    for n in n_list:
+    for n, route in routes:
         alpha = target_alpha(n)
+        if route == "cycle-law":
+            reports.append(_odd_cycle_law(n, alpha))
+            continue
+        if route == "unresolved":
+            reports.append(
+                VerificationReport(
+                    "minimum-radius-case-table", {"n": n}, "unresolved",
+                    detail="rho(prediction)^2 not certified below 4 + 20/n: "
+                    "graphs with n+2 or more edges not excluded",
+                )
+            )
+            continue
         expected = theorem_prediction(n)
-        full = n <= FULL_SPACE_CAP or (extended and n <= EXTENDED_CAP)
-        if full:
+        if route == "full-space":
             res = minimizer(
                 n, alpha, extended=extended, workers=workers,
                 checkpoint=checkpoint if reads_checkpoint(n, extended) else None,
             )
             mode = "full-space"
         else:
-            if n % 2 == 1:
-                reports.append(_odd_cycle_law(n, alpha))
-                continue
-            if not _denser_graphs_exceed(n):
-                reports.append(
-                    VerificationReport(
-                        "minimum-radius-case-table", {"n": n}, "unresolved",
-                        detail="rho(prediction)^2 not certified below 4 + 20/n: "
-                        "graphs with n+2 or more edges not excluded",
-                    )
-                )
-                continue
             res = minimizer_bicyclic(n, alpha, workers=workers)
             mode = ("bicyclic-mode (trees and unicyclic graphs have alpha >= n/2; "
                     "n+2 or more edges give rho^2 >= 4+20/n > hi^2 of the prediction)")
@@ -451,6 +453,29 @@ def verify_minimum_radius_case_table(
             )
         )
     return reports
+
+
+def _case_route(n: int, extended: bool) -> str:
+    """How the case-table row for ``n`` is settled: "full-space", "cycle-law",
+    "bicyclic" or "unresolved".  An order with no route is refused."""
+    if n < 3:
+        raise InvalidParameterError(f"theorem-1.1 --n must be at least 3, got {n}")
+    if n <= FULL_SPACE_CAP or (extended and n <= EXTENDED_CAP):
+        return "full-space"
+    if n % 2 == 1:
+        return "cycle-law"
+    if n > EXACT_CAP:
+        raise InvalidParameterError(
+            f"theorem-1.1 --n {n}: even orders past the exact cap {EXACT_CAP} have no route"
+        )
+    if not _denser_graphs_exceed(n):
+        return "unresolved"
+    if n > EDGE_MODE_CAP:
+        raise InvalidParameterError(
+            f"theorem-1.1 --n {n}: denser graphs are excluded, but the two-cycle "
+            f"search stops at n = {EDGE_MODE_CAP}"
+        )
+    return "bicyclic"
 
 
 def _odd_cycle_law(n: int, alpha: int) -> VerificationReport:
@@ -553,11 +578,19 @@ def verify_edge_minimal_pair(n_list: Iterable[int]) -> list[VerificationReport]:
     return reports
 
 
+def check_max_extremal_orders(n_list: Iterable[int]) -> None:
+    """Refuse, before any sweep, an order outside 1..MAX_EXTREMAL_CAP."""
+    bad = [n for n in n_list if not 1 <= n <= MAX_EXTREMAL_CAP]
+    if bad:
+        raise InvalidParameterError(
+            f"max-extremal --n must lie in 1..{MAX_EXTREMAL_CAP}, got {bad[0]}"
+        )
+
+
 def verify_max_extremal(n: int) -> VerificationReport:
     """Upper bound: every graph's radius is at most the join graph's, with
     equality only at the join graph itself."""
-    if n > 8:
-        raise InvalidParameterError("max-extremal sweep capped at n = 8")
+    check_max_extremal_orders([n])
     failures = []
     joins = {}
     join_rho = {}

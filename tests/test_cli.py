@@ -143,6 +143,10 @@ class TestBadInput:
             (["verify", "edge-minimal-pair", "--n", "5"], None),
             (["verify", "edge-minimal-pair", "--n", "7,6"], None),
             (["verify", "edge-minimal-pair", "--n", "17"], None),
+            # orders outside max-extremal's 1..8 or with no theorem-1.1 route
+            (["verify", "max-extremal", "--n", "0"], None),
+            (["verify", "theorem-1.1", "--n", "11,38"], None),
+            (["verify", "theorem-1.1", "--n", "66"], None),
         ],
     )
     def test_exits_2_with_message(self, argv, checkpoint, tmp_path, monkeypatch, capsys):
@@ -168,6 +172,29 @@ class TestBadInput:
         out, err = capsys.readouterr()
         assert out == ""
         assert "error: edge-minimal-pair --n must lie in 7..16, got 6" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["max-extremal", "--n", "7,9"], "max-extremal --n must lie in 1..8, got 9"),
+            (["theorem-1.1", "--n", "7,2"], "theorem-1.1 --n must be at least 3, got 2"),
+            (["theorem-1.1", "--n", "16,18"], "theorem-1.1 --n 18: denser graphs are excluded"),
+        ],
+    )
+    def test_order_refused_before_any_row(self, argv, message, monkeypatch, capsys):
+        # the bad order is refused before the rows ahead of it run
+        from spectramin import verify
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("a row ran before the bad order was refused")
+
+        monkeypatch.setattr(verify, "enumerate_connected", no_search)
+        monkeypatch.setattr(verify, "minimizer", no_search)
+        monkeypatch.setattr(verify, "minimizer_bicyclic", no_search)
+        assert main(["verify", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: {message}" in err
 
 
 class TestModuleEntry:

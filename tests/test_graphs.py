@@ -283,15 +283,17 @@ class TestConnectivityAndPaths:
             cut_edges(Graph(3, [(0, 1)]))
 
     def test_cut_edges_match_networkx(self):
+        from spectramin.enumeration import enumerate_connected
+
         rng = random.Random(5)
-        for _ in range(100):
-            n = rng.randint(2, 10)
-            g = random_graph(rng, n, 0.35)
+        graphs = [random_graph(rng, rng.randint(2, 10), 0.35) for _ in range(100)]
+        graphs += [g for n in range(1, 8) for g in enumerate_connected(n)]
+        for g in graphs:
             if not is_connected(g):
                 continue
-            assert set(cut_edges(g)) == {
+            assert cut_edges(g) == sorted(
                 (min(e), max(e)) for e in nx.bridges(to_nx(g))
-            }
+            )
 
     def test_internal_paths_families(self):
         b323, _ = build_bicyclic(spec_B(3, 2, 3))
@@ -321,6 +323,10 @@ class TestCyclesMutuallyDisjoint:
         assert not cycles_mutually_disjoint(build_bicyclic(spec_C(3, 3))[0])
         assert not cycles_mutually_disjoint(build_bicyclic(spec_P(2, 2, 2))[0])
         assert cycles_mutually_disjoint(build_cycle(6))
+
+    def test_disconnected_rejected(self):
+        with pytest.raises(InvalidInputError, match="cycles_mutually_disjoint requires"):
+            cycles_mutually_disjoint(Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]))
 
     @staticmethod
     def _cycle_oracle(g: Graph) -> bool:
