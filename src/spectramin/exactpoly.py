@@ -1,10 +1,10 @@
 """Exact integer polynomial arithmetic for certified root work.
 
 Polynomials are tuples of Python ints in ascending order (constant term
-first).  Everything here is exact: sign evaluation at rationals, Sturm
-chains (valid for non-squarefree inputs too, counting distinct roots in
-``(a, b]``; an endpoint at a multiple root is refused), and primitive-PRS
-gcd.
+first).  Everything here is exact: sign evaluation at rationals, root
+counts in ``(a, b]`` for real-rooted polynomials (Descartes' rule on the
+Taylor chain, exact at any endpoint and with multiplicity), and
+primitive-PRS gcd.
 """
 
 from __future__ import annotations
@@ -32,12 +32,6 @@ def is_zero(p: IntPoly) -> bool:
     return all(c == 0 for c in p)
 
 
-def derivative(p: IntPoly) -> IntPoly:
-    if len(p) <= 1:
-        return (0,)
-    return normalize(tuple(i * p[i] for i in range(1, len(p))))
-
-
 def content(p: IntPoly) -> int:
     g = 0
     for c in p:
@@ -62,70 +56,53 @@ def sign_at(p: IntPoly, x: Fraction) -> int:
 
 
 def _pseudo_rem(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Pseudo-remainder scaled to keep the sign of the true remainder.
-
-    Returns a positive integer multiple of ``rem(f, g)`` over the rationals.
-    """
+    """A non-zero integer multiple of ``rem(f, g)`` over the rationals."""
     df, dg = degree(f), degree(g)
     lg = g[-1]
     r = list(f)
-    mults = 0
     for k in range(df - dg, -1, -1):
         lead = r[dg + k]
         if lead:
             for i in range(len(r)):
                 r[i] *= lg
-            mults += 1
             for i in range(dg + 1):
                 r[i + k] -= lead * g[i]
-    rem = normalize(r[:dg] or [0])
-    # the accumulated factor is lg**mults; keep the true remainder's sign
-    if lg < 0 and mults % 2 == 1:
-        rem = tuple(-c for c in rem)
-    return rem
+    return normalize(r[:dg] or [0])
 
 
-def sturm_chain(p: IntPoly) -> list[IntPoly]:
-    """Sturm chain of ``p``; counts distinct real roots even with multiplicities."""
-    f0 = primitive(normalize(p))
-    chain = [f0]
-    d = derivative(f0)
-    if not is_zero(d):
-        chain.append(primitive(d))
-        while degree(chain[-1]) > 0:
-            r = _pseudo_rem(chain[-2], chain[-1])
-            if is_zero(r):
-                break
-            chain.append(tuple(-c for c in primitive(r)))
+def taylor_chain(p: IntPoly) -> list[IntPoly]:
+    """``p, p'/1!, p''/2!, ...`` down to a constant: p's Taylor coefficients at any x.
+
+    Member k is the derivative of member k - 1 divided by k; the division is
+    exact, since member k has integer coefficients ``C(i, k) * p[i]``.
+    """
+    chain = [normalize(p)]
+    for k in range(1, degree(chain[0]) + 1):
+        q = chain[-1]
+        chain.append(tuple(i * q[i] // k for i in range(1, len(q))))
     return chain
 
 
-def _variations(signs: list[int]) -> int:
-    out = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev and s != prev:
-            out += 1
-        prev = s
+def variations_at(chain: list[IntPoly], x: Fraction) -> int:
+    """Sign changes along the chain at ``x``, zeros skipped."""
+    out = prev = 0
+    for q in chain:
+        s = sign_at(q, x)
+        if s:
+            out += prev == -s
+            prev = s
     return out
 
 
-def variations_at(chain: list[IntPoly], x: Fraction) -> int:
-    signs = [sign_at(q, x) for q in chain]
-    if signs[-1] == 0:
-        raise ValueError(f"Sturm endpoint {x} is a multiple root")
-    return _variations(signs)
-
-
 def count_roots_in(chain: list[IntPoly], a: Fraction, b: Fraction) -> int:
-    """Distinct real roots of the chain's polynomial in ``(a, b]``.
+    """Roots in ``(a, b]``, with multiplicity, of a real-rooted chain polynomial.
 
-    V(a) - V(b) counts them whenever the chain's last member, gcd(p, p'), is
-    non-zero at a and b; a simple root at an endpoint is fine.  At a
-    multiple root every chain member vanishes and the count means nothing,
-    so such an endpoint raises ``ValueError``.
+    ``variations_at(chain, x)`` is the number of sign changes of the Taylor
+    coefficients of p at x.  When every root of p is real, Descartes' rule
+    is exact (Budan-Fourier): that number equals the count of roots above x,
+    with multiplicity.  So V(a) - V(b) counts the roots in ``(a, b]`` at any
+    endpoints, a multiple root included.  Characteristic polynomials of
+    symmetric matrices, and their divisors, are real-rooted.
     """
     if a >= b:
         return 0

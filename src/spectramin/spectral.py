@@ -8,9 +8,10 @@ the exact route, never by floating-point closeness.
 
 A certified bracket keeps one invariant: rho is the only root of the
 characteristic polynomial in ``(lo, hi]`` and no root lies above ``hi``.
-Sturm counts establish it (a count over ``(a, b]`` is trusted only where
-gcd(p, p'), the chain's last member, is non-zero at both endpoints) and
-sign bisection keeps it, since rho is simple and the polynomial monic.
+Root counts establish it and sign bisection keeps it, since rho is simple
+and the polynomial monic.  The polynomial is real-rooted (A is symmetric),
+so Descartes' rule on its Taylor coefficients counts the roots in
+``(a, b]`` exactly, with multiplicity, at any endpoints.
 
 The invariant holds at every width and refinement only shrinks the
 bracket, so one graph's certificate can serve many comparisons: a verdict
@@ -63,8 +64,8 @@ def perron_pair(g: Graph, tol: float = RESIDUAL_TOL) -> SpectralResult:
     still converge; the shift is removed from the reported value.  The
     residual is the infinity norm of ``A x - rho x``.
     """
-    if tol <= 0:
-        raise InvalidParameterError("tolerance must be positive")
+    if not 0 < tol < np.inf:
+        raise InvalidParameterError(f"tolerance must be positive and finite, got {tol}")
     if not is_connected(g):
         raise InvalidInputError("perron_pair requires a connected graph")
     n = g.n
@@ -187,12 +188,15 @@ class _CertifiedRho:
       evaluation halves the bracket; an integer rho becomes ``hi`` once a
       midpoint lands on it.
     * No root lies above ``hi``, so rho is in ``(mid, hi]`` exactly when
-      that interval holds any root: a Sturm count sheds lower roots soundly
-      even when lambda_2 lies inside the bracket.
+      that interval holds any root: a root count sheds lower roots soundly
+      even when lambda_2 lies inside the bracket.  p is real-rooted, so the
+      count (Descartes' rule on the Taylor chain) is exact with multiplicity
+      at every endpoint, a multiple root included; since rho is simple, a
+      count of one means the bracket holds rho alone.
     * Every root lies in ``(-U, U)`` with U = 1 + max degree: widening ``hi``
       to U, or ``lo`` to -U, restores the invariant when the seed misses rho.
 
-    The Sturm chain is needed only to isolate rho; it is dropped once the
+    The Taylor chain is needed only to isolate rho; it is dropped once the
     bracket holds one root, so a pooled certificate keeps just p and (lo, hi].
     """
 
@@ -200,27 +204,20 @@ class _CertifiedRho:
         if not is_connected(g):
             raise InvalidInputError("certified radius requires a connected graph")
         self.poly = char_poly(g).coeffs
-        chain = xp.sturm_chain(self.poly)
-
-        def roots(a: Fraction, b: Fraction) -> int:
-            try:
-                return xp.count_roots_in(chain, a, b)
-            except ValueError as exc:
-                raise NumericFailure(f"top-root bracket: {exc}") from None
-
+        chain = xp.taylor_chain(self.poly)
         upper = Fraction(1 + max(g.degrees()) if g.edge_count else 1)
         x = _dyadic(rho_numeric(g))
         step = Fraction(1, 1 << 20)
         lo, hi = (x - step, x) if xp.sign_at(self.poly, x) >= 0 else (x, x + step)
-        if roots(hi, upper):
+        if xp.count_roots_in(chain, hi, upper):
             hi = upper
-        count = roots(lo, hi)
+        count = xp.count_roots_in(chain, lo, hi)
         if not count:
             lo = -upper
-            count = roots(lo, hi)
+            count = xp.count_roots_in(chain, lo, hi)
         while count > 1:
             mid = (lo + hi) / 2
-            above = roots(mid, hi)
+            above = xp.count_roots_in(chain, mid, hi)
             if above:
                 lo, count = mid, above
             else:
@@ -239,7 +236,7 @@ class _CertifiedRho:
 def rho_bracket(g: Graph, width: Fraction | float = Fraction(1, 10**12)) -> RhoBracket:
     """Certified rational bracket of at most the given width around the top root.
 
-    The certificate is exact: Sturm counts show one distinct root inside
+    The certificate is exact: root counts show one simple root inside
     ``(lo, hi]`` and none between ``hi`` and the degree bound ``1 + max_deg``.
     """
     w = Fraction(width) if not isinstance(width, Fraction) else width
@@ -272,7 +269,6 @@ def compare_rho_certified(
             certs[g] = _CertifiedRho(g)
     c1, c2 = certs[g1], certs[g2]
     width = Fraction(1, 10**9)
-    gcd_poly: tuple[int, ...] | None = None
     gcd_chain = None
     for _ in range(CERTIFY_MAX_ROUNDS):
         c1.refine(width)
@@ -281,20 +277,10 @@ def compare_rho_certified(
             return "less"
         if c2.hi <= c1.lo:
             return "greater"
-        if gcd_poly is None:
-            gcd_poly = xp.poly_gcd(c1.poly, c2.poly)
-            if xp.degree(gcd_poly) >= 1:
-                gcd_chain = xp.sturm_chain(gcd_poly)
-        if xp.degree(gcd_poly) >= 1:
-            a = max(c1.lo, c2.lo)
-            b = min(c1.hi, c2.hi)
-            if xp.sign_at(gcd_poly, b) == 0:
-                return "equal"
-            if (
-                xp.sign_at(gcd_poly, a) != 0
-                and xp.count_roots_in(gcd_chain, a, b) >= 1
-            ):
-                return "equal"
+        if gcd_chain is None:
+            gcd_chain = xp.taylor_chain(xp.poly_gcd(c1.poly, c2.poly))
+        if xp.count_roots_in(gcd_chain, max(c1.lo, c2.lo), min(c1.hi, c2.hi)):
+            return "equal"
         width /= 1 << 16
     return "unresolved"
 

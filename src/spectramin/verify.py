@@ -786,11 +786,13 @@ def verify_descent_endpoint_readings(k_values: Iterable[int] = (4, 6, 8)) -> lis
     Both are certified exactly and the order mismatch of the alternative
     reading is recorded in the report detail.
     """
+    k_values = list(k_values)
+    for k in k_values:
+        if k < 4 or k % 2:
+            raise InvalidParameterError(f"descent endpoint readings need even k >= 4, got {k}")
     reports = []
     certs: dict = {}
     for k in k_values:
-        if k % 2 == 1:
-            raise InvalidParameterError("descent endpoint readings apply to even k")
         n = 3 * k - 2
         same_order = build_bicyclic(spec_P(k - 1, k + 1, k - 1))[0]
         target = build_bicyclic(spec_B(k - 1, k + 1, k - 1))[0]

@@ -147,6 +147,10 @@ class TestBadInput:
             (["verify", "max-extremal", "--n", "0"], None),
             (["verify", "theorem-1.1", "--n", "11,38"], None),
             (["verify", "theorem-1.1", "--n", "66"], None),
+            # a tolerance power iteration can never reach
+            (["rho", "C:7", "--tol", "nan"], None),
+            (["rho", "C:7", "--tol", "inf"], None),
+            (["rho", "C:7", "--tol", "0"], None),
         ],
     )
     def test_exits_2_with_message(self, argv, checkpoint, tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Spectral routes: power iteration, dense solver, exact polynomials, brackets."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -7,9 +8,12 @@ import numpy as np
 import pytest
 
 from spectramin import exactpoly as xp
+from spectramin import verify
+from spectramin.enumeration import enumerate_connected
 from spectramin.graphs import (
     Graph,
     InvalidInputError,
+    InvalidParameterError,
     build_bicyclic,
     build_complete,
     build_cycle,
@@ -29,6 +33,13 @@ from spectramin.spectral import (
     rho_numeric,
 )
 
+# SHA-256 of the "lo hi" lines of rho_bracket(g, 10^-12) over every connected
+# graph with 2..7 vertices (995) and the _grid_specs(6) graphs (312), and of
+# the 233 verdicts verify_family_grids(6) reads, computed with Sturm counts
+# before Descartes counts on the Taylor chain replaced them
+BRACKETS7_SHA256 = "e094e8021613d09c24bd2d15d74ba6a0bc4201d8e97678cd35e2e48427f47c85"
+GRID6_VERDICTS_SHA256 = "b40c32d6b7add2a6b2acacf1a73954001adc545fb52a6451d7a61a899b1f0159"
+
 
 def random_connected(rng, n, p=0.4) -> Graph:
     while True:
@@ -38,10 +49,9 @@ def random_connected(rng, n, p=0.4) -> Graph:
 
 
 class TestExactPoly:
-    def test_sturm_counts(self):
+    def test_root_counts(self):
         # (x-1)(x-2)(x-3) = x^3 - 6x^2 + 11x - 6
-        p = (-6, 11, -6, 1)
-        chain = xp.sturm_chain(p)
+        chain = xp.taylor_chain((-6, 11, -6, 1))
         assert xp.count_roots_in(chain, Fraction(0), Fraction(4)) == 3
         assert xp.count_roots_in(chain, Fraction(3, 2), Fraction(5, 2)) == 1
         assert xp.count_roots_in(chain, Fraction(4), Fraction(9)) == 0
@@ -49,21 +59,42 @@ class TestExactPoly:
         assert xp.count_roots_in(chain, Fraction(1), Fraction(2)) == 1
         assert xp.count_roots_in(chain, Fraction(2), Fraction(3)) == 1
 
-    def test_sturm_refuses_multiple_root_endpoint(self):
-        # (x-1)^2 (x-3): every chain member vanishes at 1, so V(1) means nothing
-        p = (-3, 7, -5, 1)
-        chain = xp.sturm_chain(p)
-        assert xp.count_roots_in(chain, Fraction(0), Fraction(4)) == 2
-        with pytest.raises(ValueError):
-            xp.count_roots_in(chain, Fraction(1), Fraction(4))
-        with pytest.raises(ValueError):
-            xp.count_roots_in(chain, Fraction(0), Fraction(1))
+    def test_multiple_root_endpoint(self):
+        # (x-1)^2 (x-3): the double root counts twice, at either end of (a, b]
+        chain = xp.taylor_chain((-3, 7, -5, 1))
+        assert xp.count_roots_in(chain, Fraction(0), Fraction(4)) == 3
+        assert xp.count_roots_in(chain, Fraction(0), Fraction(1)) == 2
+        assert xp.count_roots_in(chain, Fraction(1), Fraction(4)) == 1
+        assert xp.count_roots_in(chain, Fraction(1), Fraction(3)) == 1
+        assert xp.count_roots_in(chain, Fraction(1, 2), Fraction(3, 2)) == 2
 
-    def test_sturm_with_multiplicities(self):
-        # (x-1)^2 (x+2): distinct roots 1 and -2
-        p = (2, -3, 0, 1)
-        chain = xp.sturm_chain(p)
-        assert xp.count_roots_in(chain, Fraction(-3), Fraction(3)) == 2
+    def test_counts_with_multiplicity(self):
+        # (x-1)^2 (x+2): three roots with multiplicity, two distinct
+        chain = xp.taylor_chain((2, -3, 0, 1))
+        assert xp.count_roots_in(chain, Fraction(-3), Fraction(3)) == 3
+        assert xp.count_roots_in(chain, Fraction(-2), Fraction(3)) == 2
+
+    def test_counts_against_known_roots(self):
+        # oracle: products of rational linear factors (den x - num), with
+        # repeats, counted over (a, b] with endpoints drawn from the roots too
+        rng = random.Random(11)
+        for _ in range(300):
+            roots = []
+            p = (1,)
+            for _ in range(rng.randint(1, 8)):
+                r = roots[-1] if roots and rng.random() < 0.3 else Fraction(
+                    rng.randint(-20, 20), rng.randint(1, 4))
+                roots.append(r)
+                f = (-r.numerator, r.denominator)
+                p = tuple(
+                    sum(p[i] * f[k - i] for i in range(len(p)) if 0 <= k - i < 2)
+                    for k in range(len(p) + 1)
+                )
+            chain = xp.taylor_chain(p)
+            ends = roots + [Fraction(rng.randint(-25, 25), rng.randint(1, 4)) for _ in range(4)]
+            for _ in range(20):
+                a, b = sorted(rng.sample(ends, 2))
+                assert xp.count_roots_in(chain, a, b) == sum(a < r <= b for r in roots)
 
     def test_gcd(self):
         f = (-2, 1)  # x - 2
@@ -130,6 +161,11 @@ class TestPerronPair:
     def test_rejects_disconnected(self):
         with pytest.raises(InvalidInputError):
             perron_pair(Graph(4, [(0, 1), (2, 3)]))
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+    def test_rejects_tolerance(self, tol):
+        with pytest.raises(InvalidParameterError, match="positive and finite"):
+            perron_pair(build_cycle(7), tol=tol)
 
     def test_bicyclic_against_bracket(self):
         g, _ = build_bicyclic(spec_B(3, 3, 3))
@@ -206,13 +242,38 @@ class TestRhoBracket:
     @pytest.mark.parametrize("m,p", [(3, 30), (4, 34), (5, 35), (3, 42)])
     def test_tiny_top_gap(self, m, p):
         # rho - lambda_2 is below the 2^-20 seed window (3.7e-7 for B(3,30,3)):
-        # only Sturm counts, not sign bisection, can shed lambda_2
+        # only root counts, not sign bisection, can shed lambda_2
         g, _ = build_bicyclic(spec_B(m, p, m))
         eig = np.linalg.eigvalsh(g.adjacency_matrix())
         br = rho_bracket(g, Fraction(1, 10**12))
         assert br.lo < Fraction(float(eig[-1])) + Fraction(1, 10**13)
         assert Fraction(float(eig[-1])) - Fraction(1, 10**13) <= br.hi
         assert br.lo > Fraction(float(eig[-2]))
+
+
+class TestCertificatePins:
+    def test_brackets_to_7_and_grid_6_pinned(self):
+        h = hashlib.sha256()
+        graphs = [g for n in range(2, 8) for g in enumerate_connected(n)]
+        graphs += [build_bicyclic(spec)[0] for spec in verify._grid_specs(6)]
+        for g in graphs:
+            br = rho_bracket(g, Fraction(1, 10**12))
+            h.update(f"{br.lo} {br.hi}\n".encode())
+        assert len(graphs) == 1307
+        assert h.hexdigest() == BRACKETS7_SHA256
+
+    def test_grid_6_verdicts_pinned(self, monkeypatch):
+        verdicts = []
+
+        def record(*args):
+            verdicts.append(compare_rho_certified(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(verify, "compare_rho_certified", record)
+        reports = verify.verify_family_grids(6)
+        assert all(r.status == "pass" for r in reports)
+        assert (verdicts.count("less"), verdicts.count("equal")) == (205, 28)
+        assert hashlib.sha256("\n".join(verdicts).encode()).hexdigest() == GRID6_VERDICTS_SHA256
 
 
 class TestCompareCertified:

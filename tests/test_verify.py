@@ -12,7 +12,7 @@ import time
 import pytest
 
 import spectramin
-from spectramin.graphs import InvalidInputError, canonical_form
+from spectramin.graphs import InvalidInputError, InvalidParameterError, canonical_form
 from spectramin.verify import (
     MinimizerResult,
     VerificationReport,
@@ -260,6 +260,17 @@ class TestHarness:
         reports = verify_descent_endpoint_readings([4, 6])
         assert all(r.status == "pass" for r in reports)
         assert any("order" in r.detail for r in reports)
+
+    @pytest.mark.parametrize("ks, bad", [((4, 5), 5), ((2,), 2), ((6, 0), 0), ((-4,), -4)])
+    def test_descent_k_checked_before_any_comparison(self, ks, bad, monkeypatch):
+        from spectramin import verify
+
+        def no_compare(*args):
+            raise AssertionError("a comparison ran before the bad k was refused")
+
+        monkeypatch.setattr(verify, "compare_rho_certified", no_compare)
+        with pytest.raises(InvalidParameterError, match=f"need even k >= 4, got {bad}$"):
+            verify.verify_descent_endpoint_readings(ks)
 
     def test_exit_codes(self):
         ok = VerificationReport("x", {}, "pass")
