@@ -62,15 +62,6 @@ def load_graph(token: str) -> tuple[Graph, str]:
     return from_graph6(token), "graph6 string"
 
 
-def _parse_b_params(token: str) -> tuple[int, int, int] | None:
-    if not token.startswith("B:"):
-        return None
-    parts = token.split(":", 1)[1].split(",")
-    if len(parts) != 3:
-        return None
-    return tuple(int(x) for x in parts)  # type: ignore[return-value]
-
-
 def cmd_rho(args) -> int:
     g, kind = load_graph(args.input)
     if not is_connected(g):
@@ -79,14 +70,14 @@ def cmd_rho(args) -> int:
     if args.charpoly and g.n > EXACT_CAP:
         raise InvalidParameterError(
             f"--charpoly: exact characteristic polynomial capped at n = {EXACT_CAP}, got {g.n}")
-    print(f"input: {args.input} ({kind}), n={g.n}, edges={g.edge_count}")
     res = perron_pair(g, tol=args.tol)
+    print(f"input: {args.input} ({kind}), n={g.n}, edges={g.edge_count}")
     print(f"rho (power iteration)   = {_fmt(res.rho)}   residual {res.residual:.3g}")
     rho_dense = rho_numeric(g)
     print(f"rho (dense eigensolver) = {_fmt(rho_dense)}   delta {_fmt(abs(res.rho - rho_dense))}")
-    bp = _parse_b_params(args.input) if kind == "family spec" else None
-    if bp is not None:
-        sol = rho_analytic(*bp)
+    if kind == "family spec" and args.input.startswith("B:"):
+        # graph_from_family accepted the spec, so it holds three integers
+        sol = rho_analytic(*(int(x) for x in args.input[2:].split(",")))
         print(f"rho (analytic boundary) = {_fmt(sol.rho)}   delta {_fmt(abs(sol.rho - res.rho))}")
         print(f"hub values a={_fmt(sol.a)} b={_fmt(sol.b)} "
               f"residuals {sol.residual_a:.3g}/{sol.residual_b:.3g}")
@@ -120,7 +111,7 @@ def cmd_verify(args) -> int:
     if args.format != "text" and not args.out:
         raise InvalidParameterError("--format is read only with --out")
     reports = []
-    ns = [_parse_int(x, "--n") for x in args.n.split(",")] if args.n else None
+    ns = [_parse_int(x, "--n") for x in args.n.split(",")] if args.n is not None else None
     checkpoint = os.environ.get(CHECKPOINT_ENV)
     if checkpoint and not (args.claim == "theorem-1.1"
                            and any(reads_checkpoint(n, args.extended) for n in ns or [])):
@@ -136,7 +127,7 @@ def cmd_verify(args) -> int:
     elif args.claim == "small-n-remark":
         reports = verify_small_order_minimizers()
     elif args.claim == "lemmas":
-        lo, hi = _parse_grid(args.grid or "3..9")
+        lo, hi = _parse_grid("3..9" if args.grid is None else args.grid)
         if lo != 3:
             raise InvalidParameterError(
                 f"lemma grids start at the family minimum 3: use --grid 3..{hi}"

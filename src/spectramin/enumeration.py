@@ -48,6 +48,7 @@ from .graphs import (
     _refined_colors,
     automorphisms,
     build_bicyclic,
+    build_cycle,
     is_connected,
     spec_B,
     spec_C,
@@ -380,6 +381,12 @@ def _bicyclic_classes(
         yield from _forest_assignments(core, n - core.n)
 
 
+def _class_graphs(n: int, classes) -> Iterator[Graph]:
+    """The graph of each (core rows, forest assignment, alpha) class."""
+    for rows, assignment, _ in classes:
+        yield Graph.from_rows(n, _attach_forest(rows, assignment))
+
+
 def bicyclic_graphs(n: int) -> Iterator[Graph]:
     """Connected graphs with exactly ``n + 1`` edges, up to isomorphism.
 
@@ -387,13 +394,10 @@ def bicyclic_graphs(n: int) -> Iterator[Graph]:
     forests attached; cores are enumerated by normalized parameters and the
     forest placements modulo core automorphisms.
     """
-    for rows, assignment, _ in _bicyclic_classes(n):
-        yield Graph.from_rows(n, _attach_forest(rows, assignment))
+    yield from _class_graphs(n, _bicyclic_classes(n))
 
 
 def unicyclic_graphs(n: int) -> Iterator[Graph]:
     """Connected graphs with exactly ``n`` edges, up to isomorphism."""
     for k in range(3, n + 1):
-        core = Graph(k, [(i, (i + 1) % k) for i in range(k)])
-        for rows, assignment, _ in _forest_assignments(core, n - k):
-            yield Graph.from_rows(n, _attach_forest(rows, assignment))
+        yield from _class_graphs(n, _forest_assignments(build_cycle(k), n - k))

@@ -80,16 +80,7 @@ class Graph:
         return sum(r.bit_count() for r in self.rows) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.n):
-            r = self.rows[u] >> (u + 1)
-            v = u + 1
-            while r:
-                if r & 1:
-                    out.append((u, v))
-                r >>= 1
-                v += 1
-        return out
+        return [(u, v) for u, r in enumerate(self.rows) for v in _bits(r >> (u + 1) << (u + 1))]
 
     def adjacency_matrix(self) -> np.ndarray:
         return adjacency_matrices([self])[0]
@@ -445,20 +436,8 @@ def _canon(
     if colors is None:
         colors = _refined_colors(n, rows)
     order = sorted(range(n), key=lambda v: (colors[v], v))
-    cells: list[list[int]] = []
-    for v in order:
-        if cells and colors[cells[-1][0]] == colors[v]:
-            cells[-1].append(v)
-        else:
-            cells.append([v])
-
-    if len(cells) == n:
+    if len(set(colors)) == n:
         return tuple(order), tuple(range(n)), ()
-
-    # flat list of vertices in cells strictly after index ci
-    tails: list[list[int]] = [[] for _ in cells]
-    for i in range(len(cells) - 2, -1, -1):
-        tails[i] = cells[i + 1] + tails[i + 1]
 
     best_rows = [_INF_ROW] * n
     best_perm: list[int] = [0] * n
@@ -485,7 +464,9 @@ def _canon(
     placed: list[int] = []
     tried_roots: list[int] = []
 
-    def search(ci: int, rem: list[int], rv: list[int]) -> None:
+    # rest: the unplaced vertices in (color, vertex) order, whose first color
+    # cell holds the candidates; rv[u]: u's adjacency to the placed vertices
+    def search(rest: list[int], rv: list[int]) -> None:
         nonlocal best_complete
         pos = len(placed)
         if pos == n:
@@ -499,11 +480,9 @@ def _canon(
                 best_perm[:] = placed
                 best_complete = True
             return
-        if not rem:
-            search(ci + 1, list(cells[ci + 1]), rv)
-            return
         at_root = pos == 0
-        cands = sorted(rem, key=lambda v: rv[v])
+        cell = colors[rest[0]]
+        cands = sorted([v for v in rest if colors[v] == cell], key=lambda v: rv[v])
         tried: list[int] = []
         for v in cands:
             if at_root and any(find(v) == find(w) for w in tried_roots):
@@ -533,16 +512,14 @@ def _canon(
                 tried_roots.append(v)
             tried.append(v)
             placed.append(v)
-            rem2 = [u for u in rem if u != v]
+            rest2 = [u for u in rest if u != v]
             rv2 = rv[:]
-            for u in rem2:
+            for u in rest2:
                 rv2[u] = (rv2[u] << 1) | ((rows[u] >> v) & 1)
-            for u in tails[ci]:
-                rv2[u] = (rv2[u] << 1) | ((rows[u] >> v) & 1)
-            search(ci, rem2, rv2)
+            search(rest2, rv2)
             placed.pop()
 
-    search(0, list(cells[0]), [0] * n)
+    search(order, [0] * n)
 
     least: dict[int, int] = {}
     orbits = tuple(least.setdefault(find(v), v) for v in range(n))

@@ -52,8 +52,6 @@ class SpectralResult:
 
 def rho_numeric(g: Graph) -> float:
     """Largest adjacency eigenvalue by the dense symmetric solver."""
-    if g.n == 1:
-        return 0.0
     return float(np.linalg.eigvalsh(g.adjacency_matrix())[-1])
 
 
@@ -69,8 +67,6 @@ def perron_pair(g: Graph, tol: float = RESIDUAL_TOL) -> SpectralResult:
     if not is_connected(g):
         raise InvalidInputError("perron_pair requires a connected graph")
     n = g.n
-    if n == 1:
-        return SpectralResult(0.0, np.ones(1), 0.0, "power")
     a = g.adjacency_matrix()
     shifted = a + np.eye(n)
     x = np.full(n, 1.0 / np.sqrt(n))

@@ -371,10 +371,18 @@ def minimizer_bicyclic(n: int, alpha: int | None = None, workers: int = 1) -> Mi
 # claim verifications
 
 
-def _argmin_matches(result: MinimizerResult, expected_specs: list[str]) -> bool:
-    want = sorted(canonical_form(graph_from_family(s)) for s in expected_specs)
-    got = sorted(canonical_form(g) for g in result.argmin)
-    return want == got
+def _argmin_report(
+    claim_id: str, params: dict, res: MinimizerResult, want: list[Graph], detail: str,
+    ok: bool = True,
+) -> VerificationReport:
+    """The row of a minimizer claim, witnessed by the argmin.  It passes when
+    ``ok`` holds, no comparison was left unresolved, and the argmin equals
+    ``want`` up to isomorphism."""
+    same = sorted(map(canonical_form, res.argmin)) == sorted(map(canonical_form, want))
+    return VerificationReport(
+        claim_id, params, "pass" if ok and not res.unresolved and same else "fail",
+        witnesses=_witnesses(res.argmin), detail=detail,
+    )
 
 
 def _witnesses(graphs: list[Graph]) -> list[tuple[str, str]]:
@@ -442,16 +450,12 @@ def verify_minimum_radius_case_table(
             res = minimizer_bicyclic(n, alpha, workers=workers)
             mode = ("bicyclic-mode (trees and unicyclic graphs have alpha >= n/2; "
                     "n+2 or more edges give rho^2 >= 4+20/n > hi^2 of the prediction)")
-        ok = _argmin_matches(res, [expected]) and not res.unresolved
-        reports.append(
-            VerificationReport(
-                "minimum-radius-case-table",
-                {"n": n, "alpha": alpha, "mode": mode, "class_size": res.class_size},
-                "pass" if ok else "fail",
-                witnesses=_witnesses(res.argmin),
-                detail=f"expected {expected}, found {len(res.argmin)} argmin",
-            )
-        )
+        reports.append(_argmin_report(
+            "minimum-radius-case-table",
+            {"n": n, "alpha": alpha, "mode": mode, "class_size": res.class_size},
+            res, [graph_from_family(expected)],
+            f"expected {expected}, found {len(res.argmin)} argmin",
+        ))
     return reports
 
 
@@ -524,18 +528,11 @@ def verify_small_order_minimizers() -> list[VerificationReport]:
         expected = theorem_prediction(n)
         alpha = target_alpha(n)
         res = minimizer(n, alpha)
-        ok = _argmin_matches(res, [expected])
-        if n in (3, 4):
-            ok = ok and res.class_size == 1
-        reports.append(
-            VerificationReport(
-                "small-order-minimizers",
-                {"n": n, "alpha": alpha, "class_size": res.class_size},
-                "pass" if ok else "fail",
-                witnesses=_witnesses(res.argmin),
-                detail=f"expected {expected}",
-            )
-        )
+        reports.append(_argmin_report(
+            "small-order-minimizers", {"n": n, "alpha": alpha, "class_size": res.class_size},
+            res, [graph_from_family(expected)], f"expected {expected}",
+            ok=n not in (3, 4) or res.class_size == 1,
+        ))
     return reports
 
 
@@ -560,21 +557,12 @@ def verify_edge_minimal_pair(n_list: Iterable[int]) -> list[VerificationReport]:
         p = n + 1 - 2 * k
         res = minimizer_bicyclic(n, None)
         want = [f"P:{k},{p},{k}", f"B:{k},{p},{k}"]
-        ok = _argmin_matches(res, want) and not res.unresolved
-        exact = (
-            compare_rho_certified(graph_from_family(want[0]), graph_from_family(want[1]),
-                                  certs)
-            == "equal"
-        )
-        reports.append(
-            VerificationReport(
-                "edge-minimal-balanced-pair",
-                {"n": n, "k": k},
-                "pass" if ok and exact else "fail",
-                witnesses=_witnesses(res.argmin),
-                detail=f"expected {want}, gcd-equality={'yes' if exact else 'no'}",
-            )
-        )
+        pair = [graph_from_family(s) for s in want]
+        exact = compare_rho_certified(*pair, certs) == "equal"
+        reports.append(_argmin_report(
+            "edge-minimal-balanced-pair", {"n": n, "k": k}, res, pair,
+            f"expected {want}, gcd-equality={'yes' if exact else 'no'}", ok=exact,
+        ))
     return reports
 
 

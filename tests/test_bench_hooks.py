@@ -1,8 +1,13 @@
-"""The benchmark's tracer patches package attributes by name: each must exist."""
+"""The benchmark's tracer patches package attributes by name: each must exist,
+and the searches it reads must keep the call shape it assumes."""
 
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
+
+from spectramin import enumeration, verify
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -17,3 +22,31 @@ def test_every_traced_attribute_exists(monkeypatch):
     missing = [f"{getattr(obj, '__name__', obj)}.{attr}"
                for obj, attr, _ in hooks if not hasattr(obj, attr)]
     assert hooks and missing == []
+
+
+@pytest.mark.parametrize("alpha, in_class", [(4, 30), (None, 2_678)])
+def test_serial_bicyclic_search_is_one_scan(alpha, in_class, monkeypatch):
+    # the tracer times each core as the stretch between the build_bicyclic
+    # calls inside the last _scan_stream span, and the edge-minimal workload
+    # sums the scans' first result: one scan must stream every core
+    scans = []
+    builds = []
+    scan = verify._scan_stream
+    build = enumeration.build_bicyclic
+
+    def traced_scan(*args):
+        scans.append(None)
+        result = scan(*args)
+        scans[-1] = result[0]
+        return result
+
+    def traced_build(spec):
+        builds.append((spec, scans == [None]))  # True while the first scan runs
+        return build(spec)
+
+    monkeypatch.setattr(verify, "_scan_stream", traced_scan)
+    monkeypatch.setattr(enumeration, "build_bicyclic", traced_build)
+    res = verify.minimizer_bicyclic(10, alpha, workers=1)
+    assert res.searched == 2_678 and res.class_size == in_class
+    assert scans == [in_class]
+    assert builds == [(spec, True) for spec in enumeration._core_specs_bicyclic(10)]

@@ -151,6 +151,11 @@ class TestBadInput:
             (["rho", "C:7", "--tol", "nan"], None),
             (["rho", "C:7", "--tol", "inf"], None),
             (["rho", "C:7", "--tol", "0"], None),
+            # an empty order list or grid, which would otherwise run the defaults
+            (["verify", "max-extremal", "--n", ""], None),
+            (["verify", "edge-minimal-pair", "--n", ""], None),
+            (["verify", "lemmas", "--grid", ""], None),
+            (["verify", "theorem-1.1", "--n", ""], None),
         ],
     )
     def test_exits_2_with_message(self, argv, checkpoint, tmp_path, monkeypatch, capsys):
@@ -163,8 +168,9 @@ class TestBadInput:
         except SystemExit as exc:  # argparse rejects unknown flags itself
             code = exc.code
         assert code == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert "error" in err and "Traceback" not in err
+        assert out == ""  # refused before any report line
 
     def test_unread_option_is_named(self, capsys):
         assert main(["verify", "lemmas", "--grid", "3..4", "--workers", "2", "--n", "9"]) == 2

@@ -43,6 +43,9 @@ BRANCH_ROWS_SHA256 = "e94338128edbbc91a05b1d1763fe9b5a9adea3fe162346b23bcf6610e8
 WALK7_SHA256 = "d99c6dff3561e0b2cd882310ab6fabda4746aa2d1d96566ebe2ad92f317fe01e"
 WALK8_SHA256 = "fec40eacca7d12838fdb2359e6bb715ef977ab257c6e5bdb45e5d8fca277e1bc"
 WALK8_CANON_CALLS = 13_624  # 85,022 when every least subset was searched
+# SHA-256 of repr of each order's list of labelled rows, in stream order
+BICYCLIC_ROWS_4_10_SHA256 = "ef294d10858030d790a3bb2e71294432db9a223eed769b3115640db140959d4a"
+UNICYCLIC_ROWS_3_10_SHA256 = "2806b64dde3b15a23fcd2809339a4dd44bfd24dd027ba68853df59b194289133"
 
 
 class TestOrderlyGeneration:
@@ -222,6 +225,17 @@ class TestStructuralGenerators:
         assert len(graphs) == count
         assert all(g.edge_count == n for g in graphs)
         assert len({canonical_form(g) for g in graphs}) == count
+
+    @pytest.mark.parametrize("generator, orders, pin", [
+        (bicyclic_graphs, range(4, 11), BICYCLIC_ROWS_4_10_SHA256),
+        (unicyclic_graphs, range(3, 11), UNICYCLIC_ROWS_3_10_SHA256),
+    ])
+    def test_labelled_rows_pinned(self, generator, orders, pin):
+        # witness graph6 strings in the reports are these labellings
+        h = hashlib.sha256()
+        for n in orders:
+            h.update(repr([g.rows for g in generator(n)]).encode())
+        assert h.hexdigest() == pin
 
     @pytest.mark.parametrize("n", [6, 7, 8, 9])
     def test_structural_equals_orderly(self, n):

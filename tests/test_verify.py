@@ -1,6 +1,7 @@
 """Minimizer search and the claim harness on small, fast instances."""
 
 import contextlib
+import hashlib
 import json
 import os
 import shutil
@@ -28,6 +29,13 @@ from spectramin.verify import (
     verify_small_order_minimizers,
     write_reports,
 )
+
+
+# SHA-256 of the report text (``to_text`` lines joined by newlines): the
+# witness graph6 strings depend on the generators' labellings
+SMALL_ORDER_REPORTS_SHA256 = "53c0968cb4e48e3f509381e0141622426741a05b5ebb36b57082f56e9ffbe64a"
+EDGE_PAIR_7_10_REPORTS_SHA256 = "12c581421b40088ad5250b26e66a9fd4c14bcb8e1ecd6850aa9cde65df56e5e9"
+CASE_TABLE_REPORTS_SHA256 = "173d76c2424b829a72996b1b5880d21d4dbed8a71a87107049e61b6ca4944345"
 
 
 def argmin_forms(res: MinimizerResult):
@@ -250,6 +258,15 @@ class TestHarness:
         reports = verify_edge_minimal_pair([7, 8])
         assert all(r.status == "pass" for r in reports)
 
+    def test_unresolved_argmin_fails_every_minimizer_row(self, monkeypatch):
+        from spectramin import verify
+
+        resolve = verify._resolve_argmin
+        monkeypatch.setattr(verify, "_resolve_argmin", lambda cands: (resolve(cands)[0], True))
+        assert [r.status for r in verify_small_order_minimizers()] == ["fail"] * 4
+        assert [r.status for r in verify_minimum_radius_case_table([6, 7, 10])] == ["fail"] * 3
+        assert [r.status for r in verify_edge_minimal_pair([7])] == ["fail"]
+
     def test_family_grids_small(self):
         reports = verify_family_grids(5)
         assert all(r.status == "pass" for r in reports)
@@ -290,6 +307,15 @@ class TestHarness:
         body = csv.read_text().splitlines()
         assert body[0].startswith("claim_id,")
         assert len(body) == len(reports) + 1
+
+    def test_report_text_pinned(self):
+        def digest(reports):
+            return hashlib.sha256("\n".join(r.to_text() for r in reports).encode()).hexdigest()
+
+        assert digest(verify_small_order_minimizers()) == SMALL_ORDER_REPORTS_SHA256
+        assert digest(verify_edge_minimal_pair(range(7, 11))) == EDGE_PAIR_7_10_REPORTS_SHA256
+        case_table = verify_minimum_radius_case_table([3, 4, 5, 6, 7, 8, 10, 11, 12])
+        assert digest(case_table) == CASE_TABLE_REPORTS_SHA256
 
     def test_reports_deterministic(self, tmp_path):
         a = tmp_path / "a.csv"
