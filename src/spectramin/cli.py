@@ -70,23 +70,29 @@ def cmd_rho(args) -> int:
     if args.charpoly and g.n > EXACT_CAP:
         raise InvalidParameterError(
             f"--charpoly: exact characteristic polynomial capped at n = {EXACT_CAP}, got {g.n}")
+    # every route runs before the first line, so a failing one leaves no partial report
     res = perron_pair(g, tol=args.tol)
-    print(f"input: {args.input} ({kind}), n={g.n}, edges={g.edge_count}")
-    print(f"rho (power iteration)   = {_fmt(res.rho)}   residual {res.residual:.3g}")
     rho_dense = rho_numeric(g)
-    print(f"rho (dense eigensolver) = {_fmt(rho_dense)}   delta {_fmt(abs(res.rho - rho_dense))}")
+    sol = br = poly = None
     if kind == "family spec" and args.input.startswith("B:"):
         # graph_from_family accepted the spec, so it holds three integers
         sol = rho_analytic(*(int(x) for x in args.input[2:].split(",")))
+    if g.n <= EXACT_CAP:
+        br = rho_bracket(g, Fraction(1, 10 ** 12))
+        if args.charpoly:
+            poly = char_poly(g)
+    print(f"input: {args.input} ({kind}), n={g.n}, edges={g.edge_count}")
+    print(f"rho (power iteration)   = {_fmt(res.rho)}   residual {res.residual:.3g}")
+    print(f"rho (dense eigensolver) = {_fmt(rho_dense)}   delta {_fmt(abs(res.rho - rho_dense))}")
+    if sol is not None:
         print(f"rho (analytic boundary) = {_fmt(sol.rho)}   delta {_fmt(abs(sol.rho - res.rho))}")
         print(f"hub values a={_fmt(sol.a)} b={_fmt(sol.b)} "
               f"residuals {sol.residual_a:.3g}/{sol.residual_b:.3g}")
-    if g.n <= EXACT_CAP:
-        br = rho_bracket(g, Fraction(1, 10 ** 12))
+    if br is not None:
         print(f"certified bracket       = ({br.lo}, {br.hi}]")
         print(f"bracket midpoint delta  = {_fmt(abs(float(br.midpoint()) - res.rho))}")
-        if args.charpoly:
-            print(f"char poly (constant first): {char_poly(g).serialize()}")
+    if poly is not None:
+        print(f"char poly (constant first): {poly.serialize()}")
     print("perron vector:")
     print("  " + " ".join(_fmt(v) for v in res.perron))
     return 0

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, isqrt
 
 import numpy as np
 
@@ -113,37 +114,75 @@ class CharPoly:
         return xp.poly_to_line(self.coeffs)
 
 
+# the four largest primes below 2^55
+CHARPOLY_PRIMES = (2**55 - 55, 2**55 - 67, 2**55 - 99, 2**55 - 127)
+
+
+def _coeff_bound(n: int, delta: int) -> int:
+    """max_k C(n, k) * ceil(delta^(k/2)): a bound on every |c_k| of an
+    order-``n`` graph of maximum degree ``delta``."""
+    best = 0
+    for k in range(n + 1):
+        h = delta**k
+        r = isqrt(h)
+        best = max(best, comb(n, k) * (r + (r * r < h)))
+    return best
+
+
+def _faddeev_mod(a: np.ndarray, p: int) -> list[int]:
+    """Faddeev-LeVerrier coefficients c_1..c_n of det(xI - A), modulo ``p``."""
+    n = len(a)
+    m, prod = a.copy(), np.empty_like(a)
+    diag = m.reshape(-1)[:: n + 1]  # a view: M + cI is one in-place add
+    c = -int(diag.sum()) % p
+    cs = [c]
+    for k in range(2, n + 1):
+        diag += c
+        np.matmul(a, m, out=prod)
+        np.remainder(prod, p, out=m)
+        c = -int(diag.sum()) * pow(k, -1, p) % p
+        cs.append(c)
+    return cs
+
+
 def char_poly(g: Graph) -> CharPoly:
     """Exact characteristic polynomial of the adjacency matrix.
 
-    Faddeev-LeVerrier recurrence over big integers; the division by the step
-    index is exact and asserted.  Capped at n = 64.
+    Faddeev-LeVerrier, ``M <- A (M + c_{k-1} I)`` and ``c_k = -tr(M) / k``,
+    run in numpy int64 modulo primes just below 2^55, then rebuilt by CRT.
+    Capped at n = 64.  The laws that make it exact:
+
+    * Overflow: A is 0/1 and M is reduced mod p after each step, so the
+      entries of ``M + cI`` lie in [0, 2p) and those of the product below
+      2 * 64 * p < 2^63: int64 never wraps.
+    * Division: p > 64 >= k, so every step index is invertible mod p.
+    * Range: c_k is (-1)^k times the sum of the C(n, k) principal k x k
+      minors, and by Hadamard's inequality each has |det| <= delta^(k/2)
+      (rows of at most delta ones).  Primes are added until their product
+      exceeds twice ``max_k C(n, k) ceil(delta^(k/2))``, so the symmetric CRT
+      residue is c_k itself.  The lemma graphs need one prime and n = 64
+      at most four.
+
+    The result is checked: the coefficient of x^(n-1) is -tr A = 0 and that
+    of x^(n-2) is minus the edge count.
     """
     n = g.n
     if n > EXACT_CAP:
         raise InvalidInputError(f"exact characteristic polynomial capped at n = {EXACT_CAP}")
-    nbrs = [g.neighbors(v) for v in range(n)]
-    # M <- A (M + c I), c_k = -tr(M)/k
-    m = [[1 if (g.rows[i] >> j) & 1 else 0 for j in range(n)] for i in range(n)]
-    coeffs_desc = [1]
-    c = -sum(m[i][i] for i in range(n))
-    coeffs_desc.append(c)
-    for k in range(2, n + 1):
-        for i in range(n):
-            m[i][i] += c
-        nm = [[0] * n for _ in range(n)]
-        for i in range(n):
-            row = nm[i]
-            for u in nbrs[i]:
-                mu = m[u]
-                for j in range(n):
-                    row[j] += mu[j]
-        m = nm
-        tr = sum(m[i][i] for i in range(n))
-        c, rem = divmod(-tr, k)
-        assert rem == 0, "Faddeev-LeVerrier division must be exact"
-        coeffs_desc.append(c)
-    return CharPoly(tuple(reversed(coeffs_desc)))
+    a = g.adjacency_matrix().astype(np.int64)
+    bound = 2 * _coeff_bound(n, max(g.degrees()))
+    coeffs, modulus = [0] * n, 1
+    for p in CHARPOLY_PRIMES:
+        # Garner: the lift of (x mod modulus, r mod p) into [0, modulus * p)
+        inv = pow(modulus, -1, p)
+        coeffs = [x + (r - x) * inv % p * modulus for x, r in zip(coeffs, _faddeev_mod(a, p))]
+        modulus *= p
+        if modulus > bound:
+            break
+    coeffs = [x - modulus if 2 * x > modulus else x for x in coeffs]
+    if coeffs[0] or (n > 1 and coeffs[1] != -g.edge_count):
+        raise NumericFailure(f"char_poly: trace check failed (n={n}, edges={g.edge_count})")
+    return CharPoly(tuple(reversed([1] + coeffs)))
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,8 @@ class TestBadInput:
             (["verify", "edge-minimal-pair", "--n", ""], None),
             (["verify", "lemmas", "--grid", ""], None),
             (["verify", "theorem-1.1", "--n", ""], None),
+            # a route that fails after the numeric ones have their radius
+            (["rho", "B:3,200,3"], None),
         ],
     )
     def test_exits_2_with_message(self, argv, checkpoint, tmp_path, monkeypatch, capsys):

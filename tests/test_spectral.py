@@ -1,6 +1,7 @@
 """Spectral routes: power iteration, dense solver, exact polynomials, brackets."""
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -23,7 +24,9 @@ from spectramin.graphs import (
     spec_P,
 )
 from spectramin.spectral import (
+    CHARPOLY_PRIMES,
     DENSE_CAP,
+    _coeff_bound,
     char_poly,
     compare_rho_certified,
     full_spectrum,
@@ -39,6 +42,44 @@ from spectramin.spectral import (
 # before Descartes counts on the Taylor chain replaced them
 BRACKETS7_SHA256 = "e094e8021613d09c24bd2d15d74ba6a0bc4201d8e97678cd35e2e48427f47c85"
 GRID6_VERDICTS_SHA256 = "b40c32d6b7add2a6b2acacf1a73954001adc545fb52a6451d7a61a899b1f0159"
+
+
+def char_poly_oracle(g: Graph) -> tuple[int, ...]:
+    """Faddeev-LeVerrier over Python integers, constant-first: the reference
+    the modular ``char_poly`` must match coefficient for coefficient."""
+    n = g.n
+    nbrs = [g.neighbors(v) for v in range(n)]
+    # M <- A (M + c I), c_k = -tr(M)/k
+    m = [[1 if (g.rows[i] >> j) & 1 else 0 for j in range(n)] for i in range(n)]
+    coeffs_desc = [1]
+    c = -sum(m[i][i] for i in range(n))
+    coeffs_desc.append(c)
+    for k in range(2, n + 1):
+        for i in range(n):
+            m[i][i] += c
+        nm = [[0] * n for _ in range(n)]
+        for i in range(n):
+            row = nm[i]
+            for u in nbrs[i]:
+                mu = m[u]
+                for j in range(n):
+                    row[j] += mu[j]
+        m = nm
+        tr = sum(m[i][i] for i in range(n))
+        c, rem = divmod(-tr, k)
+        assert rem == 0, "Faddeev-LeVerrier division must be exact"
+        coeffs_desc.append(c)
+    return tuple(reversed(coeffs_desc))
+
+
+def primes_used(g: Graph) -> int:
+    """How many of CHARPOLY_PRIMES char_poly multiplies before it passes the bound."""
+    bound, modulus = 2 * _coeff_bound(g.n, max(g.degrees())), 1
+    for i, p in enumerate(CHARPOLY_PRIMES, 1):
+        modulus *= p
+        if modulus > bound:
+            return i
+    raise AssertionError("the primes do not cover the bound")
 
 
 def random_connected(rng, n, p=0.4) -> Graph:
@@ -129,6 +170,37 @@ class TestCharPoly:
             roots = np.sort(np.roots(list(reversed(coeffs))).real)
             eig = np.sort(np.linalg.eigvalsh(g.adjacency_matrix()))
             assert np.allclose(roots, eig, atol=1e-6)
+
+    def test_matches_big_integer_oracle(self):
+        graphs = [build_bicyclic(spec)[0] for spec in verify._grid_specs(9)]
+        for k in (4, 6, 8):  # the descent readings' graphs
+            for spec in (spec_P(k - 1, k + 1, k - 1), spec_B(k - 1, k + 1, k - 1),
+                         spec_P(k + 1, k - 1, k + 1), spec_B(k - 1, k - 1, k + 1)):
+                graphs.append(build_bicyclic(spec)[0])
+        graphs += [g for n in range(1, 8) for g in enumerate_connected(n)]
+        rng = random.Random(14)
+        graphs += [Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                             if rng.random() < p])
+                   for n, p in [(9, 0.5), (20, 0.2), (30, 0.3), (40, 0.1), (48, 0.5),
+                                (56, 0.05), (64, 0.1), (64, 0.3)]]
+        for g in graphs:
+            assert char_poly(g).coeffs == char_poly_oracle(g)
+        assert {primes_used(g) for g in graphs} == {1, 2, 3, 4}
+
+    def test_complete_graphs_to_64(self):
+        # against (x - (n-1)) (x + 1)^(n-1): the big-integer oracle takes over a
+        # second on K_64 alone
+        for n in range(40, 65):
+            g = build_complete(n)
+            want = tuple((math.comb(n - 1, i - 1) if i else 0) - (n - 1) * math.comb(n - 1, i)
+                         for i in range(n + 1))
+            assert char_poly(g).coeffs == want
+            assert primes_used(g) >= 3
+
+    def test_primes(self):
+        sympy = pytest.importorskip("sympy")
+        assert all(sympy.isprime(p) and 64 < p < 2**56 for p in CHARPOLY_PRIMES)
+        assert math.prod(CHARPOLY_PRIMES) > 2 * _coeff_bound(64, 63)
 
     def test_largest_root_matches_perron(self):
         g, _ = build_bicyclic(spec_B(3, 1, 3))
