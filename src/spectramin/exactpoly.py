@@ -3,8 +3,14 @@
 Polynomials are tuples of Python ints in ascending order (constant term
 first).  Everything here is exact: sign evaluation at rationals, root
 counts in ``(a, b]`` for real-rooted polynomials (Descartes' rule on the
-Taylor chain, exact at any endpoint and with multiplicity), and
+Taylor coefficients, exact at any endpoint and with multiplicity), and
 primitive-PRS gcd.
+
+A count at a rational point is one Taylor shift of the integer
+polynomial, never an evaluation per derivative: the shifted coefficients
+are positive multiples of the Taylor coefficients, so they have the same
+signs.  When every root lies in ``(-U, U)``, Descartes' rule gives
+``V(U) = 0`` and ``V(-U) = deg p`` without a count.
 """
 
 from __future__ import annotations
@@ -70,34 +76,36 @@ def _pseudo_rem(f: IntPoly, g: IntPoly) -> IntPoly:
     return normalize(r[:dg] or [0])
 
 
-def taylor_chain(p: IntPoly) -> list[IntPoly]:
-    """``p, p'/1!, p''/2!, ...`` down to a constant: p's Taylor coefficients at any x.
+def variations_at(p: IntPoly, x: Fraction) -> int:
+    """Sign changes of p's Taylor coefficients at ``x``, zeros skipped.
 
-    Member k is the derivative of member k - 1 divided by k; the division is
-    exact, since member k has integer coefficients ``C(i, k) * p[i]``.
+    At ``x = num/den`` the coefficients of ``den^d p((y + num)/den)`` are the
+    Taylor coefficients ``p^(k)(x)/k!`` times ``den^(d-k) > 0``, so they have
+    the same signs.  They come from scaling p to ``den^d p(y/den)`` and one
+    in-place Taylor shift by ``num``: d(d+1)/2 integer multiply-adds.
     """
-    chain = [normalize(p)]
-    for k in range(1, degree(chain[0]) + 1):
-        q = chain[-1]
-        chain.append(tuple(i * q[i] // k for i in range(1, len(q))))
-    return chain
+    num, den = x.numerator, x.denominator
+    d = len(p) - 1
+    a = list(p)
+    if den != 1:
+        dp = den
+        for i in range(d - 1, -1, -1):
+            a[i] *= dp
+            dp *= den
+    if num:
+        for i in range(d):
+            acc = a[d]
+            for j in range(d - 1, i - 1, -1):
+                acc = a[j] + num * acc
+                a[j] = acc
+    signs = [c > 0 for c in a if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def variations_at(chain: list[IntPoly], x: Fraction) -> int:
-    """Sign changes along the chain at ``x``, zeros skipped."""
-    out = prev = 0
-    for q in chain:
-        s = sign_at(q, x)
-        if s:
-            out += prev == -s
-            prev = s
-    return out
+def count_roots_in(p: IntPoly, a: Fraction, b: Fraction) -> int:
+    """Roots in ``(a, b]``, with multiplicity, of a real-rooted polynomial.
 
-
-def count_roots_in(chain: list[IntPoly], a: Fraction, b: Fraction) -> int:
-    """Roots in ``(a, b]``, with multiplicity, of a real-rooted chain polynomial.
-
-    ``variations_at(chain, x)`` is the number of sign changes of the Taylor
+    ``variations_at(p, x)`` is the number of sign changes of the Taylor
     coefficients of p at x.  When every root of p is real, Descartes' rule
     is exact (Budan-Fourier): that number equals the count of roots above x,
     with multiplicity.  So V(a) - V(b) counts the roots in ``(a, b]`` at any
@@ -106,7 +114,7 @@ def count_roots_in(chain: list[IntPoly], a: Fraction, b: Fraction) -> int:
     """
     if a >= b:
         return 0
-    return variations_at(chain, a) - variations_at(chain, b)
+    return variations_at(p, a) - variations_at(p, b)
 
 
 def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:

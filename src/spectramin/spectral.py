@@ -8,10 +8,15 @@ the exact route, never by floating-point closeness.
 
 A certified bracket keeps one invariant: rho is the only root of the
 characteristic polynomial in ``(lo, hi]`` and no root lies above ``hi``.
-Root counts establish it and sign bisection keeps it, since rho is simple
-and the polynomial monic.  The polynomial is real-rooted (A is symmetric),
-so Descartes' rule on its Taylor coefficients counts the roots in
-``(a, b]`` exactly, with multiplicity, at any endpoints.
+Root counts establish it and signs keep it, since rho is simple and the
+polynomial monic.  The polynomial is real-rooted (A is symmetric), so
+Descartes' rule on its Taylor coefficients counts the roots in ``(a, b]``
+exactly, with multiplicity, at any endpoints.  Two laws keep the work
+small.  Every root lies below U = 1 + max degree, so V(U) = 0 and a
+bracket is isolated by two counts, V(hi) and V(lo).  Bisection of
+``(lo, hi]`` down to a width always ends in the one cell of the dyadic
+grid of ``(lo, hi]`` that holds rho, so refinement guesses that cell from
+the float radius and certifies it with two signs.
 
 The invariant holds at every width and refinement only shrinks the
 bracket, so one graph's certificate can serve many comparisons: a verdict
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, floor, isfinite, isqrt
 
 import numpy as np
 
@@ -219,40 +224,44 @@ class _CertifiedRho:
 
     * The graph is connected, so rho is simple (Perron-Frobenius); p is
       monic, so p < 0 just below rho and p > 0 above it.  Inside an
-      isolating bracket, p(mid) >= 0 exactly when mid >= rho, so one sign
-      evaluation halves the bracket; an integer rho becomes ``hi`` once a
-      midpoint lands on it.
+      isolating bracket, p(x) >= 0 exactly when x >= rho, so one sign
+      evaluation places rho on one side of a point; an integer rho becomes
+      ``hi`` once a midpoint lands on it.
     * No root lies above ``hi``, so rho is in ``(mid, hi]`` exactly when
       that interval holds any root: a root count sheds lower roots soundly
       even when lambda_2 lies inside the bracket.  p is real-rooted, so the
-      count (Descartes' rule on the Taylor chain) is exact with multiplicity
-      at every endpoint, a multiple root included; since rho is simple, a
-      count of one means the bracket holds rho alone.
-    * Every root lies in ``(-U, U)`` with U = 1 + max degree: widening ``hi``
-      to U, or ``lo`` to -U, restores the invariant when the seed misses rho.
+      count (Descartes' rule on the Taylor coefficients) is exact with
+      multiplicity at every endpoint, a multiple root included; since rho
+      is simple, a count of one means the bracket holds rho alone.
+    * Every root lies in ``(-U, U)`` with U = 1 + max degree, so Descartes'
+      rule gives V(U) = 0 and V(-U) = deg p with no count: the roots above
+      ``hi`` number V(hi), and widening ``hi`` to U, or ``lo`` to -U,
+      restores the invariant when the seed misses rho.  Isolation costs two
+      counts, V(hi) and V(lo), unless the seed window holds lower roots.
 
-    The Taylor chain is needed only to isolate rho; it is dropped once the
-    bracket holds one root, so a pooled certificate keeps just p and (lo, hi].
+    The bracket is refined on the dyadic grid of ``(lo, hi]``; see
+    ``refine``.  A pooled certificate keeps p, the bracket and the float
+    radius ``guess`` that seeded it.
     """
 
     def __init__(self, g: Graph):
         if not is_connected(g):
             raise InvalidInputError("certified radius requires a connected graph")
-        self.poly = char_poly(g).coeffs
-        chain = xp.taylor_chain(self.poly)
+        self.poly = p = char_poly(g).coeffs
+        self.guess = rho_numeric(g)
         upper = Fraction(1 + max(g.degrees()) if g.edge_count else 1)
-        x = _dyadic(rho_numeric(g))
+        x = _dyadic(self.guess)
         step = Fraction(1, 1 << 20)
-        lo, hi = (x - step, x) if xp.sign_at(self.poly, x) >= 0 else (x, x + step)
-        if xp.count_roots_in(chain, hi, upper):
-            hi = upper
-        count = xp.count_roots_in(chain, lo, hi)
+        lo, hi = (x - step, x) if xp.sign_at(p, x) >= 0 else (x, x + step)
+        v_hi = xp.variations_at(p, hi)  # roots above hi
+        if v_hi:
+            hi, v_hi = upper, 0
+        count = xp.variations_at(p, lo) - v_hi
         if not count:
-            lo = -upper
-            count = xp.count_roots_in(chain, lo, hi)
+            lo, count = -upper, len(p) - 1 - v_hi
         while count > 1:
             mid = (lo + hi) / 2
-            above = xp.count_roots_in(chain, mid, hi)
+            above = xp.variations_at(p, mid) - v_hi
             if above:
                 lo, count = mid, above
             else:
@@ -260,6 +269,30 @@ class _CertifiedRho:
         self.lo, self.hi = lo, hi
 
     def refine(self, width: Fraction) -> None:
+        """Shrink the bracket to the cell that bisection down to ``width`` ends in.
+
+        Halving ``(lo, hi]`` k times, k the least with (hi - lo) / 2^k <= width,
+        always ends in the unique cell ``(lo + j h, lo + (j + 1) h]``,
+        h = (hi - lo) / 2^k, that holds rho.  So the cell is guessed from the
+        float ``guess`` and certified by two signs, p(a) < 0 and p(b) >= 0
+        (an end that is ``lo`` or ``hi`` is already certified); by uniqueness
+        it is the bracket bisection would reach.  A failed check (a guess
+        off by a cell, or a cell below float precision) falls back to
+        bisection.
+        """
+        lo, span = self.lo, self.hi - self.lo
+        if span <= width:
+            return
+        ratio = span / width
+        cells = 1 << (-(-ratio.numerator // ratio.denominator) - 1).bit_length()
+        j = min(max(floor((Fraction(self.guess) - lo) * cells / span), 0), cells - 1)
+        a = lo + j * span / cells
+        b = a + span / cells
+        if (j == 0 or xp.sign_at(self.poly, a) < 0) and (
+            j == cells - 1 or xp.sign_at(self.poly, b) >= 0
+        ):
+            self.lo, self.hi = a, b
+            return
         while self.hi - self.lo > width:
             mid = (self.lo + self.hi) / 2
             if xp.sign_at(self.poly, mid) >= 0:
@@ -274,7 +307,9 @@ def rho_bracket(g: Graph, width: Fraction | float = Fraction(1, 10**12)) -> RhoB
     The certificate is exact: root counts show one simple root inside
     ``(lo, hi]`` and none between ``hi`` and the degree bound ``1 + max_deg``.
     """
-    w = Fraction(width) if not isinstance(width, Fraction) else width
+    if not isinstance(width, Fraction) and not isfinite(width):
+        raise InvalidParameterError(f"bracket width must be finite, got {width}")
+    w = Fraction(width)
     if w <= 0:
         raise InvalidParameterError("bracket width must be positive")
     cert = _CertifiedRho(g)
@@ -304,7 +339,7 @@ def compare_rho_certified(
             certs[g] = _CertifiedRho(g)
     c1, c2 = certs[g1], certs[g2]
     width = Fraction(1, 10**9)
-    gcd_chain = None
+    common = None
     for _ in range(CERTIFY_MAX_ROUNDS):
         c1.refine(width)
         c2.refine(width)
@@ -312,9 +347,9 @@ def compare_rho_certified(
             return "less"
         if c2.hi <= c1.lo:
             return "greater"
-        if gcd_chain is None:
-            gcd_chain = xp.taylor_chain(xp.poly_gcd(c1.poly, c2.poly))
-        if xp.count_roots_in(gcd_chain, max(c1.lo, c2.lo), min(c1.hi, c2.hi)):
+        if common is None:
+            common = xp.poly_gcd(c1.poly, c2.poly)
+        if xp.count_roots_in(common, max(c1.lo, c2.lo), min(c1.hi, c2.hi)):
             return "equal"
         width /= 1 << 16
     return "unresolved"

@@ -362,11 +362,13 @@ def proof_replay(g: Graph) -> list[RewriteStep]:
         RewriteStep(kind, walk[i], h, rho[i], rho[i + 1], rule)
         for i, (kind, rule, h) in enumerate(moves)
     ]
+    # one pool: a step's ``after`` is the next step's ``before``
+    certs: dict = {}
     for st in steps:
         # a reading only clears a step that drops clearly; any other step
         # fails only when the certified comparison says neither less nor equal
         if st.rho_after > st.rho_before - MONOTONE_TOL:
-            verdict = compare_rho_certified(st.after, st.before)
+            verdict = compare_rho_certified(st.after, st.before, certs)
             if verdict not in ("less", "equal"):
                 raise InvalidInputError(
                     f"non-monotone step {st.kind}: {st.rho_before} -> {st.rho_after} "

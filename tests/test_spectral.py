@@ -1,5 +1,6 @@
 """Spectral routes: power iteration, dense solver, exact polynomials, brackets."""
 
+import copy
 import hashlib
 import math
 import random
@@ -26,7 +27,9 @@ from spectramin.graphs import (
 from spectramin.spectral import (
     CHARPOLY_PRIMES,
     DENSE_CAP,
+    _CertifiedRho,
     _coeff_bound,
+    _dyadic,
     char_poly,
     compare_rho_certified,
     full_spectrum,
@@ -82,6 +85,41 @@ def primes_used(g: Graph) -> int:
     raise AssertionError("the primes do not cover the bound")
 
 
+def count_roots_oracle(p: tuple[int, ...], a: Fraction, b: Fraction) -> int:
+    """Roots in ``(a, b]`` by Descartes' rule on the Taylor chain ``p, p'/1!,
+    p''/2!, ...``, every member's sign at each end found by ``sign_at``: the
+    per-derivative count that the Taylor-shift ``count_roots_in`` must match."""
+    # member k is member k - 1 differentiated and divided by k, exactly: its
+    # coefficients are C(i, k) * p[i]
+    chain = [xp.normalize(p)]
+    for k in range(1, xp.degree(chain[0]) + 1):
+        q = chain[-1]
+        chain.append(tuple(i * q[i] // k for i in range(1, len(q))))
+
+    def variations(x: Fraction) -> int:
+        out = prev = 0
+        for q in chain:
+            s = xp.sign_at(q, x)
+            if s:
+                out += prev == -s
+                prev = s
+        return out
+
+    return variations(a) - variations(b) if a < b else 0
+
+
+def bisection_oracle(poly, lo: Fraction, hi: Fraction, width: Fraction):
+    """Plain sign bisection of ``(lo, hi]`` down to ``width``: the bracket
+    ``_CertifiedRho.refine`` must reach by its one grid step."""
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if xp.sign_at(poly, mid) >= 0:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def random_connected(rng, n, p=0.4) -> Graph:
     while True:
         g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
@@ -92,28 +130,28 @@ def random_connected(rng, n, p=0.4) -> Graph:
 class TestExactPoly:
     def test_root_counts(self):
         # (x-1)(x-2)(x-3) = x^3 - 6x^2 + 11x - 6
-        chain = xp.taylor_chain((-6, 11, -6, 1))
-        assert xp.count_roots_in(chain, Fraction(0), Fraction(4)) == 3
-        assert xp.count_roots_in(chain, Fraction(3, 2), Fraction(5, 2)) == 1
-        assert xp.count_roots_in(chain, Fraction(4), Fraction(9)) == 0
+        p = (-6, 11, -6, 1)
+        assert xp.count_roots_in(p, Fraction(0), Fraction(4)) == 3
+        assert xp.count_roots_in(p, Fraction(3, 2), Fraction(5, 2)) == 1
+        assert xp.count_roots_in(p, Fraction(4), Fraction(9)) == 0
         # a simple root at an endpoint: the count is over (a, b]
-        assert xp.count_roots_in(chain, Fraction(1), Fraction(2)) == 1
-        assert xp.count_roots_in(chain, Fraction(2), Fraction(3)) == 1
+        assert xp.count_roots_in(p, Fraction(1), Fraction(2)) == 1
+        assert xp.count_roots_in(p, Fraction(2), Fraction(3)) == 1
 
     def test_multiple_root_endpoint(self):
         # (x-1)^2 (x-3): the double root counts twice, at either end of (a, b]
-        chain = xp.taylor_chain((-3, 7, -5, 1))
-        assert xp.count_roots_in(chain, Fraction(0), Fraction(4)) == 3
-        assert xp.count_roots_in(chain, Fraction(0), Fraction(1)) == 2
-        assert xp.count_roots_in(chain, Fraction(1), Fraction(4)) == 1
-        assert xp.count_roots_in(chain, Fraction(1), Fraction(3)) == 1
-        assert xp.count_roots_in(chain, Fraction(1, 2), Fraction(3, 2)) == 2
+        p = (-3, 7, -5, 1)
+        assert xp.count_roots_in(p, Fraction(0), Fraction(4)) == 3
+        assert xp.count_roots_in(p, Fraction(0), Fraction(1)) == 2
+        assert xp.count_roots_in(p, Fraction(1), Fraction(4)) == 1
+        assert xp.count_roots_in(p, Fraction(1), Fraction(3)) == 1
+        assert xp.count_roots_in(p, Fraction(1, 2), Fraction(3, 2)) == 2
 
     def test_counts_with_multiplicity(self):
         # (x-1)^2 (x+2): three roots with multiplicity, two distinct
-        chain = xp.taylor_chain((2, -3, 0, 1))
-        assert xp.count_roots_in(chain, Fraction(-3), Fraction(3)) == 3
-        assert xp.count_roots_in(chain, Fraction(-2), Fraction(3)) == 2
+        p = (2, -3, 0, 1)
+        assert xp.count_roots_in(p, Fraction(-3), Fraction(3)) == 3
+        assert xp.count_roots_in(p, Fraction(-2), Fraction(3)) == 2
 
     def test_counts_against_known_roots(self):
         # oracle: products of rational linear factors (den x - num), with
@@ -131,11 +169,27 @@ class TestExactPoly:
                     sum(p[i] * f[k - i] for i in range(len(p)) if 0 <= k - i < 2)
                     for k in range(len(p) + 1)
                 )
-            chain = xp.taylor_chain(p)
             ends = roots + [Fraction(rng.randint(-25, 25), rng.randint(1, 4)) for _ in range(4)]
             for _ in range(20):
                 a, b = sorted(rng.sample(ends, 2))
-                assert xp.count_roots_in(chain, a, b) == sum(a < r <= b for r in roots)
+                assert xp.count_roots_in(p, a, b) == sum(a < r <= b for r in roots)
+                assert xp.count_roots_in(p, a, b) == count_roots_oracle(p, a, b)
+
+    def test_counts_against_chain_oracle(self):
+        # the grid char polys, at dyadic points on both sides of each radius;
+        # every root lies in (-U, U), so V(U) = 0 and V(-U) = deg p
+        for spec in verify._grid_specs(6):
+            g = build_bicyclic(spec)[0]
+            p = char_poly(g).coeffs
+            x = _dyadic(rho_numeric(g))
+            upper = Fraction(1 + max(g.degrees()))
+            points = sorted(x + s * Fraction(1, 1 << k) for s in (-1, 1) for k in (1, 10, 20, 40))
+            for i, a in enumerate(points):
+                assert xp.variations_at(p, a) == count_roots_oracle(p, a, upper)
+                for b in points[i + 1:]:
+                    assert xp.count_roots_in(p, a, b) == count_roots_oracle(p, a, b)
+            assert xp.variations_at(p, upper) == 0
+            assert xp.variations_at(p, -upper) == xp.degree(p)
 
     def test_gcd(self):
         f = (-2, 1)  # x - 2
@@ -281,6 +335,11 @@ class TestRhoBracket:
         with pytest.raises(Exception):
             rho_bracket(build_cycle(4), Fraction(0))
 
+    @pytest.mark.parametrize("width", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_width(self, width):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            rho_bracket(build_cycle(7), width)
+
     def test_midpoint_matches_numeric(self):
         rng = random.Random(4)
         for _ in range(30):
@@ -321,6 +380,37 @@ class TestRhoBracket:
         assert br.lo < Fraction(float(eig[-1])) + Fraction(1, 10**13)
         assert Fraction(float(eig[-1])) - Fraction(1, 10**13) <= br.hi
         assert br.lo > Fraction(float(eig[-2]))
+
+
+class TestRefineGridStep:
+    WIDTHS = (Fraction(1, 10**3), Fraction(1, 10**9), Fraction(1, 10**15), Fraction(1, 2**70))
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-6])
+    def test_matches_bisection(self, offset, monkeypatch):
+        # an offset guess lands in the wrong cell, so the fallback must run
+        calls = [0]
+        sign_at = xp.sign_at
+
+        def counted(*args):
+            calls[0] += 1
+            return sign_at(*args)
+
+        monkeypatch.setattr(xp, "sign_at", counted)
+        graphs = [g for n in range(1, 7) for g in enumerate_connected(n)]
+        graphs += [build_bicyclic(spec)[0] for spec in verify._grid_specs(6)]
+        fallbacks = 0
+        for g in graphs:
+            cert = _CertifiedRho(g)
+            cert.guess += offset
+            for width in self.WIDTHS:
+                c = copy.copy(cert)
+                calls[0] = 0
+                c.refine(width)
+                fallbacks += calls[0] > 2
+                assert (c.lo, c.hi) == bisection_oracle(cert.poly, cert.lo, cert.hi, width)
+        assert len(graphs) == 455
+        if offset:
+            assert fallbacks >= 2 * len(graphs)
 
 
 class TestCertificatePins:

@@ -23,7 +23,7 @@ from spectramin.graphs import (
     spec_C,
     spec_P,
 )
-from spectramin import transforms
+from spectramin import spectral, transforms
 from spectramin.spectral import perron_pair, rho_numeric
 from spectramin.transforms import (
     ExemptionError,
@@ -356,9 +356,27 @@ class TestProofReplay:
         steps = proof_replay(g)
         assert steps[0].rho_after == high > steps[0].rho_before
         # the same reading fails once the certificate does not say less or equal
-        monkeypatch.setattr(transforms, "compare_rho_certified", lambda a, b: "unresolved")
+        monkeypatch.setattr(transforms, "compare_rho_certified",
+                            lambda a, b, certs=None: "unresolved")
         with pytest.raises(InvalidInputError, match="non-monotone"):
             proof_replay(g)
+
+    def test_walk_graphs_certified_once(self, monkeypatch):
+        # flat readings send every step to the certificate; the call's one
+        # pool certifies each walk graph once, though every inner graph is
+        # one step's after and the next step's before
+        made = []
+        init = spectral._CertifiedRho.__init__
+
+        def counted(cert, h):
+            made.append(h)
+            init(cert, h)
+
+        monkeypatch.setattr(spectral._CertifiedRho, "__init__", counted)
+        monkeypatch.setattr(transforms, "rho_numeric", lambda h: 2.5)
+        steps = proof_replay(_c_core_test_graph())
+        assert len(steps) == 8
+        assert len(made) == len(set(made)) == len(steps) + 1
 
     def test_cores_and_replays_to_7_pinned(self):
         cores, replays = hashlib.sha256(), hashlib.sha256()
