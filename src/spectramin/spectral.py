@@ -4,25 +4,39 @@ Three independent routes to the spectral radius: power iteration on A + I
 (numeric Perron pair), a dense symmetric eigensolver (full spectrum), and
 an exact integer characteristic polynomial with certified rational root
 brackets.  Strict orderings and equalities between radii are settled with
-the exact route, never by floating-point closeness.
+exact certificates, never by floating-point closeness.
 
-A certified bracket keeps one invariant: rho is the only root of the
-characteristic polynomial in ``(lo, hi]`` and no root lies above ``hi``.
-Root counts establish it and signs keep it, since rho is simple and the
-polynomial monic.  The polynomial is real-rooted (A is symmetric), so
-Descartes' rule on its Taylor coefficients counts the roots in ``(a, b]``
-exactly, with multiplicity, at any endpoints.  Two laws keep the work
-small.  Every root lies below U = 1 + max degree, so V(U) = 0 and a
-bracket is isolated by two counts, V(hi) and V(lo).  Bisection of
-``(lo, hi]`` down to a width always ends in the one cell of the dyadic
-grid of ``(lo, hi]`` that holds rho, so refinement guesses that cell from
-the float radius and certifies it with two signs.
+``compare_rho_certified`` settles a comparison in up to three tiers:
 
-The invariant holds at every width and refinement only shrinks the
-bracket, so one graph's certificate can serve many comparisons: a verdict
-depends only on the two graphs, never on which earlier comparison refined
-either bracket.  ``compare_rho_certified`` therefore accepts a pool that a
-verification call keeps for its own length and certifies each graph once.
+* **Perron brackets, for strict verdicts.**  Round the float Perron vector
+  to a positive integer vector x.  Then x^T A x / x^T x <= rho (Rayleigh:
+  rho is the largest eigenvalue of the symmetric A) and
+  rho <= max_i (Ax)_i / x_i (Collatz-Wielandt: A >= 0 and x > 0), both
+  exact rationals in integer arithmetic.  The bracket is closed, so only
+  ``hi_1 < lo_2`` proves ``rho_1 < rho_2``; equal radii always overlap.
+* **The char poly, for overlaps.**  A certified bracket keeps one
+  invariant: rho is the only root of the characteristic polynomial in
+  ``(lo, hi]`` and no root lies above ``hi``.  Root counts establish it
+  and signs keep it, since rho is simple and the polynomial monic.  The
+  polynomial is real-rooted (A is symmetric), so Descartes' rule on its
+  Taylor coefficients counts the roots in ``(a, b]`` exactly, with
+  multiplicity, at any endpoints.  Every root lies below U = 1 + max
+  degree, so V(U) = 0 and a bracket is isolated by two counts, V(hi) and
+  V(lo).  Bisection of ``(lo, hi]`` down to a width always ends in the one
+  cell of the dyadic grid of ``(lo, hi]`` that holds rho, so refinement
+  guesses that cell from the float radius and certifies it with two
+  signs.  Disjoint refined brackets give the strict verdict.
+* **The gcd, for equalities.**  Two radii are equal exactly when the
+  integer gcd of the two polynomials has a root in the overlap of the two
+  brackets; one root count on the gcd decides it.
+
+Every bracket holds its radius at every width, and refinement only
+shrinks it, so one graph's certificate can serve many comparisons: a
+verdict depends only on the two graphs, never on which earlier comparison
+refined either bracket.  ``compare_rho_certified`` therefore accepts a pool
+that a verification call keeps for its own length: each graph gets one
+eigensolve and its Perron bracket, and its char-poly certificate only when
+a comparison first needs it.
 """
 
 from __future__ import annotations
@@ -41,6 +55,7 @@ EXACT_CAP = 64
 RESIDUAL_TOL = 1e-10
 POWER_MAX_ITER = 500000
 CERTIFY_MAX_ROUNDS = 60
+PERRON_BITS = 40  # the integer Perron vector's largest entry is 2^PERRON_BITS
 INTERLACING_TOL = 1e-8
 
 
@@ -240,15 +255,15 @@ class _CertifiedRho:
       counts, V(hi) and V(lo), unless the seed window holds lower roots.
 
     The bracket is refined on the dyadic grid of ``(lo, hi]``; see
-    ``refine``.  A pooled certificate keeps p, the bracket and the float
-    radius ``guess`` that seeded it.
+    ``refine``.  The certificate keeps p, the bracket and the float radius
+    ``guess`` that seeded it (the dense solver's, unless the caller has one).
     """
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, guess: float | None = None):
         if not is_connected(g):
             raise InvalidInputError("certified radius requires a connected graph")
         self.poly = p = char_poly(g).coeffs
-        self.guess = rho_numeric(g)
+        self.guess = rho_numeric(g) if guess is None else guess
         upper = Fraction(1 + max(g.degrees()) if g.edge_count else 1)
         x = _dyadic(self.guess)
         step = Fraction(1, 1 << 20)
@@ -317,27 +332,86 @@ def rho_bracket(g: Graph, width: Fraction | float = Fraction(1, 10**12)) -> RhoB
     return RhoBracket(cert.lo, cert.hi)
 
 
+def _perron_bracket(a: np.ndarray, v: np.ndarray) -> tuple[Fraction, Fraction] | None:
+    """Exact ``[lo, hi]`` around rho from adjacency ``a`` and a float Perron
+    vector ``v``, or None.
+
+    x is ``|v|`` scaled so that its largest entry is 2^PERRON_BITS, then
+    rounded.  Ax is exact in int64 (its entries stay below n 2^PERRON_BITS),
+    and the rest is Python ints.  lo = x^T A x / x^T x and hi =
+    max_i (Ax)_i / x_i bound rho for every positive x, so the bracket is
+    exact however rough v is: only its width depends on v.  A rounded entry
+    of 0 voids the upper bound, and the graph gets no bracket.
+    """
+    m = np.abs(v)
+    xv = np.rint(m * (2.0**PERRON_BITS / m.max())).astype(np.int64)
+    if xv.min() <= 0:
+        return None
+    x, ax = xv.tolist(), (a.astype(np.int64) @ xv).tolist()
+    hi_num, hi_den = ax[0], x[0]
+    for num, den in zip(ax, x):
+        if num * hi_den > hi_num * den:
+            hi_num, hi_den = num, den
+    lo = Fraction(sum(s * t for s, t in zip(x, ax)), sum(t * t for t in x))
+    return lo, Fraction(hi_num, hi_den)
+
+
+class _PooledRho:
+    """One graph's entry in a certificate pool.
+
+    One ``eigh`` gives the float radius ``guess`` and the Perron vector, and
+    from it the exact bracket ``perron`` (None when the rounded vector is not
+    positive).  ``exact()`` builds the char-poly certificate, seeded by
+    ``guess``, the first time a comparison needs it.
+    """
+
+    __slots__ = ("graph", "guess", "perron", "_exact")
+
+    def __init__(self, g: Graph):
+        if not is_connected(g):
+            raise InvalidInputError("certified radius requires a connected graph")
+        a = g.adjacency_matrix()
+        vals, vecs = np.linalg.eigh(a)
+        self.graph = g
+        self.guess = float(vals[-1])
+        self.perron = _perron_bracket(a, vecs[:, -1])
+        self._exact = None
+
+    def exact(self) -> _CertifiedRho:
+        if self._exact is None:
+            self._exact = _CertifiedRho(self.graph, self.guess)
+        return self._exact
+
+
 def compare_rho_certified(
-    g1: Graph, g2: Graph, certs: dict[Graph, _CertifiedRho] | None = None
+    g1: Graph, g2: Graph, certs: dict[Graph, _PooledRho] | None = None
 ) -> str:
     """Certified ordering of two spectral radii.
 
     Returns ``"less"``, ``"greater"``, ``"equal"`` or ``"unresolved"``.
-    Strict verdicts come from disjoint certified brackets; equality from an
-    integer polynomial gcd owning a root in the bracket overlap, never from
-    numeric closeness.
+    Strict verdicts come from disjoint exact brackets: the two Perron
+    brackets when they are strictly apart, else the refined char-poly
+    brackets.  Equality comes from an integer polynomial gcd owning a root
+    in the bracket overlap, never from numeric closeness.
 
     ``certs`` maps each graph (by labelled adjacency) to its certificate.  A
     caller that makes many comparisons passes one dict for the length of
-    its call, so each graph is certified once and later comparisons refine
-    the same bracket.  A strict or equal verdict is a fact about the two
-    radii, so it does not depend on which comparison refined a bracket first.
+    its call, so each graph gets one eigensolve, at most one char poly, and
+    later comparisons refine the same bracket.  A strict or equal verdict is
+    a fact about the two radii, so it does not depend on which comparison
+    refined a bracket first.
     """
     certs = {} if certs is None else certs
     for g in (g1, g2):
         if g not in certs:
-            certs[g] = _CertifiedRho(g)
-    c1, c2 = certs[g1], certs[g2]
+            certs[g] = _PooledRho(g)
+    p1, p2 = certs[g1].perron, certs[g2].perron
+    if p1 and p2:
+        if p1[1] < p2[0]:
+            return "less"
+        if p2[1] < p1[0]:
+            return "greater"
+    c1, c2 = certs[g1].exact(), certs[g2].exact()
     width = Fraction(1, 10**9)
     common = None
     for _ in range(CERTIFY_MAX_ROUNDS):

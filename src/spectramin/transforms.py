@@ -31,7 +31,6 @@ from .graphs import (
 from .spectral import compare_rho_certified, perron_pair, rho_numeric
 
 PERRON_MARGIN = 1e-9  # slack when checking the split anchor's minimum Perron entry
-MONOTONE_TOL = 1e-10  # a replay step whose numeric drop is below this is certified
 
 
 class ExemptionError(InvalidParameterError):
@@ -325,10 +324,10 @@ def proof_replay(g: Graph) -> list[RewriteStep]:
     number is ceil(n/2) - 1.  Picks a minimal two-cycle core, deletes
     non-core edges between core vertices, then repeatedly relocates the
     outside vertex farthest from the core into the core's longest internal
-    path.  Every step is radius-non-increasing: a step whose numeric drop
-    is below ``MONOTONE_TOL`` is settled by a certified comparison.  The
-    final graph is the core with all spare vertices absorbed as
-    subdivisions, i.e. a family member of full order.
+    path.  Every step is radius-non-increasing by a certified comparison
+    ("less" or "equal"); the float readings are only reported.  The final
+    graph is the core with all spare vertices absorbed as subdivisions,
+    i.e. a family member of full order.
     """
     if not is_connected(g):
         raise InvalidInputError("replay requires a connected graph")
@@ -365,15 +364,12 @@ def proof_replay(g: Graph) -> list[RewriteStep]:
     # one pool: a step's ``after`` is the next step's ``before``
     certs: dict = {}
     for st in steps:
-        # a reading only clears a step that drops clearly; any other step
-        # fails only when the certified comparison says neither less nor equal
-        if st.rho_after > st.rho_before - MONOTONE_TOL:
-            verdict = compare_rho_certified(st.after, st.before, certs)
-            if verdict not in ("less", "equal"):
-                raise InvalidInputError(
-                    f"non-monotone step {st.kind}: {st.rho_before} -> {st.rho_after} "
-                    f"(certified: {verdict})"
-                )
+        verdict = compare_rho_certified(st.after, st.before, certs)
+        if verdict not in ("less", "equal"):
+            raise InvalidInputError(
+                f"non-monotone step {st.kind}: {st.rho_before} -> {st.rho_after} "
+                f"(certified: {verdict})"
+            )
     return steps
 
 

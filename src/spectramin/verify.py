@@ -577,29 +577,28 @@ def check_max_extremal_orders(n_list: Iterable[int]) -> None:
 
 def verify_max_extremal(n: int) -> VerificationReport:
     """Upper bound: every graph's radius is at most the join graph's, with
-    equality only at the join graph itself."""
+    equality only at the join graph itself.
+
+    Each graph is compared with the join graph of its independence number
+    by a certified comparison, and fails when the verdict is not "less"
+    unless it is that join graph (equal canonical forms)."""
     check_max_extremal_orders([n])
+    joins = {alpha: build_join_extremal(n, alpha) for alpha in range(1, n)}
     failures = []
-    joins = {}
-    join_rho = {}
-    for alpha in range(1, n):
-        jg = build_join_extremal(n, alpha)
-        joins[alpha] = canonical_form(jg)
-        join_rho[alpha] = rho_numeric(jg)
     checked = 0
-    certs: dict = {}
+    certs: dict = {}  # the join graphs stay; a swept graph leaves after its comparison
     for g in enumerate_connected(n):
         alpha = independence_number(g)
         if alpha == n:  # only the edgeless graph, never connected for n > 1
             continue
         checked += 1
-        bound = join_rho[alpha]
-        # a numeric reading only clears a graph; one near or above the bound
-        # fails only when the certified comparison does not say "less"
-        if rho_numeric(g) > bound - 1e-9 and canonical_form(g) != joins[alpha]:
-            verdict = compare_rho_certified(g, build_join_extremal(n, alpha), certs)
-            if verdict != "less":
-                failures.append((to_graph6(g), f"not certified below bound {bound}: {verdict}"))
+        jg = joins[alpha]
+        verdict = compare_rho_certified(g, jg, certs)
+        if g != jg:
+            certs.pop(g, None)
+        if verdict != "less" and canonical_form(g) != canonical_form(jg):
+            failures.append((to_graph6(g),
+                             f"not certified below bound {rho_numeric(jg)}: {verdict}"))
     return VerificationReport(
         "max-radius-join-bound",
         {"n": n, "checked": checked},
@@ -714,12 +713,19 @@ def verify_family_grids(pmax: int = 9) -> list[VerificationReport]:
     """
     reports = []
     certs: dict = {}
+    built: dict[BicyclicSpec, Graph] = {}  # each spec is built once per call
+
+    def graph(spec: BicyclicSpec) -> Graph:
+        if spec not in built:
+            built[spec] = build_bicyclic(spec)[0]
+        return built[spec]
+
     for claim_id, params, detail, pairs, wording in _grid_claims(pmax):
         bad = []
         total = 0
         for label, a, b, want in pairs:
             total += 1
-            verdict = compare_rho_certified(build_bicyclic(a)[0], build_bicyclic(b)[0], certs)
+            verdict = compare_rho_certified(graph(a), graph(b), certs)
             if verdict != want:
                 bad.append((label, wording.format(verdict=verdict, want=want)))
         reports.append(
@@ -734,7 +740,7 @@ def verify_family_grids(pmax: int = 9) -> list[VerificationReport]:
     total = 0
     for spec in _grid_specs(pmax):
         total += 1
-        g, _ = build_bicyclic(spec)
+        g = graph(spec)
         if independence_number(g) != predicted_independence(spec):
             bad.append((str(spec), f"alpha {independence_number(g)}"))
     reports.append(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from spectramin import exactpoly as xp
-from spectramin import verify
+from spectramin import spectral, verify
 from spectramin.enumeration import enumerate_connected
 from spectramin.graphs import (
     Graph,
@@ -28,6 +28,7 @@ from spectramin.spectral import (
     CHARPOLY_PRIMES,
     DENSE_CAP,
     _CertifiedRho,
+    _PooledRho,
     _coeff_bound,
     _dyadic,
     char_poly,
@@ -475,6 +476,69 @@ class TestCompareCertified:
                 assert r2 < r1 + 1e-9
             elif verdict == "equal":
                 assert abs(r1 - r2) < 1e-9
+
+
+class TestPerronTier:
+    @pytest.fixture
+    def charpoly_calls(self, monkeypatch):
+        calls = []
+        real = spectral.char_poly
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(spectral, "char_poly", counted)
+        return calls
+
+    def test_brackets_sound_to_7_and_grid_6(self):
+        # against the char poly p: no root above hi (V(hi) = 0), and rho >= lo
+        # (a root above lo, or lo itself a root)
+        graphs = [g for n in range(2, 8) for g in enumerate_connected(n)]
+        graphs += [build_bicyclic(spec)[0] for spec in verify._grid_specs(6)]
+        for g in graphs:
+            lo, hi = _PooledRho(g).perron
+            p = char_poly(g).coeffs
+            assert lo <= hi < lo + Fraction(1, 10**9)
+            assert xp.variations_at(p, hi) == 0
+            assert xp.variations_at(p, lo) >= 1 or xp.sign_at(p, lo) == 0
+        assert len(graphs) == 1307
+
+    def test_equal_cycles_reach_the_gcd(self, charpoly_calls):
+        # C_5 and C_8 both read [2, 2]; a closed bracket proves no strict
+        # order, so only the gcd can call the pair equal
+        c5, c8 = build_cycle(5), build_cycle(8)
+        certs = {}
+        assert compare_rho_certified(c5, c8, certs) == "equal"
+        assert certs[c5].perron == certs[c8].perron == (2, 2)
+        assert charpoly_calls == [c5, c8]
+
+    def test_strict_pair_needs_no_char_poly(self, charpoly_calls):
+        b434 = build_bicyclic(spec_B(4, 3, 4))[0]
+        b443 = build_bicyclic(spec_B(4, 4, 3))[0]
+        assert compare_rho_certified(b434, b443) == "less"
+        assert charpoly_calls == []
+
+    def test_zero_entry_goes_to_char_poly(self, charpoly_calls, monkeypatch):
+        # a rounded Perron vector with a zero entry gives its graph no
+        # bracket; the pair is settled by the char polys, with the same verdict
+        b434 = build_bicyclic(spec_B(4, 3, 4))[0]
+        b443 = build_bicyclic(spec_B(4, 4, 3))[0]
+        eigh = np.linalg.eigh
+        target = b434.adjacency_matrix()
+
+        def zeroed(a):
+            vals, vecs = eigh(a)
+            if np.array_equal(a, target):
+                vecs[0, -1] = 0.0
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", zeroed)
+        certs = {}
+        assert compare_rho_certified(b434, b443, certs) == "less"
+        assert compare_rho_certified(b443, b434, certs) == "greater"
+        assert certs[b434].perron is None and certs[b443].perron is not None
+        assert charpoly_calls == [b434, b443]
 
 
 class TestInterlacing:

@@ -361,19 +361,29 @@ class TestProofReplay:
         with pytest.raises(InvalidInputError, match="non-monotone"):
             proof_replay(g)
 
+    def test_clear_drop_still_certified(self, monkeypatch):
+        # a reading that drops clearly clears nothing: the step fails when
+        # its certified verdict is neither less nor equal
+        g = _c_core_test_graph()
+        step = proof_replay(g)[0]
+        assert step.rho_after < step.rho_before - 0.1
+        monkeypatch.setattr(transforms, "compare_rho_certified",
+                            lambda a, b, certs=None: "greater")
+        with pytest.raises(InvalidInputError, match="non-monotone.*certified: greater"):
+            proof_replay(g)
+
     def test_walk_graphs_certified_once(self, monkeypatch):
-        # flat readings send every step to the certificate; the call's one
-        # pool certifies each walk graph once, though every inner graph is
-        # one step's after and the next step's before
+        # every step goes to the certificate; the call's one pool certifies
+        # each walk graph once, though every inner graph is one step's after
+        # and the next step's before
         made = []
-        init = spectral._CertifiedRho.__init__
+        init = spectral._PooledRho.__init__
 
         def counted(cert, h):
             made.append(h)
             init(cert, h)
 
-        monkeypatch.setattr(spectral._CertifiedRho, "__init__", counted)
-        monkeypatch.setattr(transforms, "rho_numeric", lambda h: 2.5)
+        monkeypatch.setattr(spectral._PooledRho, "__init__", counted)
         steps = proof_replay(_c_core_test_graph())
         assert len(steps) == 8
         assert len(made) == len(set(made)) == len(steps) + 1

@@ -235,6 +235,27 @@ class TestHarness:
         )
         assert verify_max_extremal(5).status == "pass"
 
+    def test_max_extremal_needs_no_reading(self, monkeypatch):
+        # every graph is cleared by a certified "less" against its join graph,
+        # so readings of 0 change nothing; a forced "equal" fails C_5 although
+        # it reads clearly below the join graph
+        from spectramin import verify
+        from spectramin.graphs import build_cycle
+
+        monkeypatch.setattr(verify, "rho_numeric", lambda g: 0.0)
+        assert verify_max_extremal(5).status == "pass"
+        target = canonical_form(build_cycle(5))
+        monkeypatch.setattr(verify, "rho_numeric",
+                            lambda g: -1.0 if canonical_form(g) == target else 0.0)
+        compare = verify.compare_rho_certified
+        monkeypatch.setattr(
+            verify, "compare_rho_certified",
+            lambda g, jg, certs: "equal" if canonical_form(g) == target else compare(g, jg, certs),
+        )
+        report = verify_max_extremal(5)
+        assert report.status == "fail"
+        assert [w for _, w in report.witnesses] == ["not certified below bound 0.0: equal"]
+
     def test_max_extremal_full_n7(self):
         assert verify_max_extremal(7).status == "pass"
 
@@ -349,13 +370,60 @@ class TestCertificatePool:
         monkeypatch.setattr(spectral, "char_poly", counted)
         return calls
 
-    def test_one_char_poly_per_distinct_graph(self, charpoly_calls):
-        pairs = _grid_pairs(4)
-        distinct = {g for pair in pairs for g in pair}
-        assert len(distinct) < 2 * len(pairs)
+    @pytest.fixture
+    def verdicts(self, monkeypatch):
+        from spectramin import verify
+
+        seen = []
+        compare = verify.compare_rho_certified
+
+        def record(a, b, certs=None):
+            seen.append((a, b, compare(a, b, certs)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(verify, "compare_rho_certified", record)
+        return seen
+
+    def test_one_char_poly_per_distinct_graph(self, charpoly_calls, verdicts):
+        # Perron brackets settle every strict verdict, so the char polys are
+        # exactly those of the graphs in equal-verdict pairs, one per graph
+        # though some graph sits in two such pairs
         verify_family_grids(4)
-        assert len(charpoly_calls) == len(distinct)
-        assert set(charpoly_calls) == distinct
+        assert len(verdicts) == len(_grid_pairs(4))
+        equal_pairs = [(a, b) for a, b, v in verdicts if v == "equal"]
+        equal = {g for pair in equal_pairs for g in pair}
+        assert len(equal) < 2 * len(equal_pairs)
+        assert len(charpoly_calls) == len(set(charpoly_calls)) == len(equal)
+        assert set(charpoly_calls) == equal
+
+    def test_lemmas_pass_verdicts_and_char_polys_pinned(self, charpoly_calls, verdicts):
+        from spectramin.verify import verify_descent_endpoint_readings
+
+        reports = verify_family_grids(9)
+        assert len(charpoly_calls) == 133
+        reports += verify_descent_endpoint_readings()
+        assert len(charpoly_calls) == 139
+        assert all(r.status == "pass" for r in reports)
+        counts = [sum(v == want for _, _, v in verdicts)
+                  for want in ("less", "greater", "equal", "unresolved")]
+        assert counts == [1237, 3, 73, 0]
+
+    def test_each_spec_built_once(self, monkeypatch):
+        from spectramin import verify
+
+        built = []
+        real = verify.build_bicyclic
+
+        def counted(spec):
+            built.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(verify, "build_bicyclic", counted)
+        verify_family_grids(4)
+        compared = {s for _, _, _, pairs, _ in verify._grid_claims(4)
+                    for _, a, b, _ in pairs for s in (a, b)}
+        assert len(built) == len(set(built))
+        assert set(built) == compared | set(verify._grid_specs(4))
 
     def test_pool_does_not_outlive_its_call(self, charpoly_calls):
         verify_family_grids(4)
