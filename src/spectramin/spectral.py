@@ -6,7 +6,7 @@ an exact integer characteristic polynomial with certified rational root
 brackets.  Strict orderings and equalities between radii are settled with
 exact certificates, never by floating-point closeness.
 
-``compare_rho_certified`` settles a comparison in up to three tiers:
+``compare_rho_certified`` settles a comparison in up to three steps:
 
 * **Perron brackets, for strict verdicts.**  Round the float Perron vector
   to a positive integer vector x.  Then x^T A x / x^T x <= rho (Rayleigh:
@@ -14,36 +14,34 @@ exact certificates, never by floating-point closeness.
   rho <= max_i (Ax)_i / x_i (Collatz-Wielandt: A >= 0 and x > 0), both
   exact rationals in integer arithmetic.  The bracket is closed, so only
   ``hi_1 < lo_2`` proves ``rho_1 < rho_2``; equal radii always overlap.
-* **The char poly, for overlaps.**  A certified bracket keeps one
-  invariant: rho is the only root of the characteristic polynomial in
-  ``(lo, hi]`` and no root lies above ``hi``.  Root counts establish it
-  and signs keep it, since rho is simple and the polynomial monic.  The
-  polynomial is real-rooted (A is symmetric), so Descartes' rule on its
-  Taylor coefficients counts the roots in ``(a, b]`` exactly, with
-  multiplicity, at any endpoints.  Every root lies below U = 1 + max
-  degree, so V(U) = 0 and a bracket is isolated by two counts, V(hi) and
-  V(lo).  Bisection of ``(lo, hi]`` down to a width always ends in the one
-  cell of the dyadic grid of ``(lo, hi]`` that holds rho, so refinement
-  guesses that cell from the float radius and certifies it with two
-  signs.  Disjoint refined brackets give the strict verdict.
-* **The gcd, for equalities.**  Two radii are equal exactly when the
-  integer gcd of the two polynomials has a root in the overlap of the two
-  brackets; one root count on the gcd decides it.
+* **The gcd on isolating brackets, for equalities.**  When the Perron
+  brackets overlap, each graph gets its characteristic polynomial and an
+  isolating bracket ``(lo, hi]``: rho is its only root there and no root
+  lies above ``hi``.  The polynomial is real-rooted (A is symmetric), so
+  Descartes' rule on its Taylor coefficients counts the roots in
+  ``(a, b]`` exactly, with multiplicity, at any endpoints, and two counts
+  isolate rho.  A root of the integer gcd in the overlap of the two
+  brackets is a root of each polynomial in its own bracket, so it is both
+  radii; and equal radii are such a root.  One root count on the gcd
+  decides equality.
+* **Bisection, for the rest.**  A zero gcd count proves the radii differ.
+  Halving each bracket by the sign of its polynomial then makes the two
+  disjoint, which gives the strict verdict.
 
 Every bracket holds its radius at every width, and refinement only
 shrinks it, so one graph's certificate can serve many comparisons: a
 verdict depends only on the two graphs, never on which earlier comparison
 refined either bracket.  ``compare_rho_certified`` therefore accepts a pool
 that a verification call keeps for its own length: each graph gets one
-eigensolve and its Perron bracket, and its char-poly certificate only when
-a comparison first needs it.
+eigensolve and its Perron bracket, and its char poly only when a
+comparison first needs it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, floor, isfinite, isqrt
+from math import comb, isfinite, isqrt
 
 import numpy as np
 
@@ -232,7 +230,12 @@ def _dyadic(x: float) -> Fraction:
 
 
 class _CertifiedRho:
-    """Char poly and a shrinking certified bracket for one graph.
+    """One graph's radius certificate.
+
+    Construction makes one ``eigh``: the float radius ``guess`` and the
+    exact Perron bracket ``perron`` (None when the rounded vector is not
+    positive).  ``isolate`` adds the char poly ``poly`` and its isolating
+    bracket ``(lo, hi]`` the first time a caller needs them.
 
     Invariant: the top root rho is the only root of the characteristic
     polynomial p in ``(lo, hi]``, and no root lies above ``hi``.  The law:
@@ -253,17 +256,26 @@ class _CertifiedRho:
       ``hi`` number V(hi), and widening ``hi`` to U, or ``lo`` to -U,
       restores the invariant when the seed misses rho.  Isolation costs two
       counts, V(hi) and V(lo), unless the seed window holds lower roots.
-
-    The bracket is refined on the dyadic grid of ``(lo, hi]``; see
-    ``refine``.  The certificate keeps p, the bracket and the float radius
-    ``guess`` that seeded it (the dense solver's, unless the caller has one).
     """
 
-    def __init__(self, g: Graph, guess: float | None = None):
+    __slots__ = ("graph", "guess", "perron", "poly", "lo", "hi")
+
+    def __init__(self, g: Graph):
         if not is_connected(g):
             raise InvalidInputError("certified radius requires a connected graph")
+        a = g.adjacency_matrix()
+        vals, vecs = np.linalg.eigh(a)
+        self.graph = g
+        self.guess = float(vals[-1])
+        self.perron = _perron_bracket(a, vecs[:, -1])
+        self.poly = None
+
+    def isolate(self) -> None:
+        """Build the char poly and its isolating bracket, seeded by ``guess``."""
+        if self.poly is not None:
+            return
+        g = self.graph
         self.poly = p = char_poly(g).coeffs
-        self.guess = rho_numeric(g) if guess is None else guess
         upper = Fraction(1 + max(g.degrees()) if g.edge_count else 1)
         x = _dyadic(self.guess)
         step = Fraction(1, 1 << 20)
@@ -284,30 +296,7 @@ class _CertifiedRho:
         self.lo, self.hi = lo, hi
 
     def refine(self, width: Fraction) -> None:
-        """Shrink the bracket to the cell that bisection down to ``width`` ends in.
-
-        Halving ``(lo, hi]`` k times, k the least with (hi - lo) / 2^k <= width,
-        always ends in the unique cell ``(lo + j h, lo + (j + 1) h]``,
-        h = (hi - lo) / 2^k, that holds rho.  So the cell is guessed from the
-        float ``guess`` and certified by two signs, p(a) < 0 and p(b) >= 0
-        (an end that is ``lo`` or ``hi`` is already certified); by uniqueness
-        it is the bracket bisection would reach.  A failed check (a guess
-        off by a cell, or a cell below float precision) falls back to
-        bisection.
-        """
-        lo, span = self.lo, self.hi - self.lo
-        if span <= width:
-            return
-        ratio = span / width
-        cells = 1 << (-(-ratio.numerator // ratio.denominator) - 1).bit_length()
-        j = min(max(floor((Fraction(self.guess) - lo) * cells / span), 0), cells - 1)
-        a = lo + j * span / cells
-        b = a + span / cells
-        if (j == 0 or xp.sign_at(self.poly, a) < 0) and (
-            j == cells - 1 or xp.sign_at(self.poly, b) >= 0
-        ):
-            self.lo, self.hi = a, b
-            return
+        """Bisect the isolating bracket by signs of p down to ``width``."""
         while self.hi - self.lo > width:
             mid = (self.lo + self.hi) / 2
             if xp.sign_at(self.poly, mid) >= 0:
@@ -327,7 +316,10 @@ def rho_bracket(g: Graph, width: Fraction | float = Fraction(1, 10**12)) -> RhoB
     w = Fraction(width)
     if w <= 0:
         raise InvalidParameterError("bracket width must be positive")
+    if g.n > EXACT_CAP:  # refused before the eigensolve
+        raise InvalidInputError(f"exact characteristic polynomial capped at n = {EXACT_CAP}")
     cert = _CertifiedRho(g)
+    cert.isolate()
     cert.refine(w)
     return RhoBracket(cert.lo, cert.hi)
 
@@ -356,75 +348,47 @@ def _perron_bracket(a: np.ndarray, v: np.ndarray) -> tuple[Fraction, Fraction] |
     return lo, Fraction(hi_num, hi_den)
 
 
-class _PooledRho:
-    """One graph's entry in a certificate pool.
-
-    One ``eigh`` gives the float radius ``guess`` and the Perron vector, and
-    from it the exact bracket ``perron`` (None when the rounded vector is not
-    positive).  ``exact()`` builds the char-poly certificate, seeded by
-    ``guess``, the first time a comparison needs it.
-    """
-
-    __slots__ = ("graph", "guess", "perron", "_exact")
-
-    def __init__(self, g: Graph):
-        if not is_connected(g):
-            raise InvalidInputError("certified radius requires a connected graph")
-        a = g.adjacency_matrix()
-        vals, vecs = np.linalg.eigh(a)
-        self.graph = g
-        self.guess = float(vals[-1])
-        self.perron = _perron_bracket(a, vecs[:, -1])
-        self._exact = None
-
-    def exact(self) -> _CertifiedRho:
-        if self._exact is None:
-            self._exact = _CertifiedRho(self.graph, self.guess)
-        return self._exact
-
-
 def compare_rho_certified(
-    g1: Graph, g2: Graph, certs: dict[Graph, _PooledRho] | None = None
+    g1: Graph, g2: Graph, certs: dict[Graph, _CertifiedRho] | None = None
 ) -> str:
-    """Certified ordering of two spectral radii.
+    """Certified ordering of two spectral radii: ``"less"``, ``"greater"``,
+    ``"equal"`` or ``"unresolved"``.
 
-    Returns ``"less"``, ``"greater"``, ``"equal"`` or ``"unresolved"``.
-    Strict verdicts come from disjoint exact brackets: the two Perron
-    brackets when they are strictly apart, else the refined char-poly
-    brackets.  Equality comes from an integer polynomial gcd owning a root
-    in the bracket overlap, never from numeric closeness.
+    Perron brackets strictly apart give a strict verdict.  Otherwise a root
+    of the integer gcd in the overlap of the two isolating brackets gives
+    "equal"; with none, the radii differ, and both brackets are bisected
+    until they are disjoint.  The module docstring gives the laws.
 
     ``certs`` maps each graph (by labelled adjacency) to its certificate.  A
     caller that makes many comparisons passes one dict for the length of
-    its call, so each graph gets one eigensolve, at most one char poly, and
-    later comparisons refine the same bracket.  A strict or equal verdict is
-    a fact about the two radii, so it does not depend on which comparison
-    refined a bracket first.
+    its call, so each graph gets one eigensolve and at most one char poly.
+    A verdict is a fact about the two radii, so it does not depend on which
+    comparison refined a bracket first.
     """
     certs = {} if certs is None else certs
     for g in (g1, g2):
         if g not in certs:
-            certs[g] = _PooledRho(g)
-    p1, p2 = certs[g1].perron, certs[g2].perron
+            certs[g] = _CertifiedRho(g)
+    c1, c2 = certs[g1], certs[g2]
+    p1, p2 = c1.perron, c2.perron
     if p1 and p2:
         if p1[1] < p2[0]:
             return "less"
         if p2[1] < p1[0]:
             return "greater"
-    c1, c2 = certs[g1].exact(), certs[g2].exact()
+    c1.isolate()
+    c2.isolate()
+    lo, hi = max(c1.lo, c2.lo), min(c1.hi, c2.hi)
+    if lo < hi and xp.count_roots_in(xp.poly_gcd(c1.poly, c2.poly), lo, hi):
+        return "equal"
     width = Fraction(1, 10**9)
-    common = None
     for _ in range(CERTIFY_MAX_ROUNDS):
-        c1.refine(width)
-        c2.refine(width)
         if c1.hi <= c2.lo:
             return "less"
         if c2.hi <= c1.lo:
             return "greater"
-        if common is None:
-            common = xp.poly_gcd(c1.poly, c2.poly)
-        if xp.count_roots_in(common, max(c1.lo, c2.lo), min(c1.hi, c2.hi)):
-            return "equal"
+        c1.refine(width)
+        c2.refine(width)
         width /= 1 << 16
     return "unresolved"
 

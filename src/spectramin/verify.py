@@ -709,8 +709,14 @@ def verify_family_grids(pmax: int = 9) -> list[VerificationReport]:
     end-cycle balance at fixed path, the path/cycle swap strict inequality,
     dumbbell versus figure-eight, and the path-shortening non-increase with
     its exact equality case.  Strict orderings use disjoint certified
-    brackets; equalities use polynomial gcd certificates.
+    brackets; equalities use polynomial gcd certificates, so ``pmax`` is
+    refused before any work once the equal pair B(pmax, pmax - 1, pmax + 2),
+    of order 3 pmax, passes ``EXACT_CAP``.
     """
+    if 3 * pmax > EXACT_CAP:
+        raise InvalidParameterError(
+            f"--grid 3..{pmax}: the equal pairs reach order {3 * pmax}, past the exact cap "
+            f"{EXACT_CAP}; the largest grid is 3..{EXACT_CAP // 3}")
     reports = []
     certs: dict = {}
     built: dict[BicyclicSpec, Graph] = {}  # each spec is built once per call

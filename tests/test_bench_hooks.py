@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from spectramin import enumeration, verify
+from spectramin import enumeration, exactpoly, spectral, verify
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -50,3 +50,19 @@ def test_serial_bicyclic_search_is_one_scan(alpha, in_class, monkeypatch):
     assert res.searched == 2_678 and res.class_size == in_class
     assert scans == [in_class]
     assert builds == [(spec, True) for spec in enumeration._core_specs_bicyclic(10)]
+
+
+def test_certificate_hooks_fire_in_a_lemmas_pass(monkeypatch):
+    # the smoke run fails when a counted wrapper never fires: a small lemmas
+    # pass must still reach each exact routine the tracer counts
+    calls = {}
+    for module, attr in [(spectral, "char_poly"), (exactpoly, "sign_at"),
+                         (exactpoly, "count_roots_in"), (exactpoly, "poly_gcd")]:
+        def counted(*args, _real=getattr(module, attr), _name=attr):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, attr, counted)
+    reports = verify.verify_family_grids(4) + verify.verify_descent_endpoint_readings()
+    assert all(r.status == "pass" for r in reports)
+    assert set(calls) == {"char_poly", "sign_at", "count_roots_in", "poly_gcd"}

@@ -158,6 +158,8 @@ class TestBadInput:
             (["verify", "theorem-1.1", "--n", ""], None),
             # a route that fails after the numeric ones have their radius
             (["rho", "B:3,200,3"], None),
+            # a lemma grid whose equal pairs pass the exact cap, refused before any work
+            (["verify", "lemmas", "--grid", "3..22"], None),
         ],
     )
     def test_exits_2_with_message(self, argv, checkpoint, tmp_path, monkeypatch, capsys):
@@ -177,6 +179,13 @@ class TestBadInput:
     def test_unread_option_is_named(self, capsys):
         assert main(["verify", "lemmas", "--grid", "3..4", "--workers", "2", "--n", "9"]) == 2
         assert "error: verify lemmas does not read --n, --workers" in capsys.readouterr().err
+
+    def test_lemma_grid_limit_is_named(self, capsys):
+        # B(22, 21, 24) has order 66: refused before any comparison runs
+        assert main(["verify", "lemmas", "--grid", "3..22"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: --grid 3..22:" in err and "the largest grid is 3..21" in err
 
     def test_edge_minimal_order_range_is_named(self, capsys):
         # the n = 7 row is not scanned and printed before the bad order exits

@@ -1,6 +1,5 @@
 """Spectral routes: power iteration, dense solver, exact polynomials, brackets."""
 
-import copy
 import hashlib
 import math
 import random
@@ -28,7 +27,6 @@ from spectramin.spectral import (
     CHARPOLY_PRIMES,
     DENSE_CAP,
     _CertifiedRho,
-    _PooledRho,
     _coeff_bound,
     _dyadic,
     char_poly,
@@ -107,18 +105,6 @@ def count_roots_oracle(p: tuple[int, ...], a: Fraction, b: Fraction) -> int:
         return out
 
     return variations(a) - variations(b) if a < b else 0
-
-
-def bisection_oracle(poly, lo: Fraction, hi: Fraction, width: Fraction):
-    """Plain sign bisection of ``(lo, hi]`` down to ``width``: the bracket
-    ``_CertifiedRho.refine`` must reach by its one grid step."""
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if xp.sign_at(poly, mid) >= 0:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
 
 
 def random_connected(rng, n, p=0.4) -> Graph:
@@ -341,6 +327,14 @@ class TestRhoBracket:
         with pytest.raises(InvalidParameterError, match="finite"):
             rho_bracket(build_cycle(7), width)
 
+    def test_exact_cap_refused_before_any_eigensolve(self, monkeypatch):
+        def no_eigh(a):
+            raise AssertionError("eigensolve before the cap check")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        with pytest.raises(InvalidInputError, match="capped at n = 64"):
+            rho_bracket(build_cycle(spectral.EXACT_CAP + 1))
+
     def test_midpoint_matches_numeric(self):
         rng = random.Random(4)
         for _ in range(30):
@@ -383,37 +377,6 @@ class TestRhoBracket:
         assert br.lo > Fraction(float(eig[-2]))
 
 
-class TestRefineGridStep:
-    WIDTHS = (Fraction(1, 10**3), Fraction(1, 10**9), Fraction(1, 10**15), Fraction(1, 2**70))
-
-    @pytest.mark.parametrize("offset", [0.0, 1e-6])
-    def test_matches_bisection(self, offset, monkeypatch):
-        # an offset guess lands in the wrong cell, so the fallback must run
-        calls = [0]
-        sign_at = xp.sign_at
-
-        def counted(*args):
-            calls[0] += 1
-            return sign_at(*args)
-
-        monkeypatch.setattr(xp, "sign_at", counted)
-        graphs = [g for n in range(1, 7) for g in enumerate_connected(n)]
-        graphs += [build_bicyclic(spec)[0] for spec in verify._grid_specs(6)]
-        fallbacks = 0
-        for g in graphs:
-            cert = _CertifiedRho(g)
-            cert.guess += offset
-            for width in self.WIDTHS:
-                c = copy.copy(cert)
-                calls[0] = 0
-                c.refine(width)
-                fallbacks += calls[0] > 2
-                assert (c.lo, c.hi) == bisection_oracle(cert.poly, cert.lo, cert.hi, width)
-        assert len(graphs) == 455
-        if offset:
-            assert fallbacks >= 2 * len(graphs)
-
-
 class TestCertificatePins:
     def test_brackets_to_7_and_grid_6_pinned(self):
         h = hashlib.sha256()
@@ -438,15 +401,61 @@ class TestCertificatePins:
         assert (verdicts.count("less"), verdicts.count("equal")) == (205, 28)
         assert hashlib.sha256("\n".join(verdicts).encode()).hexdigest() == GRID6_VERDICTS_SHA256
 
+    def test_grid_6_verdicts_from_char_polys_alone(self, monkeypatch):
+        # with no Perron bracket every pair goes to the char polys: the
+        # isolating brackets and the gcd must give the same verdicts
+        verdicts = []
+
+        def record(*args):
+            verdicts.append(compare_rho_certified(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(spectral, "_perron_bracket", lambda a, v: None)
+        monkeypatch.setattr(verify, "compare_rho_certified", record)
+        reports = verify.verify_family_grids(6)
+        assert all(r.status == "pass" for r in reports)
+        assert (verdicts.count("less"), verdicts.count("equal")) == (205, 28)
+        assert hashlib.sha256("\n".join(verdicts).encode()).hexdigest() == GRID6_VERDICTS_SHA256
+
 
 class TestCompareCertified:
-    def test_equal_family_pairs(self):
+    @pytest.fixture
+    def no_refine(self, monkeypatch):
+        # the gcd on the isolating brackets settles an equality before any bisection
+        def refuse(cert, width):
+            raise AssertionError("an equality needs no refinement")
+
+        monkeypatch.setattr(_CertifiedRho, "refine", refuse)
+
+    @pytest.mark.parametrize("m,p", [(3, 32), (3, 44), (4, 34), (5, 48)])
+    def test_tiny_gap_refined_after_a_zero_gcd_count(self, m, p, monkeypatch):
+        # rho(B(m,p,m)) - rho(B(m,p,m+1)) is below 10^-9: the Perron brackets
+        # overlap, the gcd has no root in the isolating overlap, and only
+        # bisection separates the two
+        a, b = build_bicyclic(spec_B(m, p, m))[0], build_bicyclic(spec_B(m, p, m + 1))[0]
+        refined = []
+        refine = _CertifiedRho.refine
+
+        def counted(cert, width):
+            refined.append(cert.graph)
+            refine(cert, width)
+
+        monkeypatch.setattr(_CertifiedRho, "refine", counted)
+        certs = {}
+        assert compare_rho_certified(a, b, certs) == "greater"
+        (lo_a, hi_a), (lo_b, hi_b) = certs[a].perron, certs[b].perron
+        assert lo_a <= hi_b and lo_b <= hi_a
+        assert set(refined) == {a, b}
+        width = Fraction(1, 2**70)
+        assert rho_bracket(b, width).hi <= rho_bracket(a, width).lo
+
+    def test_equal_family_pairs(self, no_refine):
         for m, p in [(3, 1), (4, 2), (5, 4)]:
             a = build_bicyclic(spec_P(m, p, m))[0]
             b = build_bicyclic(spec_B(m, p, m))[0]
             assert compare_rho_certified(a, b) == "equal"
 
-    def test_equal_cycles(self):
+    def test_equal_cycles(self, no_refine):
         assert compare_rho_certified(build_cycle(5), build_cycle(8)) == "equal"
 
     def test_strict_pair(self):
@@ -458,7 +467,7 @@ class TestCompareCertified:
         b3304 = build_bicyclic(spec_B(3, 30, 4))[0]
         assert compare_rho_certified(b3303, b3304) == "greater"
 
-    def test_irrational_equality_via_gcd(self):
+    def test_irrational_equality_via_gcd(self, no_refine):
         a = build_bicyclic(spec_B(3, 3, 3))[0]
         b = build_bicyclic(spec_B(3, 2, 5))[0]  # also rho = (1 + sqrt 13)/2
         assert compare_rho_certified(a, b) == "equal"
@@ -497,7 +506,7 @@ class TestPerronTier:
         graphs = [g for n in range(2, 8) for g in enumerate_connected(n)]
         graphs += [build_bicyclic(spec)[0] for spec in verify._grid_specs(6)]
         for g in graphs:
-            lo, hi = _PooledRho(g).perron
+            lo, hi = _CertifiedRho(g).perron
             p = char_poly(g).coeffs
             assert lo <= hi < lo + Fraction(1, 10**9)
             assert xp.variations_at(p, hi) == 0

@@ -377,13 +377,13 @@ class TestProofReplay:
         # each walk graph once, though every inner graph is one step's after
         # and the next step's before
         made = []
-        init = spectral._PooledRho.__init__
+        init = spectral._CertifiedRho.__init__
 
         def counted(cert, h):
             made.append(h)
             init(cert, h)
 
-        monkeypatch.setattr(spectral._PooledRho, "__init__", counted)
+        monkeypatch.setattr(spectral._CertifiedRho, "__init__", counted)
         steps = proof_replay(_c_core_test_graph())
         assert len(steps) == 8
         assert len(made) == len(set(made)) == len(steps) + 1

@@ -396,7 +396,18 @@ class TestCertificatePool:
         assert len(charpoly_calls) == len(set(charpoly_calls)) == len(equal)
         assert set(charpoly_calls) == equal
 
-    def test_lemmas_pass_verdicts_and_char_polys_pinned(self, charpoly_calls, verdicts):
+    @pytest.fixture
+    def no_refine(self, monkeypatch):
+        # every comparison these passes make is settled by a Perron bracket or the gcd
+        from spectramin import spectral
+
+        def refuse(cert, width):
+            raise AssertionError("no comparison here needs bisection")
+
+        monkeypatch.setattr(spectral._CertifiedRho, "refine", refuse)
+
+    def test_lemmas_pass_verdicts_and_char_polys_pinned(self, charpoly_calls, verdicts,
+                                                         no_refine):
         from spectramin.verify import verify_descent_endpoint_readings
 
         reports = verify_family_grids(9)
@@ -407,6 +418,9 @@ class TestCertificatePool:
         counts = [sum(v == want for _, _, v in verdicts)
                   for want in ("less", "greater", "equal", "unresolved")]
         assert counts == [1237, 3, 73, 0]
+
+    def test_edge_minimal_12_needs_no_refinement(self, no_refine):
+        assert [r.status for r in verify_edge_minimal_pair([12])] == ["pass"]
 
     def test_each_spec_built_once(self, monkeypatch):
         from spectramin import verify
