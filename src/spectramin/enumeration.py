@@ -14,7 +14,11 @@ Two engines:
 * structural generation for connected graphs with exactly ``n`` or ``n + 1``
   edges: such graphs are a cycle / two-cycle core with rooted forests hanging
   off it, so they are produced directly from (core, forest assignment) pairs
-  deduplicated by core automorphisms.  This is what makes the n <= 16
+  deduplicated by core automorphisms.  Only the lexicographic orbit minimum
+  of an assignment is kept, and that test is decided on the assigned prefix:
+  two tuples compare as their first differing position does, so a subtree
+  is cut as soon as its prefix shows that a core automorphism maps every
+  assignment below it to a smaller one.  This is what makes the n <= 16
   fixed-edge-count sweeps affordable.
 
 The structural generator also yields the independence number of every class,
@@ -315,32 +319,67 @@ def _forest_assignments(
     isomorphic graphs, so only the lexicographic orbit minimum is emitted.
     alpha of the grown graph comes from the composition law of the module
     docstring, with alpha(core[W]) memoized per core.
+
+    The orbit test is decided on the assigned prefix.  The lexicographic
+    order of two tuples is fixed by their first differing position, and
+    for an automorphism ``a`` position ``i`` of ``t`` and of its image
+    ``(t[a[0]], t[a[1]], ...)`` is fixed below a node once ``i`` and
+    ``a[i]`` are both assigned.  So each node carries the automorphisms
+    whose comparison is still open, each with its first undecided position.
+    After position ``v`` is assigned, each open comparison advances while
+    both positions are at most ``v``: a smaller image entry cuts the whole
+    subtree, since no assignment below it is an orbit minimum; a larger one
+    drops the automorphism for the subtree, and so does equality at every
+    position (``a`` fixes the assignment).  A leaf's bare positions finish
+    the comparisons left open.  The leaves kept are exactly the orbit
+    minima, in the same order as when every leaf ran the whole test.
     """
     c = core.n
     rows = core.rows
-    auts = automorphisms(core)[1:]  # sorted: the identity comes first
     trees = [_trees_of_size(s) for s in range(extra + 2)]
     memo: dict[int, int] = {}
     everyone = (1 << c) - 1
-    current: list[tuple[int, ...]] = [(0,)] * c
+    bare = trees[1][0][0]
+    current: list[tuple[int, ...]] = [bare] * c
 
-    def rec(v: int, budget: int, out_sum: int, w: int):
+    def advance(pending: list[tuple[tuple[int, ...], int]], v: int):
+        """The comparisons still open once positions ``..v`` are assigned,
+        or None when one of them shows ``current`` is not an orbit minimum."""
+        still = []
+        for a, i in pending:
+            while i < c:
+                j = a[i]
+                if i > v or j > v:
+                    still.append((a, i))
+                    break
+                x, y = current[j], current[i]
+                if x is not y:  # one tuple object per tree shape
+                    if x < y:
+                        return None
+                    break
+                i += 1
+        return still
+
+    def rec(v: int, budget: int, out_sum: int, w: int,
+            pending: list[tuple[tuple[int, ...], int]]):
         if budget == 0:
-            # vertices v.. stay bare: a_out 0 and gain 1 each
-            t = tuple(current)
-            for a in auts:
-                if tuple(map(current.__getitem__, a)) < t:
-                    return
-            yield rows, t, out_sum + _mis(rows, w | everyone >> v << v, memo)
+            # vertices v.. stay bare: a_out 0 and gain 1 each, and their
+            # trees settle the comparisons still open
+            if advance(pending, c - 1) is not None:
+                yield rows, tuple(current), out_sum + _mis(rows, w | everyone >> v << v, memo)
             return
         sizes = (budget + 1,) if v == c - 1 else range(1, budget + 2)
         for size in sizes:
             for tree, a_out, gain in trees[size]:
                 current[v] = tree
-                yield from rec(v + 1, budget - (size - 1), out_sum + a_out, w | gain << v)
-        current[v] = (0,)
+                still = advance(pending, v) if pending else pending
+                if still is not None:
+                    yield from rec(v + 1, budget - (size - 1), out_sum + a_out,
+                                   w | gain << v, still)
+        current[v] = bare
 
-    yield from rec(0, extra, 0, 0)
+    # sorted: the identity comes first, and its comparison is always equal
+    yield from rec(0, extra, 0, 0, [(a, 0) for a in automorphisms(core)[1:]])
 
 
 def _core_specs_bicyclic(n: int):

@@ -11,7 +11,9 @@ from spectramin.enumeration import (
     _ROOT,
     _attach_forest,
     _bicyclic_classes,
+    _core_specs_bicyclic,
     _forest_assignments,
+    _trees_of_size,
     _walk,
     bicyclic_graphs,
     branch_states,
@@ -26,7 +28,11 @@ from spectramin.graphs import (
     Graph,
     InvalidParameterError,
     _canon,
+    _mis,
     _refined_colors,
+    automorphisms,
+    build_bicyclic,
+    build_cycle,
     canonical_form,
     independence_number,
     is_connected,
@@ -46,6 +52,70 @@ WALK8_CANON_CALLS = 13_624  # 85,022 when every least subset was searched
 # SHA-256 of repr of each order's list of labelled rows, in stream order
 BICYCLIC_ROWS_4_10_SHA256 = "ef294d10858030d790a3bb2e71294432db9a223eed769b3115640db140959d4a"
 UNICYCLIC_ROWS_3_10_SHA256 = "2806b64dde3b15a23fcd2809339a4dd44bfd24dd027ba68853df59b194289133"
+# rooted trees on 1, 2, 3, ... nodes (OEIS A000081)
+ROOTED_TREE_COUNTS = (1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766)
+
+
+def _leaf_only_forest_assignments(core, extra):
+    """The forest stream with the whole lex-min orbit test at every leaf:
+    the oracle of the prefix cut in ``_forest_assignments``."""
+    c = core.n
+    rows = core.rows
+    auts = automorphisms(core)[1:]  # sorted: the identity comes first
+    trees = [_trees_of_size(s) for s in range(extra + 2)]
+    memo = {}
+    everyone = (1 << c) - 1
+    current = [(0,)] * c
+
+    def rec(v, budget, out_sum, w):
+        if budget == 0:
+            t = tuple(current)
+            for a in auts:
+                if tuple(map(current.__getitem__, a)) < t:
+                    return
+            yield rows, t, out_sum + _mis(rows, w | everyone >> v << v, memo)
+            return
+        sizes = (budget + 1,) if v == c - 1 else range(1, budget + 2)
+        for size in sizes:
+            for tree, a_out, gain in trees[size]:
+                current[v] = tree
+                yield from rec(v + 1, budget - (size - 1), out_sum + a_out, w | gain << v)
+        current[v] = (0,)
+
+    yield from rec(0, extra, 0, 0)
+
+
+def _burnside_counts(core, top):
+    """Forest classes on ``core`` with 0..``top`` extra nodes, by Burnside's
+    lemma: (1/|G|) sum_g fix(g).
+
+    G comes from networkx's matcher.  fix(g) counts the assignments that are
+    constant on the cycles of the permutation g: a cycle of length L whose
+    vertices all carry one tree on s nodes uses L(s - 1) extra nodes, in
+    ROOTED_TREE_COUNTS[s - 1] ways, and a DP over the cycles adds that up.
+    """
+    h = nx.Graph(core.edges())
+    group = list(nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+    totals = [0] * (top + 1)
+    for g in group:
+        ways = [1] + [0] * top  # ways[e]: fixed assignments so far using e nodes
+        seen = set()
+        for v in range(core.n):
+            length = 0
+            while v not in seen:
+                seen.add(v)
+                v = g[v]
+                length += 1
+            if not length:
+                continue
+            grown = [0] * (top + 1)
+            for e, count in enumerate(ways):
+                for s in range(1, (top - e) // length + 2):
+                    grown[e + length * (s - 1)] += count * ROOTED_TREE_COUNTS[s - 1]
+            ways = grown
+        totals = [t + w for t, w in zip(totals, ways)]
+    assert all(t % len(group) == 0 for t in totals)
+    return [t // len(group) for t in totals]
 
 
 class TestOrderlyGeneration:
@@ -280,6 +350,41 @@ class TestStructuralGenerators:
                       _forest_assignments(Graph(k, [(i, (i + 1) % k) for i in range(k)]), n - k)]
             assert len(alphas) == count
             assert min(alphas) == n // 2
+
+
+class TestForestPrefixCut:
+    """The lex-min orbit test decided on the assigned prefix, against the
+    whole test at every leaf and against an independent Burnside count."""
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_bicyclic_stream_equals_leaf_only_oracle(self, n):
+        oracle = []
+        for spec in _core_specs_bicyclic(n):
+            core = build_bicyclic(spec)[0]
+            oracle.extend(_leaf_only_forest_assignments(core, n - core.n))
+        assert list(_bicyclic_classes(n)) == oracle
+
+    @pytest.mark.parametrize("k", range(3, 13))
+    def test_unicyclic_stream_equals_leaf_only_oracle(self, k):
+        core = build_cycle(k)
+        for n in range(k, 13):
+            oracle = list(_leaf_only_forest_assignments(core, n - k))
+            assert list(_forest_assignments(core, n - k)) == oracle, n
+
+    def test_burnside_counts_per_core(self):
+        # every core up to n = 14, and the pinned totals at 10, 12 and 14
+        bicyclic = {n: 0 for n in range(4, 15)}
+        unicyclic = {n: 0 for n in range(3, 15)}
+        cores = [(bicyclic, build_bicyclic(spec)[0]) for spec in _core_specs_bicyclic(14)]
+        cores += [(unicyclic, build_cycle(k)) for k in range(3, 15)]
+        for totals, core in cores:
+            expected = _burnside_counts(core, 14 - core.n)
+            for extra, burnside in enumerate(expected):
+                count = sum(1 for _ in _forest_assignments(core, extra))
+                assert count == burnside, (core.rows, extra)
+                totals[core.n + extra] += count
+        assert (bicyclic[10], bicyclic[12], bicyclic[14]) == (2_678, 28_908, 300_748)
+        assert (unicyclic[10], unicyclic[12], unicyclic[14]) == (657, 5_026, 39_260)
 
 
 class TestRootedTrees:
