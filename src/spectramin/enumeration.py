@@ -33,13 +33,16 @@ because an independent set gets at most a_out(T_v) from a tree whose root
 it leaves out and at most a_in(T_v) <= a_out(T_v) + g(T_v) from one whose
 root it takes, with equality in both for a best choice; so taking a root
 pays exactly when its gain is 1, and the roots taken must be independent in
-the core.  (a_out, g) is tabulated once per tree shape and alpha(core[W]) is
-memoized per core, so a search by independence number drops a class before
-its graph is built.
+the core.  Since alpha(T) = max(a_out, a_in) and a_in <= a_out + 1, the gain
+is exactly alpha(T) - a_out; both alphas come from ``graphs._mis`` on the
+tree's bitmask rows, once per tree shape, and alpha(core[W]) is memoized per
+core, so a search by independence number drops a class before its graph is
+built.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterator, Sequence
 
 from .graphs import (
@@ -251,61 +254,47 @@ def rooted_tree_sequences(n: int) -> list[tuple[int, ...]]:
         out.append(tuple(seq))
 
 
-_TREE_CACHE: dict[int, list[tuple[tuple[int, ...], int, int]]] = {}
-
-
-def _tree_alpha(tree: tuple[int, ...]) -> tuple[int, int]:
-    """(a_out, gain) of the rooted tree with level sequence ``tree``.
-
-    A tree DP over (root taken, root left out); see the module docstring
-    for how the pair composes over a core.
-    """
-    parent = [0] * len(tree)
-    path: list[int] = []
+@cache
+def _tree_rows(tree: tuple[int, ...]) -> tuple[int, ...]:
+    """Bitmask rows of the rooted tree with level sequence ``tree``: node
+    ``i`` is the ``i``-th entry, so the root is node 0."""
+    rows = [0] * len(tree)
+    path: list[int] = []  # the nodes from the root down to the last one
     for i, level in enumerate(tree):
         del path[level:]
         if path:
-            parent[i] = path[-1]
+            rows[i] |= 1 << path[-1]
+            rows[path[-1]] |= 1 << i
         path.append(i)
-    take = [1] * len(tree)
-    skip = [0] * len(tree)
-    for i in range(len(tree) - 1, 0, -1):
-        p = parent[i]
-        take[p] += skip[i]
-        skip[p] += max(take[i], skip[i])
-    return skip[0], int(take[0] > skip[0])
+    return tuple(rows)
 
 
+@cache
 def _trees_of_size(s: int) -> list[tuple[tuple[int, ...], int, int]]:
-    """(level sequence, a_out, gain) of every rooted tree on ``s`` nodes."""
-    if s not in _TREE_CACHE:
-        _TREE_CACHE[s] = [(t, *_tree_alpha(t)) for t in rooted_tree_sequences(s)]
-    return _TREE_CACHE[s]
+    """(level sequence, a_out, gain) of every rooted tree on ``s`` nodes,
+    with ``a_out = alpha(T - r)`` and ``gain = alpha(T) - a_out``."""
+    full = (1 << s) - 1
+    table = []
+    for tree in rooted_tree_sequences(s):
+        rows = _tree_rows(tree)
+        a_out = _mis(rows, full ^ 1, {})
+        table.append((tree, a_out, _mis(rows, full, {}) - a_out))
+    return table
 
 
 def _attach_forest(
     core_rows: Sequence[int], assignment: Sequence[tuple[int, ...]]
 ) -> tuple[int, ...]:
-    """Core rows plus one rooted tree hung from each core vertex."""
-    c = len(core_rows)
+    """Core rows plus one rooted tree hung from each core vertex: the root
+    is the core vertex and the other nodes are appended in tree order."""
     rows = list(core_rows)
-    nxt = c
     for root, tree in enumerate(assignment):
         if len(tree) == 1:
             continue
-        stack = [root]
-        prev_level = 0
-        for level in tree[1:]:
-            while level <= prev_level:
-                stack.pop()
-                prev_level -= 1
-            parent = stack[-1]
-            rows.append(0)
-            rows[parent] |= 1 << nxt
-            rows[nxt] |= 1 << parent
-            stack.append(nxt)
-            prev_level = level
-            nxt += 1
+        shift = len(rows) - 1  # tree node i >= 1 becomes vertex shift + i
+        tree_rows = _tree_rows(tree)
+        rows[root] |= tree_rows[0] << shift
+        rows.extend((r & ~1) << shift | (r & 1) << root for r in tree_rows[1:])
     return tuple(rows)
 
 

@@ -130,6 +130,8 @@ class Graph:
         pos = {v: i for i, v in enumerate(vs)}
         if len(pos) != len(vs):
             raise InvalidParameterError("duplicate vertices in subgraph selection")
+        if any(not 0 <= v < self.n for v in vs):
+            raise InvalidParameterError(f"subgraph vertices must lie in 0..{self.n - 1}")
         rows = [0] * len(vs)
         for i, v in enumerate(vs):
             for u in _bits(self.rows[v]):
@@ -140,6 +142,8 @@ class Graph:
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Relabeled copy where old vertex ``v`` becomes ``perm[v]``."""
+        if sorted(perm) != list(range(self.n)):
+            raise InvalidParameterError(f"relabel needs a permutation of 0..{self.n - 1}")
         rows = [0] * self.n
         for v, r in enumerate(self.rows):
             rows[perm[v]] = _permute_mask(perm, r)
@@ -282,42 +286,8 @@ def on_internal_path(g: Graph, edge: tuple[int, int]) -> bool:
 
 
 def independence_number(g: Graph) -> int:
-    """Exact maximum independent set size.
-
-    Pendant and isolated vertices are eliminated first (a leaf can always be
-    taken into some maximum independent set), components are solved
-    separately, and the remainder runs a memoized include/exclude branch on a
-    maximum-degree vertex with a closed form once every degree drops to 2.
-    """
-    rows = g.rows
-    alive = (1 << g.n) - 1
-    alpha = 0
-    while True:
-        reduced = False
-        m = alive
-        while m:
-            b = m & -m
-            m ^= b
-            v = b.bit_length() - 1
-            nb = rows[v] & alive
-            d = nb.bit_count()
-            if d == 0:
-                alpha += 1
-                alive ^= b
-                reduced = True
-            elif d == 1:
-                alpha += 1
-                alive &= ~(b | nb)
-                reduced = True
-                break
-        if not reduced:
-            break
-    if not alive:
-        return alpha
-    memo: dict[int, int] = {}
-    for comp in _mask_components(rows, alive):
-        alpha += _mis(rows, comp, memo)
-    return alpha
+    """Exact maximum independent set size (see ``_mis``)."""
+    return _mis(g.rows, (1 << g.n) - 1, {})
 
 
 def _mask_components(rows: Sequence[int], alive: int) -> list[int]:
@@ -341,48 +311,60 @@ def _mask_components(rows: Sequence[int], alive: int) -> list[int]:
 
 
 def _mis(rows: Sequence[int], mask: int, memo: dict[int, int]) -> int:
-    if mask == 0:
-        return 0
+    """alpha of the subgraph induced on ``mask``, memoized per mask in ``memo``.
+
+    Four rules, each exact by its law:
+
+    * a vertex of degree 0 or 1 lies in some maximum independent set (swap
+      its one neighbour out of any other), so it is taken and its
+      neighbour deleted, again and again, with no recursion;
+    * alpha adds over components, so a disconnected rest is summed
+      component by component;
+    * a connected 2-regular graph is a cycle, whose alpha is ``k // 2``;
+    * otherwise a maximum-degree vertex ``v`` is left out or taken:
+      ``alpha = max(alpha(G - v), 1 + alpha(G - N[v]))``.
+    """
     cached = memo.get(mask)
     if cached is not None:
         return cached
-    best_v = -1
-    best_d = -1
-    m = mask
-    while m:
-        b = m & -m
-        m ^= b
-        v = b.bit_length() - 1
-        d = (rows[v] & mask).bit_count()
-        if d > best_d:
-            best_d = d
-            best_v = v
-    if best_d <= 2:
-        r = _mis_paths_cycles(rows, mask)
-    else:
-        bit = 1 << best_v
-        r = max(
-            _mis(rows, mask & ~bit, memo),
-            1 + _mis(rows, mask & ~(rows[best_v] | bit), memo),
-        )
-    memo[mask] = r
-    return r
-
-
-def _mis_paths_cycles(rows: Sequence[int], mask: int) -> int:
-    """alpha of an induced subgraph with max degree <= 2 (paths and cycles)."""
-    total = 0
-    for comp in _mask_components(rows, mask):
-        k = comp.bit_count()
-        e = 0
-        m = comp
-        while m:
-            b = m & -m
-            m ^= b
-            e += (rows[b.bit_length() - 1] & comp).bit_count()
-        e //= 2
-        total += k // 2 if e == k else (k + 1) // 2
-    return total
+    start = mask
+    alpha = 0
+    todo = mask
+    while todo:
+        b = todo & -todo
+        todo ^= b
+        nb = rows[b.bit_length() - 1] & mask
+        if nb & (nb - 1) == 0:  # degree 0 or 1
+            alpha += 1
+            mask ^= b | nb
+            if nb:  # the neighbour's other neighbours lost a degree
+                todo = (todo | rows[nb.bit_length() - 1]) & mask
+    if mask:
+        comps = _mask_components(rows, mask)
+        if len(comps) > 1:
+            alpha += sum(_mis(rows, comp, memo) for comp in comps)
+        else:
+            best_v = -1
+            best_d = -1
+            m = mask
+            while m:
+                b = m & -m
+                m ^= b
+                v = b.bit_length() - 1
+                d = (rows[v] & mask).bit_count()
+                if d > best_d:
+                    best_d = d
+                    best_v = v
+            if best_d == 2:
+                alpha += mask.bit_count() // 2
+            else:
+                bit = 1 << best_v
+                alpha += max(
+                    _mis(rows, mask & ~bit, memo),
+                    1 + _mis(rows, mask & ~(rows[best_v] | bit), memo),
+                )
+    memo[start] = alpha
+    return alpha
 
 
 # ---------------------------------------------------------------------------

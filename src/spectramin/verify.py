@@ -25,8 +25,8 @@ from .enumeration import (
     EDGE_MODE_CAP,
     EXTENDED_CAP,
     FULL_SPACE_CAP,
-    _attach_forest,
     _bicyclic_classes,
+    _class_graphs,
     _core_specs_bicyclic,
     bicyclic_graphs,  # unused here, kept patchable: perfbench/tracing.py wraps it
     branch_states,
@@ -243,12 +243,12 @@ def _bicyclic_branch(args) -> tuple[int, int, float, list[tuple[float, str]]]:
 
     def in_class():
         nonlocal searched
-        for rows, assignment, a in _bicyclic_classes(n, cores):
+        for cls in _bicyclic_classes(n, cores):
             searched += 1
-            if alpha is None or a == alpha:
-                yield Graph.from_rows(n, _attach_forest(rows, assignment))
+            if alpha is None or cls[2] == alpha:
+                yield cls
 
-    _, count, best, cands = _scan_stream(in_class(), None)
+    _, count, best, cands = _scan_stream(_class_graphs(n, in_class()), None)
     return searched, count, best, cands
 
 

@@ -85,6 +85,26 @@ def _leaf_only_forest_assignments(core, extra):
     yield from rec(0, extra, 0, 0)
 
 
+def _tree_alpha(tree):
+    """(a_out, gain) of the rooted tree with level sequence ``tree``, by a
+    tree DP over (root taken, root left out): the oracle of the table that
+    ``_trees_of_size`` fills with ``_mis``."""
+    parent = [0] * len(tree)
+    path = []
+    for i, level in enumerate(tree):
+        del path[level:]
+        if path:
+            parent[i] = path[-1]
+        path.append(i)
+    take = [1] * len(tree)
+    skip = [0] * len(tree)
+    for i in range(len(tree) - 1, 0, -1):
+        p = parent[i]
+        take[p] += skip[i]
+        skip[p] += max(take[i], skip[i])
+    return skip[0], int(take[0] > skip[0])
+
+
 def _burnside_counts(core, top):
     """Forest classes on ``core`` with 0..``top`` extra nodes, by Burnside's
     lemma: (1/|G|) sum_g fix(g).
@@ -397,6 +417,14 @@ class TestRootedTrees:
             assert seq[0] == 0
             for a, b in zip(seq, seq[1:]):
                 assert b <= a + 1
+
+    def test_tree_table_against_tree_dp(self):
+        # every rooted tree up to 12 nodes (A000081: 7,813 shapes)
+        for s, count in enumerate(ROOTED_TREE_COUNTS, start=1):
+            table = _trees_of_size(s)
+            assert len(table) == count
+            for tree, a_out, gain in table:
+                assert (a_out, gain) == _tree_alpha(tree), tree
 
 
 class TestAgainstNetworkxAtlas:

@@ -12,6 +12,7 @@ from spectramin.graphs import (
     InvalidInputError,
     InvalidParameterError,
     _canon,
+    _mis,
     adjacency_matrices,
     automorphisms,
     build_bicyclic,
@@ -76,6 +77,18 @@ class TestGraphType:
         h = g.relabel([2, 3, 4, 0, 1])
         assert sorted(h.degrees()) == sorted(g.degrees())
         assert canonical_form(g) == canonical_form(h)
+
+    def test_subgraph_and_relabel_reject_bad_vertices(self):
+        # unchecked, vertex -1 indexes rows from the end, a repeated image
+        # makes a self-loop and a short perm raises a bare IndexError
+        g = build_cycle(5)
+        with pytest.raises(InvalidParameterError):
+            g.subgraph([-1, 0])
+        with pytest.raises(InvalidParameterError):
+            g.subgraph([0, 5])
+        for perm in ([0, 0, 1, 2, 3], [0, 1], [1, 2, 3, 4, 5]):
+            with pytest.raises(InvalidParameterError):
+                g.relabel(perm)
 
 
 class TestAdjacencyMatrices:
@@ -258,6 +271,36 @@ class TestIndependenceNumber:
             g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
             expected = max(len(c) for c in nx.find_cliques(nx.complement(to_nx(g))))
             assert independence_number(g) == expected
+
+    def test_mis_on_masks_against_networkx(self):
+        # fresh memo per mask, and one memo shared by every mask of a graph
+        # as the forest composition law shares it per core
+        rng = random.Random(19)
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            g = random_graph(rng, n, rng.choice([0.15, 0.3, 0.5, 0.8]))
+            shared: dict[int, int] = {}
+            for _ in range(8):
+                mask = rng.getrandbits(n)
+                h = to_nx(g).subgraph(v for v in range(n) if mask >> v & 1)
+                want = max(len(c) for c in nx.find_cliques(nx.complement(h))) if mask else 0
+                assert _mis(g.rows, mask, {}) == want
+                assert _mis(g.rows, mask, shared) == want
+
+    @pytest.mark.parametrize("k", [1, 4, 12])
+    def test_disjoint_petersens_split_into_components(self, k):
+        # without the component split the memo grows with the product of
+        # the copies' branch trees; with it, 5k + 1 masks
+        h = nx.disjoint_union_all([nx.petersen_graph()] * k)
+        g = Graph(10 * k, list(h.edges()))
+        memo: dict[int, int] = {}
+        assert _mis(g.rows, (1 << g.n) - 1, memo) == 4 * k
+        assert len(memo) <= 6 * k
+
+    def test_long_path_and_cycle_need_no_recursion(self):
+        # the leaf rule runs as a loop and a cycle is closed form
+        assert independence_number(Graph(3000, [(i, i + 1) for i in range(2999)])) == 1500
+        assert independence_number(build_cycle(2000)) == 1000
 
     def test_trees_floor(self):
         # every tree on n <= 10 vertices has independence number >= ceil(n/2)
