@@ -117,7 +117,7 @@ def cmd_verify(args) -> int:
     if args.format != "text" and not args.out:
         raise InvalidParameterError("--format is read only with --out")
     reports = []
-    ns = [_parse_int(x, "--n") for x in args.n.split(",")] if args.n is not None else None
+    ns = _parse_orders(args.n) if args.n is not None else None
     checkpoint = os.environ.get(CHECKPOINT_ENV)
     if checkpoint and not (args.claim == "theorem-1.1"
                            and any(reads_checkpoint(n, args.extended) for n in ns or [])):
@@ -162,13 +162,23 @@ def _parse_int(token: str, flag: str) -> int:
         raise InvalidParameterError(f"{flag}: not an integer: {token!r}") from None
 
 
-def _parse_grid(token: str) -> tuple[int, int]:
-    lo, _, hi = token.partition("..")
-    lo_i = _parse_int(lo, "--grid")
-    hi_i = _parse_int(hi, "--grid") if hi else lo_i
+def _parse_grid(token: str, flag: str = "--grid") -> tuple[int, int]:
+    """``a..b`` (or one integer ``a``) as the inclusive range (a, b)."""
+    lo, sep, hi = token.partition("..")
+    lo_i = _parse_int(lo, flag)
+    hi_i = _parse_int(hi, flag) if sep else lo_i
     if lo_i > hi_i:
-        raise InvalidParameterError(f"--grid: empty range {token!r}")
+        raise InvalidParameterError(f"{flag}: empty range {token!r}")
     return lo_i, hi_i
+
+
+def _parse_orders(text: str) -> list[int]:
+    """``--n``: comma items, each an integer or an ``a..b`` range."""
+    orders = []
+    for item in text.split(","):
+        lo, hi = _parse_grid(item, "--n")
+        orders += range(lo, hi + 1)
+    return orders
 
 
 def cmd_sweep(args) -> int:
@@ -235,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a claim verification suite")
     p.add_argument("claim", choices=list(_CLAIM_OPTIONS))
-    p.add_argument("--n", help="comma-separated orders, e.g. 7,8,9")
+    p.add_argument("--n", help="comma-separated orders or a..b ranges, e.g. 7,8,9 or 7..12,14")
     p.add_argument("--grid", help="parameter range 3..hi for the lemma grids")
     p.add_argument("--extended", action="store_true",
                    help="allow the long n=10 full-space run")

@@ -5,6 +5,13 @@ computation: enumerate a graph class, filter by independence number,
 order spectral radii numerically with a safety band, and settle anything
 inside the band with exact certified comparisons.  Results come back as
 structured reports with graph6 witnesses.
+
+A scan eigensolves only the graphs that can reach the band.  Walk counts
+give each graph a lower bound on its radius (the Rayleigh quotient of
+x = A^4 1, W_9 / W_8), and a graph whose bound lies above a radius already
+known (the running minimum, or one graph of its batch solved first) plus
+the band is dropped unsolved: its radius lies above the final minimum plus
+the band, so it could never be in the band.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ from .graphs import (
 from .spectral import EXACT_CAP, compare_rho_certified, rho_bracket, rho_numeric
 
 SAFETY_BAND = 1e-7
+_WALK_STEPS = 4  # the scan's lower bound is the Rayleigh quotient of A^4 1
 MAX_EXTREMAL_CAP = 8  # the max-extremal sweep enumerates every connected graph
 _BATCH = 4096
 
@@ -151,8 +159,44 @@ def graph_from_family(spec_str: str) -> Graph:
 # minimizer search
 
 
-def _rho_batch(graphs: list[Graph]) -> np.ndarray:
-    return np.linalg.eigvalsh(adjacency_matrices(graphs))[:, -1]
+def _rho_batch(mats: np.ndarray) -> np.ndarray:
+    return np.linalg.eigvalsh(mats)[:, -1]
+
+
+def _walk_bounds(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Radius bounds (lo, cw) of each adjacency matrix of a stack, from walks.
+
+    With x = A^k 1 (k = ``_WALK_STEPS``), lo = x'Ax / x'x = W_9 / W_8 is a
+    Rayleigh quotient, so lo <= rho, and cw = max_i (Ax)_i / x_i >= rho by
+    Collatz-Wielandt when x > 0 (a connected graph on two or more vertices).
+    The walk counts are integers below 2^53 for every class scanned, so
+    both are exact up to the final division; K_1 gives NaN for both.
+    """
+    x = np.ones(mats.shape[:2] + (1,))
+    for _ in range(_WALK_STEPS):
+        x = mats @ x
+    ax = (mats @ x)[..., 0]
+    x = x[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (x * ax).sum(1) / (x * x).sum(1), (ax / x).max(1)
+
+
+def _band_radii(batch: list[Graph], best: float) -> list[tuple[float, Graph]]:
+    """Numeric radii of the graphs of ``batch`` that may reach the band, in
+    stream order, given the running minimum ``best``.
+
+    The graph with the least Collatz-Wielandt bound is solved alone; ``cut``
+    is the smaller of ``best`` and its radius, plus the band and a 1e-9
+    margin for rounding.  A graph with lo > cut has rho >= lo > cut, above
+    the final minimum plus the band, so it never enters the band and never
+    sets the minimum; every other graph (K_1's NaN included) is solved.
+    """
+    mats = adjacency_matrices(batch)
+    lo, cw = _walk_bounds(mats)
+    pivot = int(np.argmin(cw))
+    cut = min(best, float(_rho_batch(mats[pivot:pivot + 1])[0])) + SAFETY_BAND + 1e-9
+    keep = np.flatnonzero(~(lo > cut))
+    return list(zip(_rho_batch(mats[keep]).tolist(), [batch[i] for i in keep]))
 
 
 def _scan_stream(
@@ -161,9 +205,13 @@ def _scan_stream(
     """One pass: alpha-filter, numeric radii, candidates near the minimum.
 
     Returns (graphs streamed, class size, numeric min, [(rho, graph6)] for
-    graphs within the safety band of the stream minimum).  Matrices are built
-    from the bitmask rows one stream-order batch of ``_BATCH`` in-class graphs
-    at a time; the band holds graphs, and only its members become graph6.
+    graphs within the safety band of the stream minimum).  In-class graphs
+    are taken one stream-order batch of ``_BATCH`` at a time, and
+    ``_band_radii`` eigensolves only those whose walk lower bound can reach
+    the band.  The result equals eigensolving every graph: the final band is
+    the stream-order list of graphs with rho <= min + band, which no dropped
+    graph can join, and the minimum's own bound never exceeds the cut.  The
+    band holds graphs, and only its members become graph6.
     """
     seen = 0
     count = 0
@@ -181,7 +229,7 @@ def _scan_stream(
         if not batch:
             return seen, count, best, [(r, to_graph6(g)) for r, g in band]
         count += len(batch)
-        for r, g in zip(_rho_batch(batch).tolist(), batch):
+        for r, g in _band_radii(batch, best):
             if r < best:
                 best = r
                 band = [(rr, gg) for rr, gg in band if rr <= best + SAFETY_BAND]

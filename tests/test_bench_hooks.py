@@ -66,3 +66,19 @@ def test_certificate_hooks_fire_in_a_lemmas_pass(monkeypatch):
     reports = verify.verify_family_grids(4) + verify.verify_descent_endpoint_readings()
     assert all(r.status == "pass" for r in reports)
     assert set(calls) == {"char_poly", "sign_at", "count_roots_in", "poly_gcd"}
+
+
+def test_edge_minimal_10_eigensolves_pinned(monkeypatch):
+    # the tracer counts spectral.numeric_graphs as len(args[0]) of each
+    # _rho_batch call; the walk prefilter leaves 20 of the 2,678 graphs
+    solved = []
+    batch = verify._rho_batch
+
+    def counted(mats):
+        solved.append(len(mats))
+        return batch(mats)
+
+    monkeypatch.setattr(verify, "_rho_batch", counted)
+    reports = verify.verify_edge_minimal_pair([10])
+    assert [r.status for r in reports] == ["pass"]
+    assert sum(solved) == 20 < 2_678 / 10

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import spectramin
-from spectramin.cli import CHECKPOINT_ENV, main
+from spectramin.cli import CHECKPOINT_ENV, _parse_orders, main
 from spectramin.formats import to_graph6
 from spectramin.graphs import build_bicyclic, build_cycle, spec_B
 
@@ -89,6 +89,18 @@ class TestVerify:
         assert main(["verify", "theorem-1.1", "--n", "7"]) == 0
         assert "'mode': 'full-space'" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("token, orders", [
+        ("9", [9]), ("7..9", [7, 8, 9]), ("7,8..9", [7, 8, 9]), ("7..7,8,9..10", [7, 8, 9, 10]),
+    ])
+    def test_order_items(self, token, orders):
+        assert _parse_orders(token) == orders
+
+    def test_order_range_runs_every_order(self, capsys):
+        assert main(["verify", "max-extremal", "--n", "1..3,5"]) == 0
+        out = capsys.readouterr().out
+        assert [ln.split("'n': ")[1].split(",")[0] for ln in out.splitlines()
+                if ln.startswith("[PASS]")] == ["1", "2", "3", "5"]
+
     def test_theorem_odd_rows_past_enumeration(self, capsys):
         assert main(["verify", "theorem-1.1", "--n", "11,13"]) == 0
         assert capsys.readouterr().out.count("'mode': 'cycle-law") == 2
@@ -160,6 +172,12 @@ class TestBadInput:
             (["rho", "B:3,200,3"], None),
             # a lemma grid whose equal pairs pass the exact cap, refused before any work
             (["verify", "lemmas", "--grid", "3..22"], None),
+            # an --n or --grid item that is no integer or a..b range
+            (["verify", "edge-minimal-pair", "--n", "7.."], None),
+            (["verify", "edge-minimal-pair", "--n", "..9"], None),
+            (["verify", "edge-minimal-pair", "--n", "7..8..9"], None),
+            (["verify", "max-extremal", "--n", "5..x"], None),
+            (["verify", "lemmas", "--grid", "3.."], None),
         ],
     )
     def test_exits_2_with_message(self, argv, checkpoint, tmp_path, monkeypatch, capsys):
@@ -186,6 +204,13 @@ class TestBadInput:
         out, err = capsys.readouterr()
         assert out == ""
         assert "error: --grid 3..22:" in err and "the largest grid is 3..21" in err
+
+    @pytest.mark.parametrize("token", ["9..7", "7,9..7"])
+    def test_empty_order_range_is_named(self, token, capsys):
+        assert main(["verify", "edge-minimal-pair", "--n", token]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: --n: empty range '9..7'" in err
 
     def test_edge_minimal_order_range_is_named(self, capsys):
         # the n = 7 row is not scanned and printed before the bad order exits

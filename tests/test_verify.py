@@ -10,10 +10,27 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import spectramin
-from spectramin.graphs import InvalidInputError, InvalidParameterError, canonical_form
+from spectramin import verify
+from spectramin.enumeration import (
+    _bicyclic_classes,
+    _class_graphs,
+    branch_states,
+    enumerate_connected,
+    enumerate_connected_from_branch,
+)
+from spectramin.formats import to_graph6
+from spectramin.graphs import (
+    Graph,
+    InvalidInputError,
+    InvalidParameterError,
+    adjacency_matrices,
+    canonical_form,
+    independence_number,
+)
 from spectramin.verify import (
     MinimizerResult,
     VerificationReport,
@@ -21,6 +38,7 @@ from spectramin.verify import (
     minimizer,
     minimizer_bicyclic,
     overall_exit_code,
+    target_alpha,
     theorem_prediction,
     verify_edge_minimal_pair,
     verify_family_grids,
@@ -205,6 +223,108 @@ class TestMinimizerBicyclic:
 
     def test_workers_agree_alpha_filtered(self):
         self._assert_workers_agree(12, 5)
+
+
+def _eigensolve_everything_scan(graphs, alpha):
+    """The scan before the walk prefilter, kept as the oracle: every in-class
+    graph of each batch is eigensolved."""
+    seen = 0
+    count = 0
+    best = float("inf")
+    band = []
+    batch = []
+    stream = iter(graphs)
+    while True:
+        for g in stream:
+            seen += 1
+            if alpha is None or independence_number(g) == alpha:
+                batch.append(g)
+                if len(batch) == verify._BATCH:
+                    break
+        if not batch:
+            return seen, count, best, [(r, to_graph6(g)) for r, g in band]
+        count += len(batch)
+        radii = np.linalg.eigvalsh(adjacency_matrices(batch))[:, -1]
+        for r, g in zip(radii.tolist(), batch):
+            if r < best:
+                best = r
+                band = [(rr, gg) for rr, gg in band if rr <= best + verify.SAFETY_BAND]
+            if r <= best + verify.SAFETY_BAND:
+                band.append((r, g))
+        batch = []
+
+
+@pytest.fixture(scope="module")
+def scan_units():
+    """(label, graphs, alpha) scan inputs: every full-space branch unit for
+    n = 5..8, with alpha at the target and unfiltered, and the bicyclic class
+    for n = 10 and 12, unfiltered and at alpha = n/2 - 1 (filtered upstream,
+    as ``_bicyclic_branch`` does)."""
+    units = []
+    for n in range(5, 9):
+        for i, state in enumerate(branch_states()):
+            graphs = list(enumerate_connected_from_branch(n, state))
+            units += [(f"full {n} unit {i} alpha {a}", graphs, a) for a in (target_alpha(n), None)]
+    for n in (10, 12):
+        classes = list(_bicyclic_classes(n))
+        for a in (None, n // 2 - 1):
+            graphs = list(_class_graphs(n, (c for c in classes if a is None or c[2] == a)))
+            units.append((f"bicyclic {n} alpha {a}", graphs, None))
+    return units
+
+
+def _walk_count(g, k):
+    """1' A^k 1 in Python integers."""
+    x = [1] * g.n
+    for _ in range(k):
+        x = [sum(x[u] for u in range(g.n) if g.rows[v] >> u & 1) for v in range(g.n)]
+    return sum(x)
+
+
+class TestWalkPrefilter:
+    @pytest.mark.parametrize("batch", [1, 7, 4096])
+    def test_scan_equals_eigensolve_everything(self, batch, scan_units, monkeypatch):
+        # a running best across batches, batches of one graph and K_1 included
+        monkeypatch.setattr(verify, "_BATCH", batch)
+        for label, graphs, alpha in scan_units:
+            want = _eigensolve_everything_scan(graphs, alpha)
+            assert repr(verify._scan_stream(graphs, alpha)) == repr(want), label
+        for n in range(1, 5):
+            for alpha in (None, *range(1, n + 1)):
+                got = repr(minimizer(n, alpha))
+                with monkeypatch.context() as m:
+                    m.setattr(verify, "_scan_stream", _eigensolve_everything_scan)
+                    assert got == repr(minimizer(n, alpha)), (n, alpha)
+
+    def test_bounds_hold(self, scan_units):
+        # every connected graph on 2..8 vertices, and the n = 12 bicyclic class
+        stacks = [list(enumerate_connected(n)) for n in range(2, 5)]
+        stacks += [graphs for label, graphs, _ in scan_units
+                   if label.startswith("full") and label.endswith("alpha None")]
+        assert sum(map(len, stacks)) == 12_112
+        stacks += [graphs for label, graphs, _ in scan_units if label == "bicyclic 12 alpha None"]
+        assert len(stacks[-1]) == 28_908
+        for graphs in (g for g in stacks if g):
+            mats = adjacency_matrices(graphs)
+            lo, cw = verify._walk_bounds(mats)
+            rho = np.linalg.eigvalsh(mats)[:, -1]
+            assert np.all(lo <= rho + 1e-12) and np.all(cw >= rho - 1e-12)
+
+    def test_k1_bounds_are_nan(self):
+        lo, cw = verify._walk_bounds(adjacency_matrices([graph_from_family("K:1")]))
+        assert np.isnan(lo).all() and np.isnan(cw).all()
+
+    def test_walk_counts_exact_in_float64(self):
+        # the densest graphs scanned: K_10 (full space, extended) and the
+        # 16-vertex (n+1)-edge graphs with a vertex of degree 15
+        hub = [(0, v) for v in range(1, 16)]
+        graphs = [graph_from_family("K:10"), Graph(16, hub + [(1, 2), (3, 4)]),
+                  Graph(16, hub + [(1, 2), (2, 3)])]
+        for g in graphs:
+            w8, w9 = _walk_count(g, 8), _walk_count(g, 9)
+            assert w9 < 2 ** 53
+            lo, _ = verify._walk_bounds(adjacency_matrices([g]))
+            assert lo[0] == w9 / w8
 
 
 class TestHarness:
