@@ -10,7 +10,10 @@ Two engines:
   are rejected before that call: the last canonical position lies in the
   last refined color cell, which lies inside the top-degree class, and an
   orbit lies inside one cell, so a new vertex of less than the largest
-  degree, or outside the last cell, cannot be in the orbit;
+  degree, or outside the last cell, cannot be in the orbit.  A leaf whose
+  last cell is the new vertex alone is accepted with no call at all: the
+  orbit test then holds trivially, and no child of a leaf reads its
+  generators;
 * structural generation for connected graphs with exactly ``n`` or ``n + 1``
   edges: such graphs are a cycle / two-cycle core with rooted forests hanging
   off it, so they are produced directly from (core, forest assignment) pairs
@@ -82,6 +85,7 @@ def _accepted_children(
     gens: Generators,
     edge_count: int,
     max_edges: int | None,
+    bare: bool = False,
 ) -> Iterator[State]:
     """Children of a parent on ``k`` vertices, one per isomorphism class.
 
@@ -104,8 +108,13 @@ def _accepted_children(
     ``top`` and lies in ``S``), or when its refined color is not the
     largest (the refinement test, whose colors ``_canon`` then reuses).
     Both tests are invariant under the parent's group, so a rejected orbit
-    is rejected member by member and the same least ``S`` survive; an
-    accepted child still gets its full ``_canon`` call.
+    is rejected member by member and the same least ``S`` survive.
+
+    A child that passes both tests gets its full ``_canon`` call, except
+    with ``bare``, which a caller sets when the children are leaves whose
+    generators nobody reads.  Then a child whose last refined cell is
+    ``{k}`` is accepted with no search and no generators: ``_canon`` would
+    place ``k`` last, so ``perm[k] = k`` and the orbit test holds.
     """
     bit_k = 1 << k
     degrees = [r.bit_count() for r in rows]
@@ -127,8 +136,12 @@ def _accepted_children(
                     orbit.append(U)
         child = tuple(r | bit_k if S >> i & 1 else r for i, r in enumerate(rows)) + (S,)
         colors = _refined_colors(k + 1, child)
-        if colors[k] != max(colors):
+        last = max(colors)
+        if colors[k] != last:
             continue  # refinement test
+        if bare and colors.count(last) == 1:
+            yield child, (), edge_count + add  # last cell {k}: perm[k] = k
+            continue
         perm, orbits, child_gens = _canon(k + 1, child, colors)
         if orbits[k] == orbits[perm[k]]:
             yield child, child_gens, edge_count + add
@@ -137,13 +150,18 @@ def _accepted_children(
 _ROOT: State = ((0,), (), 0)  # the one-vertex graph, where every walk starts
 
 
-def _walk(n: int, state: State, max_edges: int | None = None) -> Iterator[State]:
+def _walk(
+    n: int, state: State, max_edges: int | None = None, bare_leaves: bool = False
+) -> Iterator[State]:
     """Every generation state on ``n`` vertices below ``state``, depth first
     in generation order.
 
     With ``max_edges``, no state exceeds that many edges, and a child is cut
     when even joining each later vertex to all before it cannot reach
-    ``max_edges`` (the exact-count floor).
+    ``max_edges`` (the exact-count floor).  With ``bare_leaves``, for callers
+    that read only the rows and edge counts of the leaves, a leaf may carry
+    no generators (see ``_accepted_children``); the leaves are the same, in
+    the same order.
     """
     rows, gens, edge_count = state
     k = len(rows)
@@ -151,15 +169,16 @@ def _walk(n: int, state: State, max_edges: int | None = None) -> Iterator[State]
         yield state
         return
     floor = 0 if max_edges is None else max_edges - sum(range(k + 1, n))
-    for child in _accepted_children(k, rows, gens, edge_count, max_edges):
+    bare = bare_leaves and k + 1 == n
+    for child in _accepted_children(k, rows, gens, edge_count, max_edges, bare):
         if child[2] >= floor:
-            yield from _walk(n, child, max_edges)
+            yield from _walk(n, child, max_edges, bare_leaves)
 
 
 def _connected(n: int, state: State, m_edges: int | None = None) -> Iterator[Graph]:
     """Connected n-vertex graphs below ``state``; with ``m_edges``, only those
     with exactly that many edges."""
-    for rows, _, edge_count in _walk(n, state, m_edges):
+    for rows, _, edge_count in _walk(n, state, m_edges, bare_leaves=True):
         if m_edges is None or edge_count == m_edges:
             g = Graph.from_rows(n, rows)
             if is_connected(g):
@@ -170,7 +189,7 @@ def enumerate_all_graphs(n: int) -> Iterator[Graph]:
     """All simple graphs on ``n`` vertices, one per isomorphism class."""
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
-    for rows, _, _ in _walk(n, _ROOT):
+    for rows, _, _ in _walk(n, _ROOT, bare_leaves=True):
         yield Graph.from_rows(n, rows)
 
 

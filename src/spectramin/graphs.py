@@ -12,8 +12,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-_INF_ROW = 1 << 512  # sentinel larger than any packed adjacency row
-
 
 class InvalidParameterError(ValueError):
     """Arguments fall outside an operation's documented domain."""
@@ -372,15 +370,39 @@ def _mis(rows: Sequence[int], mask: int, memo: dict[int, int]) -> int:
 
 
 def _refined_colors(n: int, rows: Sequence[int]) -> list[int]:
-    """Relabeling-invariant vertex colors from iterated neighborhood refinement."""
-    nbrs = [_bits(rows[i]) for i in range(n)]
-    keys: list = [len(nb) for nb in nbrs]
+    """Relabeling-invariant vertex colors from iterated neighborhood refinement.
+
+    Round 0 ranks the vertices by degree; each later round ranks them by
+    (previous color, sorted colors of the neighbors) until the number of
+    classes stops growing.  Colors are ranks ``0..c-1`` in that order.
+
+    A round costs O(m) integer additions.  Later rounds only split cells,
+    so vertices of one color have equal degree, and for equal degree the
+    sorted neighbor-color lists compare as the count vectors do, more of a
+    smaller color first.  With ``c`` classes and every count below ``n``,
+    the integer ``colors[v]·n^c − Σ_{u∈N(v)} n^(c−1−colors[u])`` therefore
+    ranks the vertices exactly as the (color, sorted list) keys would.
+    """
+    keys = [rows[v].bit_count() for v in range(n)]
     uniq = sorted(set(keys))
     rank = {k: r for r, k in enumerate(uniq)}
     colors = [rank[k] for k in keys]
     nclasses = len(uniq)
     while nclasses < n:
-        keys = [(colors[i], tuple(sorted(colors[j] for j in nbrs[i]))) for i in range(n)]
+        power = [1] * nclasses  # power[c] = n^(nclasses-1-c)
+        for c in range(nclasses - 2, -1, -1):
+            power[c] = power[c + 1] * n
+        top = power[0] * n
+        weight = [power[c] for c in colors]
+        keys = []
+        for v in range(n):
+            key = colors[v] * top
+            m = rows[v]
+            while m:
+                b = m & -m
+                key -= weight[b.bit_length() - 1]
+                m ^= b
+            keys.append(key)
         uniq = sorted(set(keys))
         if len(uniq) == nclasses:
             break
@@ -421,7 +443,8 @@ def _canon(
     if len(set(colors)) == n:
         return tuple(order), tuple(range(n)), ()
 
-    best_rows = [_INF_ROW] * n
+    inf = 1 << n  # above every rv: at position pos, rv < 2^pos
+    best_rows = [inf] * n
     best_perm: list[int] = [0] * n
     best_complete = False
     gens: dict[tuple[int, ...], None] = {}  # insertion-ordered set
@@ -488,7 +511,7 @@ def _canon(
             if rv_v < b:
                 best_rows[pos] = rv_v
                 for j in range(pos + 1, n):
-                    best_rows[j] = _INF_ROW
+                    best_rows[j] = inf
                 best_complete = False
             if at_root:
                 tried_roots.append(v)

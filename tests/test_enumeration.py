@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -27,6 +28,7 @@ from spectramin.enumeration import (
 from spectramin.graphs import (
     Graph,
     InvalidParameterError,
+    _bits,
     _canon,
     _mis,
     _refined_colors,
@@ -34,8 +36,10 @@ from spectramin.graphs import (
     build_bicyclic,
     build_cycle,
     canonical_form,
+    double_fork_tree,
     independence_number,
     is_connected,
+    spec_B,
     spec_C,
     spec_P,
 )
@@ -49,6 +53,7 @@ BRANCH_ROWS_SHA256 = "e94338128edbbc91a05b1d1763fe9b5a9adea3fe162346b23bcf6610e8
 WALK7_SHA256 = "d99c6dff3561e0b2cd882310ab6fabda4746aa2d1d96566ebe2ad92f317fe01e"
 WALK8_SHA256 = "fec40eacca7d12838fdb2359e6bb715ef977ab257c6e5bdb45e5d8fca277e1bc"
 WALK8_CANON_CALLS = 13_624  # 85,022 when every least subset was searched
+WALK8_BARE_CANON_CALLS = 3_992  # the same walk when leaves need no generators
 # SHA-256 of repr of each order's list of labelled rows, in stream order
 BICYCLIC_ROWS_4_10_SHA256 = "ef294d10858030d790a3bb2e71294432db9a223eed769b3115640db140959d4a"
 UNICYCLIC_ROWS_3_10_SHA256 = "2806b64dde3b15a23fcd2809339a4dd44bfd24dd027ba68853df59b194289133"
@@ -211,6 +216,67 @@ def _walk_sha256(n):
     return h.hexdigest()
 
 
+def _oracle_refined_colors(n, rows):
+    """Refinement with explicit (color, sorted neighbor colors) keys: the
+    oracle of the integer keys of ``_refined_colors``."""
+    nbrs = [_bits(rows[i]) for i in range(n)]
+    keys = [len(nb) for nb in nbrs]
+    uniq = sorted(set(keys))
+    rank = {k: r for r, k in enumerate(uniq)}
+    colors = [rank[k] for k in keys]
+    nclasses = len(uniq)
+    while nclasses < n:
+        keys = [(colors[i], tuple(sorted(colors[j] for j in nbrs[i]))) for i in range(n)]
+        uniq = sorted(set(keys))
+        if len(uniq) == nclasses:
+            break
+        rank = {k: r for r, k in enumerate(uniq)}
+        colors = [rank[k] for k in keys]
+        nclasses = len(uniq)
+    return colors
+
+
+class TestRefinedColors:
+    """The integer-key refinement gives exactly the oracle's colors."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_graph_up_to_seven(self, n):
+        for g in enumerate_all_graphs(n):
+            assert _refined_colors(n, g.rows) == _oracle_refined_colors(n, g.rows), g
+
+    def test_every_child_refined_in_the_walk_to_eight(self, monkeypatch):
+        seen = []
+
+        def checked(n, rows):
+            colors = _refined_colors(n, rows)
+            assert colors == _oracle_refined_colors(n, rows), rows
+            seen.append(n)
+            return colors
+
+        monkeypatch.setattr(enumeration, "_refined_colors", checked)
+        assert sum(1 for _ in _walk(8, _ROOT)) == ALL_COUNTS[8]
+        assert seen.count(8) > 10_000
+
+    def test_random_graphs(self):
+        rng = random.Random(2121)
+        for _ in range(2000):
+            n = rng.randint(2, 40)
+            p = rng.random()
+            g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+            assert _refined_colors(n, g.rows) == _oracle_refined_colors(n, g.rows), g
+
+    @pytest.mark.parametrize("build", [
+        lambda: Graph(200, [(i, i + 1) for i in range(199)]),
+        lambda: double_fork_tree(200),
+        lambda: build_bicyclic(spec_B(3, 195, 3))[0],
+    ])
+    def test_long_sparse_graphs(self, build):
+        # many rounds with many classes: the keys are integers of hundreds of digits
+        g = build()
+        assert g.n == 200
+        assert _refined_colors(g.n, g.rows) == _oracle_refined_colors(g.n, g.rows)
+
+
 class TestPreSearchRejection:
     """The degree and refinement tests that reject a child before its search."""
 
@@ -234,6 +300,9 @@ class TestPreSearchRejection:
                 accepted = orbits[k] == orbits[perm[k]]
                 if old_top > S.bit_count() or colors[k] != max(colors):
                     assert not accepted, (rows, S)
+                if last_cell == [k]:
+                    # the leaf shortcut accepts these children with no search
+                    assert perm[k] == k and accepted, (rows, S)
 
     def test_walk7_states_pinned(self):
         assert _walk_sha256(7) == WALK7_SHA256
@@ -248,6 +317,19 @@ class TestPreSearchRejection:
         monkeypatch.setattr(enumeration, "_canon", counting)
         assert _walk_sha256(8) == WALK8_SHA256
         assert len(calls) == WALK8_CANON_CALLS
+
+    def test_bare_leaves_walk8_same_leaves_and_search_count_pinned(self, monkeypatch):
+        full = [(rows, e) for rows, _, e in _walk(8, _ROOT)]
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return _canon(*args)
+
+        monkeypatch.setattr(enumeration, "_canon", counting)
+        bare = [(rows, e) for rows, _, e in _walk(8, _ROOT, bare_leaves=True)]
+        assert bare == full
+        assert len(calls) == WALK8_BARE_CANON_CALLS
 
 
 class TestEdgeCountMode:

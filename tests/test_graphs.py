@@ -433,6 +433,19 @@ class TestCanonicalForm:
         p313 = build_bicyclic(spec_P(3, 1, 3))[0]
         assert canonical_form(b313) != canonical_form(p313)
 
+    def test_more_than_512_vertices(self):
+        # a fan: apex 0 joined to every vertex of a 520-vertex path.  The apex
+        # is placed last, adjacent to all 520 vertices placed before it, so its
+        # row at that position is wider than 512 bits
+        n = 521
+        g = Graph(n, [(0, v) for v in range(1, n)] + [(v, v + 1) for v in range(1, n - 1)])
+        perm = canonical_labeling(g)
+        assert sorted(perm) == list(range(n))
+        assert perm[-1] == 0
+        shuffled = list(range(n))
+        random.Random(521).shuffle(shuffled)
+        assert canonical_form(g.relabel(shuffled)) == canonical_form(g)
+
     def test_labeling_achieves_form(self):
         rng = random.Random(7)
         for _ in range(50):
