@@ -17,12 +17,14 @@ Two engines:
 * structural generation for connected graphs with exactly ``n`` or ``n + 1``
   edges: such graphs are a cycle / two-cycle core with rooted forests hanging
   off it, so they are produced directly from (core, forest assignment) pairs
-  deduplicated by core automorphisms.  Only the lexicographic orbit minimum
-  of an assignment is kept, and that test is decided on the assigned prefix:
-  two tuples compare as their first differing position does, so a subtree
-  is cut as soon as its prefix shows that a core automorphism maps every
-  assignment below it to a smaller one.  This is what makes the n <= 16
-  fixed-edge-count sweeps affordable.
+  deduplicated by core automorphisms.  Each core's assignments are built in
+  one numpy pass, as rows of tree ranks grown one column (core vertex) at a
+  time.  Only the lexicographic orbit minimum of an assignment is kept, and
+  that test is decided on the assigned prefix: two tuples compare as their
+  first differing position does, so a row is dropped after the first column
+  that shows a core automorphism maps it, and every row it would grow into,
+  to a smaller one.  Only the classes a search keeps become Python tuples.
+  This is what makes the n <= 16 fixed-edge-count sweeps affordable.
 
 The structural generator also yields the independence number of every class,
 computed while the forest is chosen rather than on the built graph.  For a
@@ -46,7 +48,9 @@ built.
 from __future__ import annotations
 
 from functools import cache
-from typing import Iterator, Sequence
+from typing import Generator, Iterator, Sequence
+
+import numpy as np
 
 from .graphs import (
     BicyclicSpec,
@@ -317,77 +321,151 @@ def _attach_forest(
     return tuple(rows)
 
 
+@cache
+def _tree_catalog(top: int):
+    """Every rooted tree on 1..``top`` nodes in the order the forest pass
+    tries them (size ascending, then ``_trees_of_size`` order), as arrays.
+
+    Returns (rank, extra nodes, first, trees by rank as an object array,
+    a_out by rank, gain by rank): a tree's rank is its place in
+    level-sequence tuple order, so ranks compare as the trees do, and
+    ``first[e]`` is the index of the first tree with at least ``e`` extra
+    nodes.  Ranks are uint16 up to 14 nodes (53,272 trees), the most a
+    class on 16 vertices needs.
+    """
+    table = [entry for s in range(1, top + 1) for entry in _trees_of_size(s)]
+    order = sorted(range(len(table)), key=table.__getitem__)
+    rank = np.empty(len(table), np.promote_types(np.uint16, np.min_scalar_type(len(table))))
+    rank[order] = np.arange(len(table))
+    extra = np.array([len(tree) - 1 for tree, _, _ in table], np.uint8)
+    first = np.searchsorted(extra, np.arange(top + 1))
+    trees, a_out, gain = zip(*map(table.__getitem__, order))
+    return (rank, extra, first, np.fromiter(trees, object),
+            np.array(a_out, np.int8), np.array(gain, np.int8))
+
+
+# Child rows one expansion step creates at most: it bounds the transient
+# arrays of a core's pass (BENCH_forest_arrays.json).
+_BLOCK = 1 << 10
+
+
 def _forest_assignments(
-    core: Graph, extra: int
-) -> Iterator[tuple[tuple[int, ...], Assignment, int]]:
-    """(core rows, forest assignment, alpha), one per isomorphism class.
+    core: Graph, extra: int, alpha: int | None = None
+) -> Generator[tuple[tuple[int, ...], Assignment, int], None, int]:
+    """(core rows, forest assignment, alpha), one per isomorphism class, or
+    only the classes whose alpha is ``alpha`` when it is given.  Returns the
+    number of classes, those filtered out included.
 
     An assignment maps each core vertex to a canonical rooted tree (size 1 =
     nothing attached); two assignments related by a core automorphism give
-    isomorphic graphs, so only the lexicographic orbit minimum is emitted.
-    alpha of the grown graph comes from the composition law of the module
-    docstring, with alpha(core[W]) memoized per core.
+    isomorphic graphs, so only the lexicographic orbit minimum is a class.
 
-    The orbit test is decided on the assigned prefix.  The lexicographic
-    order of two tuples is fixed by their first differing position, and
-    for an automorphism ``a`` position ``i`` of ``t`` and of its image
-    ``(t[a[0]], t[a[1]], ...)`` is fixed below a node once ``i`` and
-    ``a[i]`` are both assigned.  So each node carries the automorphisms
-    whose comparison is still open, each with its first undecided position.
-    After position ``v`` is assigned, each open comparison advances while
-    both positions are at most ``v``: a smaller image entry cuts the whole
-    subtree, since no assignment below it is an orbit minimum; a larger one
-    drops the automorphism for the subtree, and so does equality at every
-    position (``a`` fixes the assignment).  A leaf's bare positions finish
-    the comparisons left open.  The leaves kept are exactly the orbit
-    minima, in the same order as when every leaf ran the whole test.
+    The classes are built column by column as rows of tree ranks, one numpy
+    pass per core.  Column ``v`` repeats each row once per tree it may take:
+    any size up to its remaining budget plus one, and exactly that size at
+    the last vertex, so the rows come out in the order of a depth-first
+    recursion over vertices, sizes and trees.  The children are made
+    ``_BLOCK`` consecutive rows at a time, each block grown to the end
+    before the next, which keeps that order.
+
+    The orbit test is decided on the assigned prefix.  Two tuples compare
+    as their first differing position does, and for an automorphism ``a``
+    position ``i`` of a row ``x`` and of its image ``(x[a[0]], x[a[1]],
+    ...)`` is known once ``0..i`` and ``a[0..i]`` are assigned: the same
+    column for every row.  After a column that decides new positions of
+    ``a``, each row is compared with its image on every position of ``a``
+    decided so far and dropped when the image is smaller, since no
+    assignment grown from it is an orbit minimum.  Once every row has spent
+    its budget the later vertices stay bare, and the whole test runs at
+    once.  The rows left at the end are exactly the orbit minima.
+
+    alpha comes from the composition law of the module docstring: the sum
+    of a_out plus alpha(core[W]) with ``W`` the vertices whose tree has gain
+    1, computed with ``_mis`` once per distinct ``W`` and memoized per core.
     """
     c = core.n
     rows = core.rows
-    trees = [_trees_of_size(s) for s in range(extra + 2)]
+    rank, extra_nodes, first, by_rank, a_out, gain = _tree_catalog(extra + 1)
+    upto, exact = first[1:], np.diff(first)  # trees with at most / exactly e extra nodes
+    # the positions (a, i, a[i]) that can differ (a[i] != i), keyed by the
+    # column after which each is decided: the first one where 0..i and
+    # a[0..i] are all assigned.  Sorted: the identity comes first, and its
+    # comparison is always equal.
+    pairs: list[tuple[int, int, int, int]] = []
+    for bit, a in enumerate(automorphisms(core)[1:]):
+        col = 0
+        for i, j in enumerate(a):
+            col = max(col, i, j)
+            if j != i:
+                pairs.append((col, bit, i, j))
+
+    @cache
+    def check_after(v: int):
+        """The test after column ``v`` (the whole test for ``c``): the pairs
+        decided so far of each automorphism that column ``v`` decides a new
+        pair of, a-major with i ascending, with decreasing weights so that
+        the earliest difference of a group is its largest weighted entry;
+        None when there are none."""
+        new = {bit for col, bit, _, _ in pairs if col == v or v == c}
+        if not new:
+            return None
+        bits, pos, img = zip(*sorted(pair[1:] for pair in pairs if pair[0] <= v and pair[1] in new))
+        starts = [k for k, bit in enumerate(bits) if k == 0 or bit != bits[k - 1]]
+        return list(pos), list(img), np.arange(2 * len(bits), 0, -2, dtype=np.int16), starts
+
     memo: dict[int, int] = {}
-    everyone = (1 << c) - 1
-    bare = trees[1][0][0]
-    current: list[tuple[int, ...]] = [bare] * c
+    classes = 0
 
-    def advance(pending: list[tuple[tuple[int, ...], int]], v: int):
-        """The comparisons still open once positions ``..v`` are assigned,
-        or None when one of them shows ``current`` is not an orbit minimum."""
-        still = []
-        for a, i in pending:
-            while i < c:
-                j = a[i]
-                if i > v or j > v:
-                    still.append((a, i))
-                    break
-                x, y = current[j], current[i]
-                if x is not y:  # one tuple object per tree shape
-                    if x < y:
-                        return None
-                    break
-                i += 1
-        return still
+    def orbit_minima(state, check):
+        """The rows of ``state`` whose image under no automorphism of
+        ``check`` is smaller on its decided positions."""
+        if check is None:
+            return state
+        pos, img, weight, starts = check
+        own, image = state[:, pos], state[:, img]
+        first_diff = np.maximum.reduceat((own != image) * weight + (image < own), starts, axis=1)
+        return state[~(first_diff & 1).any(1)]
 
-    def rec(v: int, budget: int, out_sum: int, w: int,
-            pending: list[tuple[tuple[int, ...], int]]):
-        if budget == 0:
-            # vertices v.. stay bare: a_out 0 and gain 1 each, and their
-            # trees settle the comparisons still open
-            if advance(pending, c - 1) is not None:
-                yield rows, tuple(current), out_sum + _mis(rows, w | everyone >> v << v, memo)
+    def grow(v, state):
+        nonlocal classes
+        budget = state[:, c]
+        if v < c and budget.any():
+            last = v == c - 1
+            counts = (exact if last else upto)[budget]
+            ends = np.cumsum(counts)
+            # tree index minus child index, per parent row
+            offset = (first[budget] if last else 0) + counts - ends
+            for lo in range(0, int(ends[-1]), _BLOCK):
+                index = np.arange(lo, min(lo + _BLOCK, ends[-1]))  # the block's child indices
+                parent = np.searchsorted(ends, index, "right")
+                child = state[parent]
+                tree = index + offset[parent]
+                child[:, v] = rank[tree]
+                child[:, c] -= extra_nodes[tree]
+                child = orbit_minima(child, check_after(v))
+                del index, parent, tree  # the deeper levels need none of this block's indices
+                yield from grow(v + 1, child)
             return
-        sizes = (budget + 1,) if v == c - 1 else range(1, budget + 2)
-        for size in sizes:
-            for tree, a_out, gain in trees[size]:
-                current[v] = tree
-                still = advance(pending, v) if pending else pending
-                if still is not None:
-                    yield from rec(v + 1, budget - (size - 1), out_sum + a_out,
-                                   w | gain << v, still)
-        current[v] = bare
+        if v < c:  # every later vertex stays bare: finish the test at once
+            state = orbit_minima(state, check_after(c))
+        classes += len(state)
+        x = state[:, :c]
+        w = (gain[x] << np.arange(c)).sum(1)
+        seen = np.zeros(1 << c, bool)
+        seen[w] = True
+        distinct = np.flatnonzero(seen)
+        core_alpha = np.zeros(1 << c, np.int8)
+        core_alpha[distinct] = [_mis(rows, u, memo) for u in distinct.tolist()]
+        alphas = a_out[x].sum(1) + core_alpha[w]
+        keep = slice(None) if alpha is None else alphas == alpha
+        for row, a in zip(by_rank[x[keep]].tolist(), alphas[keep].tolist()):
+            yield rows, tuple(row), a
 
-    # sorted: the identity comes first, and its comparison is always equal
-    yield from rec(0, extra, 0, 0, [(a, 0) for a in automorphisms(core)[1:]])
+    # the state: c tree ranks (0 is the bare tree) and the budget left
+    start = np.zeros((1, c + 1), rank.dtype)
+    start[0, c] = extra
+    yield from grow(0, start)
+    return classes
 
 
 def _core_specs_bicyclic(n: int):
@@ -414,18 +492,23 @@ def _core_specs_bicyclic(n: int):
 
 
 def _bicyclic_classes(
-    n: int, cores: Sequence[BicyclicSpec] | None = None
-) -> Iterator[tuple[tuple[int, ...], Assignment, int]]:
-    """(core rows, forest assignment, alpha) of every (n+1)-edge class.
+    n: int, cores: Sequence[BicyclicSpec] | None = None, alpha: int | None = None
+) -> Generator[tuple[tuple[int, ...], Assignment, int], None, int]:
+    """(core rows, forest assignment, alpha) of every (n+1)-edge class, or
+    of those with independence number ``alpha`` when it is given; returns
+    the number of classes, those filtered out included.
 
     ``cores``, a subset of ``_core_specs_bicyclic(n)``, restricts the stream
     to the classes grown from those cores: one parallel unit of a search.
+    Each core is built when the stream reaches it.
     """
+    classes = 0
     if n < 4:
-        return
+        return classes
     for spec in _core_specs_bicyclic(n) if cores is None else cores:
         core, _ = build_bicyclic(spec)
-        yield from _forest_assignments(core, n - core.n)
+        classes += yield from _forest_assignments(core, n - core.n, alpha)
+    return classes
 
 
 def _class_graphs(n: int, classes) -> Iterator[Graph]:

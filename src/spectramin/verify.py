@@ -11,7 +11,8 @@ give each graph a lower bound on its radius (the Rayleigh quotient of
 x = A^4 1, W_9 / W_8), and a graph whose bound lies above a radius already
 known (the running minimum, or one graph of its batch solved first) plus
 the band is dropped unsolved: its radius lies above the final minimum plus
-the band, so it could never be in the band.
+the band, so it could never be in the band.  A batch of a few graphs, where
+the bounds cost more than they save, is solved whole.
 """
 
 from __future__ import annotations
@@ -65,6 +66,9 @@ SAFETY_BAND = 1e-7
 _WALK_STEPS = 4  # the scan's lower bound is the Rayleigh quotient of A^4 1
 MAX_EXTREMAL_CAP = 8  # the max-extremal sweep enumerates every connected graph
 _BATCH = 4096
+# Below this many graphs one eigensolve of the whole batch is cheaper than
+# the walk bounds plus the pivot's solve (BENCH_forest_arrays.json).
+_WALK_MIN_BATCH = 10
 
 
 @dataclass(frozen=True)
@@ -91,7 +95,7 @@ class MinimizerResult:
     min_rho: float
     argmin: list[Graph]
     class_size: int
-    searched: int = -1  # total classes streamed before the alpha filter
+    searched: int = -1  # classes generated and orbit-tested before the alpha filter
     unresolved: bool = False
 
 
@@ -189,9 +193,13 @@ def _band_radii(batch: list[Graph], best: float) -> list[tuple[float, Graph]]:
     is the smaller of ``best`` and its radius, plus the band and a 1e-9
     margin for rounding.  A graph with lo > cut has rho >= lo > cut, above
     the final minimum plus the band, so it never enters the band and never
-    sets the minimum; every other graph (K_1's NaN included) is solved.
+    sets the minimum; every other graph (K_1's NaN included) is solved.  A
+    batch of fewer than ``_WALK_MIN_BATCH`` graphs is solved whole, which
+    the scan reads the same way.
     """
     mats = adjacency_matrices(batch)
+    if len(batch) < _WALK_MIN_BATCH:
+        return list(zip(_rho_batch(mats).tolist(), batch))
     lo, cw = _walk_bounds(mats)
     pivot = int(np.argmin(cw))
     cut = min(best, float(_rho_batch(mats[pivot:pivot + 1])[0])) + SAFETY_BAND + 1e-9
@@ -208,10 +216,11 @@ def _scan_stream(
     graphs within the safety band of the stream minimum).  In-class graphs
     are taken one stream-order batch of ``_BATCH`` at a time, and
     ``_band_radii`` eigensolves only those whose walk lower bound can reach
-    the band.  The result equals eigensolving every graph: the final band is
-    the stream-order list of graphs with rho <= min + band, which no dropped
-    graph can join, and the minimum's own bound never exceeds the cut.  The
-    band holds graphs, and only its members become graph6.
+    the band (all of a small batch).  The result equals eigensolving every
+    graph: the final band is the stream-order list of graphs with
+    rho <= min + band, which no dropped graph can join, and the minimum's
+    own bound never exceeds the cut.  The band holds graphs, and only its
+    members become graph6.
     """
     seen = 0
     count = 0
@@ -282,19 +291,16 @@ def _minimizer_branch(args) -> tuple[int, int, float, list[tuple[float, str]]]:
 def _bicyclic_branch(args) -> tuple[int, int, float, list[tuple[float, str]]]:
     """Bicyclic work unit: scan the graphs grown from some cores (None: all).
 
-    Each class arrives with its alpha, so only the classes in the alpha
+    The forest pass filters by alpha, so only the classes in the alpha
     class (all of them when ``alpha`` is None) are built as graphs; every
-    class counts as searched.
+    class it generates counts as searched.
     """
     n, alpha, cores = args
     searched = 0
 
     def in_class():
         nonlocal searched
-        for cls in _bicyclic_classes(n, cores):
-            searched += 1
-            if alpha is None or cls[2] == alpha:
-                yield cls
+        searched = yield from _bicyclic_classes(n, cores, alpha)
 
     _, count, best, cands = _scan_stream(_class_graphs(n, in_class()), None)
     return searched, count, best, cands

@@ -52,6 +52,35 @@ def test_serial_bicyclic_search_is_one_scan(alpha, in_class, monkeypatch):
     assert builds == [(spec, True) for spec in enumeration._core_specs_bicyclic(10)]
 
 
+def test_filtered_bicyclic_classes_build_each_core_lazily(monkeypatch):
+    # the alpha-filtered stream still builds every core through
+    # enumeration.build_bicyclic, once per spec in spec order, each only
+    # after the classes of the cores before it were yielded
+    builds = []
+    yielded = []
+    build = enumeration.build_bicyclic
+
+    def traced_build(spec):
+        builds.append((spec, len(yielded)))
+        return build(spec)
+
+    monkeypatch.setattr(enumeration, "build_bicyclic", traced_build)
+    specs = enumeration._core_specs_bicyclic(10)
+    cores = [build(spec)[0] for spec in specs]
+    per_core = [sum(1 for _ in enumeration._forest_assignments(core, 10 - core.n, 4))
+                for core in cores]
+    classes = enumeration._bicyclic_classes(10, alpha=4)
+    while True:
+        try:
+            yielded.append(next(classes))
+        except StopIteration as stop:
+            assert stop.value == 2_678
+            break
+    before = [sum(per_core[:i]) for i in range(len(specs))]
+    assert builds == list(zip(specs, before))
+    assert len(yielded) == 30
+
+
 def test_certificate_hooks_fire_in_a_lemmas_pass(monkeypatch):
     # the smoke run fails when a counted wrapper never fires: a small lemmas
     # pass must still reach each exact routine the tracer counts

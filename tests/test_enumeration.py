@@ -90,6 +90,16 @@ def _leaf_only_forest_assignments(core, extra):
     yield from rec(0, extra, 0, 0)
 
 
+def _drain(classes):
+    """(returned class count, yielded classes) of a forest class generator."""
+    kept = []
+    while True:
+        try:
+            kept.append(next(classes))
+        except StopIteration as stop:
+            return stop.value, kept
+
+
 def _tree_alpha(tree):
     """(a_out, gain) of the rooted tree with level sequence ``tree``, by a
     tree DP over (root taken, root left out): the oracle of the table that
@@ -472,6 +482,28 @@ class TestForestPrefixCut:
         for n in range(k, 13):
             oracle = list(_leaf_only_forest_assignments(core, n - k))
             assert list(_forest_assignments(core, n - k)) == oracle, n
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_alpha_filter_equals_oracle(self, n):
+        # every core of order n and every alpha that occurs: the filtered
+        # pass counts every class and keeps exactly the oracle's with that alpha
+        cores = [build_bicyclic(spec)[0] for spec in _core_specs_bicyclic(n)]
+        cores += [build_cycle(k) for k in range(3, n + 1)]
+        for core in cores:
+            stream = list(_leaf_only_forest_assignments(core, n - core.n))
+            for alpha in sorted({cls[2] for cls in stream}):
+                got = _drain(_forest_assignments(core, n - core.n, alpha))
+                assert got == (len(stream), [cls for cls in stream if cls[2] == alpha]), (
+                    core.rows, alpha)
+            assert _drain(_forest_assignments(core, n - core.n)) == (len(stream), stream)
+
+    @pytest.mark.parametrize("n, searched, kept", [
+        (10, 2_678, 30), (12, 28_908, 171), (14, 300_748, 990)])
+    def test_alpha_class_totals(self, n, searched, kept):
+        # classes generated and classes in the theorem's alpha class
+        count, classes = _drain(_bicyclic_classes(n, alpha=n // 2 - 1))
+        assert (count, len(classes)) == (searched, kept)
+        assert {cls[2] for cls in classes} == {n // 2 - 1}
 
     def test_burnside_counts_per_core(self):
         # every core up to n = 14, and the pinned totals at 10, 12 and 14

@@ -282,7 +282,7 @@ def _walk_count(g, k):
 
 
 class TestWalkPrefilter:
-    @pytest.mark.parametrize("batch", [1, 7, 4096])
+    @pytest.mark.parametrize("batch", [1, 7, 16, 4096])
     def test_scan_equals_eigensolve_everything(self, batch, scan_units, monkeypatch):
         # a running best across batches, batches of one graph and K_1 included
         monkeypatch.setattr(verify, "_BATCH", batch)
@@ -295,6 +295,26 @@ class TestWalkPrefilter:
                 with monkeypatch.context() as m:
                     m.setattr(verify, "_scan_stream", _eigensolve_everything_scan)
                     assert got == repr(minimizer(n, alpha)), (n, alpha)
+
+    def test_small_batch_solved_whole(self, monkeypatch):
+        # below _WALK_MIN_BATCH graphs one eigensolve takes the whole batch;
+        # from there on the pivot is solved alone first
+        solved = []
+        batch = verify._rho_batch
+
+        def counted(mats):
+            solved.append(len(mats))
+            return batch(mats)
+
+        monkeypatch.setattr(verify, "_rho_batch", counted)
+        graphs = list(enumerate_connected(6))
+        small = graphs[:verify._WALK_MIN_BATCH - 1]
+        assert verify._band_radii(small, 0.0) == list(
+            zip(np.linalg.eigvalsh(adjacency_matrices(small))[:, -1].tolist(), small))
+        assert solved == [len(small)]
+        solved.clear()
+        verify._band_radii(graphs[:verify._WALK_MIN_BATCH], float("inf"))
+        assert solved[0] == 1
 
     def test_bounds_hold(self, scan_units):
         # every connected graph on 2..8 vertices, and the n = 12 bicyclic class
