@@ -23,8 +23,12 @@ Two engines:
   that test is decided on the assigned prefix: two tuples compare as their
   first differing position does, so a row is dropped after the first column
   that shows a core automorphism maps it, and every row it would grow into,
-  to a smaller one.  Only the classes a search keeps become Python tuples.
-  This is what makes the n <= 16 fixed-edge-count sweeps affordable.
+  to a smaller one.  A search takes the classes as those blocks of rank
+  rows (``ClassBlock``) and fills its matrix stacks from them with one
+  scatter per block, so no per-class tuple or graph is made; only
+  ``bicyclic_graphs``, ``unicyclic_graphs`` and the tuple forms expand
+  them.  This is what makes the n <= 16 fixed-edge-count sweeps
+  affordable.
 
 The structural generator also yields the independence number of every class,
 computed while the forest is chosen rather than on the built graph.  For a
@@ -344,21 +348,107 @@ def _tree_catalog(top: int):
             np.array(a_out, np.int8), np.array(gain, np.int8))
 
 
+@cache
+def _tree_parents(top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of every tree of ``_tree_catalog(top)``, by rank, for the
+    matrix scatter: (extra nodes, parents), where tree node ``j + 1`` hangs
+    from node ``parents[rank, j]`` for each ``j`` below the tree's extra
+    nodes (0 pads the rest).  A level sequence is a preorder: a node's
+    parent comes before it and its children after it, so the parent is its
+    least neighbor."""
+    trees = _tree_catalog(top)[3]
+    extra = np.array([len(tree) - 1 for tree in trees], np.uint8)
+    parents = np.zeros((len(trees), top - 1), np.uint8)
+    parents[np.arange(top - 1) < extra[:, None]] = [
+        (row & -row).bit_length() - 1 for tree in trees for row in _tree_rows(tree)[1:]]
+    return extra, parents
+
+
+def _class_alphas(rows: tuple[int, ...], x: np.ndarray, a_out, gain, memo: dict) -> np.ndarray:
+    """alpha of each class of the rank rows ``x`` on the core with bitmask
+    ``rows``, by the composition law of the module docstring: the sum of
+    a_out plus alpha(core[W]), ``W`` the vertices whose tree has gain 1,
+    with ``_mis`` once per distinct ``W`` (``memo`` is the core's)."""
+    c = len(rows)
+    w = (gain[x] << np.arange(c)).sum(1)
+    seen = np.zeros(1 << c, bool)
+    seen[w] = True
+    distinct = np.flatnonzero(seen)
+    core_alpha = np.zeros(1 << c, np.int8)
+    core_alpha[distinct] = [_mis(rows, u, memo) for u in distinct.tolist()]
+    return a_out[x].sum(1) + core_alpha[w]
+
+
+class ClassBlock:
+    """Consecutive classes of one core, as rows of tree ranks: class ``i``
+    hangs the tree of rank ``ranks[i, v]`` from core vertex ``v``.  Its
+    graph has ``n`` vertices, numbered as ``_attach_forest`` numbers them;
+    ``memo`` is the core's alpha memo."""
+
+    __slots__ = ("n", "core", "ranks", "memo")
+
+    def __init__(self, n: int, core: Graph, ranks: np.ndarray, memo: dict):
+        self.n, self.core, self.ranks, self.memo = n, core, ranks, memo
+
+    def __len__(self) -> int:
+        return len(self.ranks)
+
+    def _catalog(self):
+        return _tree_catalog(self.n - self.core.n + 1)
+
+    def graph(self, i: int) -> Graph:
+        """The graph of class ``i``."""
+        tree = self._catalog()[3][self.ranks[i]]
+        return Graph.from_rows(self.n, _attach_forest(self.core.rows, tree))
+
+    def classes(self) -> Iterator[tuple[tuple[int, ...], Assignment, int]]:
+        """(core rows, forest assignment, alpha) of each class."""
+        _, _, _, by_rank, a_out, gain = self._catalog()
+        rows = self.core.rows
+        alphas = _class_alphas(rows, self.ranks, a_out, gain, self.memo)
+        for row, a in zip(by_rank[self.ranks].tolist(), alphas.tolist()):
+            yield rows, tuple(row), a
+
+    def fill(self, out: np.ndarray, lo: int, hi: int) -> None:
+        """Write the adjacency matrices of classes ``lo..hi`` into the zeroed
+        ``(hi - lo, n, n)`` stack ``out``, in one scatter.
+
+        Tree node ``i >= 1`` of column ``v`` is vertex ``shift[v] + i``, with
+        ``shift`` = c - 1 plus the extra nodes of the trees before ``v``,
+        and the root is ``v`` itself.  Every class has n - c tree edges."""
+        x = self.ranks[lo:hi]
+        c = self.core.n
+        extra, parents = _tree_parents(self.n - c + 1)
+        size = extra[x]
+        shift = np.cumsum(size, 1, dtype=np.intp) - size + (c - 1)
+        # one entry per tree edge: node j + 1 of the tree at column v of row
+        row, v, j = np.nonzero(np.arange(parents.shape[1]) < size[..., None])
+        at = shift[row, v]
+        child = at + j + 1
+        parent = parents[x[row, v], j]
+        parent = np.where(parent == 0, v, at + parent)
+        out[:, :c, :c] = self.core.adjacency_matrix()
+        out[row, parent, child] = 1
+        out[row, child, parent] = 1
+
+
 # Child rows one expansion step creates at most: it bounds the transient
 # arrays of a core's pass (BENCH_forest_arrays.json).
 _BLOCK = 1 << 10
 
 
-def _forest_assignments(
+def _forest_blocks(
     core: Graph, extra: int, alpha: int | None = None
-) -> Generator[tuple[tuple[int, ...], Assignment, int], None, int]:
-    """(core rows, forest assignment, alpha), one per isomorphism class, or
-    only the classes whose alpha is ``alpha`` when it is given.  Returns the
-    number of classes, those filtered out included.
+) -> Generator[ClassBlock, None, int]:
+    """Every class of ``core`` with ``extra`` forest nodes, as blocks of
+    rank rows in stream order, or only the classes whose alpha is ``alpha``
+    when it is given.  Returns the number of classes, those filtered out
+    included; alpha is computed only to filter.
 
-    An assignment maps each core vertex to a canonical rooted tree (size 1 =
-    nothing attached); two assignments related by a core automorphism give
-    isomorphic graphs, so only the lexicographic orbit minimum is a class.
+    A class is a forest assignment: each core vertex gets a canonical
+    rooted tree (size 1 = nothing attached).  Two assignments related by a
+    core automorphism give isomorphic graphs, so only the lexicographic
+    orbit minimum is a class.
 
     The classes are built column by column as rows of tree ranks, one numpy
     pass per core.  Column ``v`` repeats each row once per tree it may take:
@@ -378,14 +468,10 @@ def _forest_assignments(
     assignment grown from it is an orbit minimum.  Once every row has spent
     its budget the later vertices stay bare, and the whole test runs at
     once.  The rows left at the end are exactly the orbit minima.
-
-    alpha comes from the composition law of the module docstring: the sum
-    of a_out plus alpha(core[W]) with ``W`` the vertices whose tree has gain
-    1, computed with ``_mis`` once per distinct ``W`` and memoized per core.
     """
     c = core.n
     rows = core.rows
-    rank, extra_nodes, first, by_rank, a_out, gain = _tree_catalog(extra + 1)
+    rank, extra_nodes, first, _, a_out, gain = _tree_catalog(extra + 1)
     upto, exact = first[1:], np.diff(first)  # trees with at most / exactly e extra nodes
     # the positions (a, i, a[i]) that can differ (a[i] != i), keyed by the
     # column after which each is decided: the first one where 0..i and
@@ -450,22 +536,35 @@ def _forest_assignments(
             state = orbit_minima(state, check_after(c))
         classes += len(state)
         x = state[:, :c]
-        w = (gain[x] << np.arange(c)).sum(1)
-        seen = np.zeros(1 << c, bool)
-        seen[w] = True
-        distinct = np.flatnonzero(seen)
-        core_alpha = np.zeros(1 << c, np.int8)
-        core_alpha[distinct] = [_mis(rows, u, memo) for u in distinct.tolist()]
-        alphas = a_out[x].sum(1) + core_alpha[w]
-        keep = slice(None) if alpha is None else alphas == alpha
-        for row, a in zip(by_rank[x[keep]].tolist(), alphas[keep].tolist()):
-            yield rows, tuple(row), a
+        if alpha is not None:
+            x = x[_class_alphas(rows, x, a_out, gain, memo) == alpha]
+        if len(x):
+            yield ClassBlock(c + extra, core, x, memo)
 
     # the state: c tree ranks (0 is the bare tree) and the budget left
     start = np.zeros((1, c + 1), rank.dtype)
     start[0, c] = extra
     yield from grow(0, start)
     return classes
+
+
+def _expand(blocks: Generator[ClassBlock, None, int]):
+    """The classes of a block stream one at a time, as (core rows, forest
+    assignment, alpha); returns what the block stream returns."""
+    while True:
+        try:
+            block = next(blocks)
+        except StopIteration as stop:
+            return stop.value
+        yield from block.classes()
+
+
+def _forest_assignments(
+    core: Graph, extra: int, alpha: int | None = None
+) -> Generator[tuple[tuple[int, ...], Assignment, int], None, int]:
+    """(core rows, forest assignment, alpha), one per class of
+    ``_forest_blocks``, with the same filter and return value."""
+    return (yield from _expand(_forest_blocks(core, extra, alpha)))
 
 
 def _core_specs_bicyclic(n: int):
@@ -491,11 +590,11 @@ def _core_specs_bicyclic(n: int):
     return specs
 
 
-def _bicyclic_classes(
+def _bicyclic_blocks(
     n: int, cores: Sequence[BicyclicSpec] | None = None, alpha: int | None = None
-) -> Generator[tuple[tuple[int, ...], Assignment, int], None, int]:
-    """(core rows, forest assignment, alpha) of every (n+1)-edge class, or
-    of those with independence number ``alpha`` when it is given; returns
+) -> Generator[ClassBlock, None, int]:
+    """Every (n+1)-edge class as ``ClassBlock``s in stream order, or the
+    classes with independence number ``alpha`` when it is given; returns
     the number of classes, those filtered out included.
 
     ``cores``, a subset of ``_core_specs_bicyclic(n)``, restricts the stream
@@ -507,8 +606,16 @@ def _bicyclic_classes(
         return classes
     for spec in _core_specs_bicyclic(n) if cores is None else cores:
         core, _ = build_bicyclic(spec)
-        classes += yield from _forest_assignments(core, n - core.n, alpha)
+        classes += yield from _forest_blocks(core, n - core.n, alpha)
     return classes
+
+
+def _bicyclic_classes(
+    n: int, cores: Sequence[BicyclicSpec] | None = None, alpha: int | None = None
+) -> Generator[tuple[tuple[int, ...], Assignment, int], None, int]:
+    """(core rows, forest assignment, alpha), one per class of
+    ``_bicyclic_blocks``, with the same filter and return value."""
+    return (yield from _expand(_bicyclic_blocks(n, cores, alpha)))
 
 
 def _class_graphs(n: int, classes) -> Iterator[Graph]:

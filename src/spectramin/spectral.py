@@ -9,11 +9,13 @@ exact certificates, never by floating-point closeness.
 ``compare_rho_certified`` settles a comparison in up to three steps:
 
 * **Perron brackets, for strict verdicts.**  Round the float Perron vector
-  to a positive integer vector x.  Then x^T A x / x^T x <= rho (Rayleigh:
-  rho is the largest eigenvalue of the symmetric A) and
-  rho <= max_i (Ax)_i / x_i (Collatz-Wielandt: A >= 0 and x > 0), both
-  exact rationals in integer arithmetic.  The bracket is closed, so only
-  ``hi_1 < lo_2`` proves ``rho_1 < rho_2``; equal radii always overlap.
+  to a non-negative integer vector x.  Then x^T A x / x^T x <= rho
+  (Rayleigh: rho is the largest eigenvalue of the symmetric A, and x is
+  not zero) and, when x > 0, rho <= max_i (Ax)_i / x_i (Collatz-Wielandt:
+  A >= 0), both exact rationals in integer arithmetic.  A zero entry
+  leaves the lower bound alone.  The bracket is closed, so only
+  ``hi_1 < lo_2`` proves ``rho_1 < rho_2``, and it needs only those two
+  bounds; equal radii always overlap.
 * **The gcd on isolating brackets, for equalities.**  When the Perron
   brackets overlap, each graph gets its characteristic polynomial and an
   isolating bracket ``(lo, hi]``: rho is its only root there and no root
@@ -233,8 +235,8 @@ class _CertifiedRho:
     """One graph's radius certificate.
 
     Construction makes one ``eigh``: the float radius ``guess`` and the
-    exact Perron bracket ``perron`` (None when the rounded vector is not
-    positive).  ``isolate`` adds the char poly ``poly`` and its isolating
+    exact Perron bracket ``perron``, whose upper end is None when the
+    rounded vector is not positive.  ``isolate`` adds the char poly ``poly`` and its isolating
     bracket ``(lo, hi]`` the first time a caller needs them.
 
     Invariant: the top root rho is the only root of the characteristic
@@ -324,27 +326,29 @@ def rho_bracket(g: Graph, width: Fraction | float = Fraction(1, 10**12)) -> RhoB
     return RhoBracket(cert.lo, cert.hi)
 
 
-def _perron_bracket(a: np.ndarray, v: np.ndarray) -> tuple[Fraction, Fraction] | None:
-    """Exact ``[lo, hi]`` around rho from adjacency ``a`` and a float Perron
-    vector ``v``, or None.
+def _perron_bracket(a: np.ndarray, v: np.ndarray) -> tuple[Fraction, Fraction | None]:
+    """Exact ``(lo, hi)`` around rho from adjacency ``a`` and a float Perron
+    vector ``v``; ``hi`` is None when the rounded vector has a zero entry.
 
     x is ``|v|`` scaled so that its largest entry is 2^PERRON_BITS, then
     rounded.  Ax is exact in int64 (its entries stay below n 2^PERRON_BITS),
-    and the rest is Python ints.  lo = x^T A x / x^T x and hi =
-    max_i (Ax)_i / x_i bound rho for every positive x, so the bracket is
-    exact however rough v is: only its width depends on v.  A rounded entry
-    of 0 voids the upper bound, and the graph gets no bracket.
+    and the rest is Python ints.  lo = x^T A x / x^T x is a Rayleigh
+    quotient, so lo <= rho for every non-zero x (A is symmetric), and
+    hi = max_i (Ax)_i / x_i bounds rho from above for every positive x
+    (Collatz-Wielandt), so the bracket is exact however rough v is: only
+    its width depends on v.  A rounded entry of 0 voids only the upper
+    bound.
     """
     m = np.abs(v)
     xv = np.rint(m * (2.0**PERRON_BITS / m.max())).astype(np.int64)
-    if xv.min() <= 0:
-        return None
     x, ax = xv.tolist(), (a.astype(np.int64) @ xv).tolist()
+    lo = Fraction(sum(s * t for s, t in zip(x, ax)), sum(t * t for t in x))
+    if xv.min() <= 0:
+        return lo, None
     hi_num, hi_den = ax[0], x[0]
     for num, den in zip(ax, x):
         if num * hi_den > hi_num * den:
             hi_num, hi_den = num, den
-    lo = Fraction(sum(s * t for s, t in zip(x, ax)), sum(t * t for t in x))
     return lo, Fraction(hi_num, hi_den)
 
 
@@ -354,7 +358,8 @@ def compare_rho_certified(
     """Certified ordering of two spectral radii: ``"less"``, ``"greater"``,
     ``"equal"`` or ``"unresolved"``.
 
-    Perron brackets strictly apart give a strict verdict.  Otherwise a root
+    A Perron upper bound below the other graph's Perron lower bound gives a
+    strict verdict.  Otherwise a root
     of the integer gcd in the overlap of the two isolating brackets gives
     "equal"; with none, the radii differ, and both brackets are bisected
     until they are disjoint.  The module docstring gives the laws.
@@ -370,12 +375,11 @@ def compare_rho_certified(
         if g not in certs:
             certs[g] = _CertifiedRho(g)
     c1, c2 = certs[g1], certs[g2]
-    p1, p2 = c1.perron, c2.perron
-    if p1 and p2:
-        if p1[1] < p2[0]:
-            return "less"
-        if p2[1] < p1[0]:
-            return "greater"
+    (lo1, hi1), (lo2, hi2) = c1.perron, c2.perron
+    if hi1 is not None and hi1 < lo2:
+        return "less"
+    if hi2 is not None and hi2 < lo1:
+        return "greater"
     c1.isolate()
     c2.isolate()
     lo, hi = max(c1.lo, c2.lo), min(c1.hi, c2.hi)

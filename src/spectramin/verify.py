@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from itertools import accumulate
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -33,8 +35,8 @@ from .enumeration import (
     EDGE_MODE_CAP,
     EXTENDED_CAP,
     FULL_SPACE_CAP,
-    _bicyclic_classes,
-    _class_graphs,
+    ClassBlock,
+    _bicyclic_blocks,
     _core_specs_bicyclic,
     bicyclic_graphs,  # unused here, kept patchable: perfbench/tracing.py wraps it
     branch_states,
@@ -185,66 +187,122 @@ def _walk_bounds(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return (x * ax).sum(1) / (x * x).sum(1), (ax / x).max(1)
 
 
-def _band_radii(batch: list[Graph], best: float) -> list[tuple[float, Graph]]:
-    """Numeric radii of the graphs of ``batch`` that may reach the band, in
-    stream order, given the running minimum ``best``.
+def _band_radii(mats: np.ndarray, best: float) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, numeric radii) of the matrices of the stack ``mats`` that
+    may reach the band, in stream order, given the running minimum ``best``.
 
     The graph with the least Collatz-Wielandt bound is solved alone; ``cut``
     is the smaller of ``best`` and its radius, plus the band and a 1e-9
     margin for rounding.  A graph with lo > cut has rho >= lo > cut, above
     the final minimum plus the band, so it never enters the band and never
     sets the minimum; every other graph (K_1's NaN included) is solved.  A
-    batch of fewer than ``_WALK_MIN_BATCH`` graphs is solved whole, which
+    stack of fewer than ``_WALK_MIN_BATCH`` graphs is solved whole, which
     the scan reads the same way.
     """
-    mats = adjacency_matrices(batch)
-    if len(batch) < _WALK_MIN_BATCH:
-        return list(zip(_rho_batch(mats).tolist(), batch))
+    if len(mats) < _WALK_MIN_BATCH:
+        return np.arange(len(mats)), _rho_batch(mats)
     lo, cw = _walk_bounds(mats)
     pivot = int(np.argmin(cw))
     cut = min(best, float(_rho_batch(mats[pivot:pivot + 1])[0])) + SAFETY_BAND + 1e-9
     keep = np.flatnonzero(~(lo > cut))
-    return list(zip(_rho_batch(mats[keep]).tolist(), [batch[i] for i in keep]))
+    return keep, _rho_batch(mats[keep])
+
+
+class _Graphs(list):
+    """Graphs already built, as one block of a scan (see ``ClassBlock``)."""
+
+    @property
+    def n(self) -> int:
+        return self[0].n
+
+    def graph(self, i: int) -> Graph:
+        return self[i]
+
+    def fill(self, out: np.ndarray, lo: int, hi: int) -> None:
+        out[...] = adjacency_matrices(self[lo:hi])
+
+
+def _batches(blocks: Iterable) -> Iterator[list[tuple]]:
+    """The classes of a block stream, ``_BATCH`` at a time in stream order
+    (the last batch may be short), each batch a list of (block, lo, hi)
+    slices."""
+    parts: list[tuple] = []
+    size = 0
+    for block in blocks:
+        lo = 0
+        while lo < len(block):
+            hi = min(len(block), lo + _BATCH - size)
+            parts.append((block, lo, hi))
+            size += hi - lo
+            lo = hi
+            if size == _BATCH:
+                yield parts
+                parts, size = [], 0
+    if parts:
+        yield parts
+
+
+def _batch_radii(parts: list[tuple], starts: list[int], best: float):
+    """``_band_radii`` of one batch, whose matrix stack lives only here."""
+    mats = np.zeros((starts[-1], parts[0][0].n, parts[0][0].n))
+    for (block, lo, hi), at in zip(parts, starts):
+        block.fill(mats[at:at + hi - lo], lo, hi)
+    return _band_radii(mats, best)
 
 
 def _scan_stream(
-    graphs: Iterable[Graph], alpha: int | None
+    stream: Iterable, alpha: int | None
 ) -> tuple[int, int, float, list[tuple[float, str]]]:
     """One pass: alpha-filter, numeric radii, candidates near the minimum.
 
-    Returns (graphs streamed, class size, numeric min, [(rho, graph6)] for
-    graphs within the safety band of the stream minimum).  In-class graphs
-    are taken one stream-order batch of ``_BATCH`` at a time, and
-    ``_band_radii`` eigensolves only those whose walk lower bound can reach
-    the band (all of a small batch).  The result equals eigensolving every
-    graph: the final band is the stream-order list of graphs with
-    rho <= min + band, which no dropped graph can join, and the minimum's
-    own bound never exceeds the cut.  The band holds graphs, and only its
-    members become graph6.
+    ``stream`` holds either graphs, which are alpha-filtered here, or
+    ``ClassBlock``s of rank rows, which the forest pass filtered upstream
+    and which pass as they are.  Returns (graphs or classes streamed, class
+    size, numeric min, [(rho, graph6)] for graphs within the safety band of
+    the stream minimum).  In-class graphs are taken one stream-order batch
+    of ``_BATCH`` at a time.  Each batch's matrix stack is filled block by
+    block (``adjacency_matrices`` for graphs, one scatter per block of rank
+    rows), and ``_band_radii`` eigensolves only the graphs whose walk lower
+    bound can reach the band (all of a small batch).  The result equals
+    eigensolving every graph: the final band is the stream-order list of
+    graphs with rho <= min + band, which no dropped graph can join, and the
+    minimum's own bound never exceeds the cut.  Only band members become
+    ``Graph``s, and only the final band becomes graph6.
     """
     seen = 0
+
+    def in_class():
+        nonlocal seen
+        graphs = _Graphs()
+        for item in stream:
+            if isinstance(item, ClassBlock):
+                seen += len(item)
+                yield item
+                continue
+            seen += 1
+            if alpha is None or independence_number(item) == alpha:
+                graphs.append(item)
+                if len(graphs) == _BATCH:
+                    yield graphs
+                    graphs = _Graphs()
+        yield graphs
+
     count = 0
     best = float("inf")
     band: list[tuple[float, Graph]] = []
-    batch: list[Graph] = []
-    stream = iter(graphs)
-    while True:
-        for g in stream:  # resumes where the last batch stopped
-            seen += 1
-            if alpha is None or independence_number(g) == alpha:
-                batch.append(g)
-                if len(batch) == _BATCH:
-                    break
-        if not batch:
-            return seen, count, best, [(r, to_graph6(g)) for r, g in band]
-        count += len(batch)
-        for r, g in _band_radii(batch, best):
+    for parts in _batches(in_class()):
+        starts = list(accumulate((hi - lo for _, lo, hi in parts), initial=0))
+        count += starts[-1]
+        keep, radii = _batch_radii(parts, starts, best)
+        for i, r in zip(keep.tolist(), radii.tolist()):
             if r < best:
                 best = r
                 band = [(rr, gg) for rr, gg in band if rr <= best + SAFETY_BAND]
             if r <= best + SAFETY_BAND:
-                band.append((r, g))
-        batch = []
+                k = bisect_right(starts, i) - 1
+                block, lo, _ = parts[k]
+                band.append((r, block.graph(lo + i - starts[k])))
+    return seen, count, best, [(r, to_graph6(g)) for r, g in band]
 
 
 def _resolve_argmin(cands: list[tuple[float, str]]) -> tuple[list[Graph], bool]:
@@ -291,18 +349,18 @@ def _minimizer_branch(args) -> tuple[int, int, float, list[tuple[float, str]]]:
 def _bicyclic_branch(args) -> tuple[int, int, float, list[tuple[float, str]]]:
     """Bicyclic work unit: scan the graphs grown from some cores (None: all).
 
-    The forest pass filters by alpha, so only the classes in the alpha
-    class (all of them when ``alpha`` is None) are built as graphs; every
-    class it generates counts as searched.
+    The forest pass filters by alpha and hands the scan blocks of rank rows
+    of the classes in the alpha class (all of them when ``alpha`` is None);
+    every class it generates counts as searched.
     """
     n, alpha, cores = args
     searched = 0
 
     def in_class():
         nonlocal searched
-        searched = yield from _bicyclic_classes(n, cores, alpha)
+        searched = yield from _bicyclic_blocks(n, cores, alpha)
 
-    _, count, best, cands = _scan_stream(_class_graphs(n, in_class()), None)
+    _, count, best, cands = _scan_stream(in_class(), None)
     return searched, count, best, cands
 
 

@@ -111,3 +111,27 @@ def test_edge_minimal_10_eigensolves_pinned(monkeypatch):
     reports = verify.verify_edge_minimal_pair([10])
     assert [r.status for r in reports] == ["pass"]
     assert sum(solved) == 20 < 2_678 / 10
+
+
+@pytest.mark.parametrize("search, sizes", [
+    # 28,908 graphs: 7 batches of 4,096 and one of 236, each a pivot solve
+    # and a solve of the graphs its walk bound keeps
+    (lambda: verify.verify_edge_minimal_pair([12]),
+     [1, 129, 1, 1, 1, 12, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1]),
+    # the 990 graphs of the alpha class at n = 14: one batch
+    (lambda: verify.minimizer_bicyclic(14, 6, workers=1), [1, 25]),
+])
+def test_scan_batch_boundaries_pinned(search, sizes, monkeypatch):
+    # the scan fills stream-order batches of _BATCH in-class classes from
+    # blocks of rank rows; the eigensolves per _rho_batch call show where
+    # the batches start and end (151 and 26 eigensolves)
+    solved = []
+    batch = verify._rho_batch
+
+    def counted(mats):
+        solved.append(len(mats))
+        return batch(mats)
+
+    monkeypatch.setattr(verify, "_rho_batch", counted)
+    search()
+    assert solved == sizes

@@ -410,7 +410,7 @@ class TestCertificatePins:
             verdicts.append(compare_rho_certified(*args))
             return verdicts[-1]
 
-        monkeypatch.setattr(spectral, "_perron_bracket", lambda a, v: None)
+        monkeypatch.setattr(spectral, "_perron_bracket", lambda a, v: (Fraction(0), None))
         monkeypatch.setattr(verify, "compare_rho_certified", record)
         reports = verify.verify_family_grids(6)
         assert all(r.status == "pass" for r in reports)
@@ -529,8 +529,9 @@ class TestPerronTier:
         assert charpoly_calls == []
 
     def test_zero_entry_goes_to_char_poly(self, charpoly_calls, monkeypatch):
-        # a rounded Perron vector with a zero entry gives its graph no
-        # bracket; the pair is settled by the char polys, with the same verdict
+        # a rounded Perron vector with a zero entry gives its graph a lower
+        # bound only; the pair, which needs the smaller graph's upper bound,
+        # is settled by the char polys, with the same verdict
         b434 = build_bicyclic(spec_B(4, 3, 4))[0]
         b443 = build_bicyclic(spec_B(4, 4, 3))[0]
         eigh = np.linalg.eigh
@@ -546,8 +547,22 @@ class TestPerronTier:
         certs = {}
         assert compare_rho_certified(b434, b443, certs) == "less"
         assert compare_rho_certified(b443, b434, certs) == "greater"
-        assert certs[b434].perron is None and certs[b443].perron is not None
+        lo, hi = certs[b434].perron
+        assert hi is None and lo <= np.linalg.eigvalsh(target)[-1]
+        assert None not in certs[b443].perron
         assert charpoly_calls == [b434, b443]
+
+    def test_half_bracket_gives_a_strict_verdict(self, charpoly_calls):
+        # B(3,64,4) on 70 vertices rounds its Perron vector to a zero entry
+        # and is past EXACT_CAP; C_70's upper bound 2 below its Rayleigh
+        # bound settles the pair with no char poly
+        c70, b = verify.graph_from_family("C:70"), verify.graph_from_family("B:3,64,4")
+        assert c70.n == b.n == 70 > spectral.EXACT_CAP
+        certs = {}
+        assert compare_rho_certified(c70, b, certs) == "less"
+        assert compare_rho_certified(b, c70, certs) == "greater"
+        assert certs[b].perron[1] is None and certs[c70].perron == (2, 2)
+        assert charpoly_calls == []
 
 
 class TestInterlacing:

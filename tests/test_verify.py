@@ -16,8 +16,13 @@ import pytest
 import spectramin
 from spectramin import verify
 from spectramin.enumeration import (
+    _bicyclic_blocks,
     _bicyclic_classes,
     _class_graphs,
+    _core_specs_bicyclic,
+    _forest_assignments,
+    _forest_blocks,
+    _tree_parents,
     branch_states,
     enumerate_connected,
     enumerate_connected_from_branch,
@@ -28,6 +33,8 @@ from spectramin.graphs import (
     InvalidInputError,
     InvalidParameterError,
     adjacency_matrices,
+    build_bicyclic,
+    build_cycle,
     canonical_form,
     independence_number,
 )
@@ -256,20 +263,23 @@ def _eigensolve_everything_scan(graphs, alpha):
 
 @pytest.fixture(scope="module")
 def scan_units():
-    """(label, graphs, alpha) scan inputs: every full-space branch unit for
-    n = 5..8, with alpha at the target and unfiltered, and the bicyclic class
-    for n = 10 and 12, unfiltered and at alpha = n/2 - 1 (filtered upstream,
-    as ``_bicyclic_branch`` does)."""
+    """(label, graphs, alpha, scan input) units: every full-space branch
+    unit for n = 5..8, with alpha at the target and unfiltered, fed as
+    graphs, and the bicyclic class for n = 10 and 12, unfiltered and at
+    alpha = n/2 - 1, fed as the search feeds it: blocks of rank rows
+    filtered upstream, scanned with alpha None, beside their graphs."""
     units = []
     for n in range(5, 9):
         for i, state in enumerate(branch_states()):
             graphs = list(enumerate_connected_from_branch(n, state))
-            units += [(f"full {n} unit {i} alpha {a}", graphs, a) for a in (target_alpha(n), None)]
+            units += [(f"full {n} unit {i} alpha {a}", graphs, a, graphs)
+                      for a in (target_alpha(n), None)]
     for n in (10, 12):
         classes = list(_bicyclic_classes(n))
         for a in (None, n // 2 - 1):
             graphs = list(_class_graphs(n, (c for c in classes if a is None or c[2] == a)))
-            units.append((f"bicyclic {n} alpha {a}", graphs, None))
+            units.append((f"bicyclic {n} alpha {a}", graphs, None,
+                          list(_bicyclic_blocks(n, alpha=a))))
     return units
 
 
@@ -286,9 +296,9 @@ class TestWalkPrefilter:
     def test_scan_equals_eigensolve_everything(self, batch, scan_units, monkeypatch):
         # a running best across batches, batches of one graph and K_1 included
         monkeypatch.setattr(verify, "_BATCH", batch)
-        for label, graphs, alpha in scan_units:
+        for label, graphs, alpha, stream in scan_units:
             want = _eigensolve_everything_scan(graphs, alpha)
-            assert repr(verify._scan_stream(graphs, alpha)) == repr(want), label
+            assert repr(verify._scan_stream(stream, alpha)) == repr(want), label
         for n in range(1, 5):
             for alpha in (None, *range(1, n + 1)):
                 got = repr(minimizer(n, alpha))
@@ -307,22 +317,24 @@ class TestWalkPrefilter:
             return batch(mats)
 
         monkeypatch.setattr(verify, "_rho_batch", counted)
-        graphs = list(enumerate_connected(6))
-        small = graphs[:verify._WALK_MIN_BATCH - 1]
-        assert verify._band_radii(small, 0.0) == list(
-            zip(np.linalg.eigvalsh(adjacency_matrices(small))[:, -1].tolist(), small))
+        mats = adjacency_matrices(list(enumerate_connected(6)))
+        small = mats[:verify._WALK_MIN_BATCH - 1]
+        keep, radii = verify._band_radii(small, 0.0)
+        assert keep.tolist() == list(range(len(small)))
+        assert radii.tolist() == np.linalg.eigvalsh(small)[:, -1].tolist()
         assert solved == [len(small)]
         solved.clear()
-        verify._band_radii(graphs[:verify._WALK_MIN_BATCH], float("inf"))
+        verify._band_radii(mats[:verify._WALK_MIN_BATCH], float("inf"))
         assert solved[0] == 1
 
     def test_bounds_hold(self, scan_units):
         # every connected graph on 2..8 vertices, and the n = 12 bicyclic class
         stacks = [list(enumerate_connected(n)) for n in range(2, 5)]
-        stacks += [graphs for label, graphs, _ in scan_units
+        stacks += [graphs for label, graphs, _, _ in scan_units
                    if label.startswith("full") and label.endswith("alpha None")]
         assert sum(map(len, stacks)) == 12_112
-        stacks += [graphs for label, graphs, _ in scan_units if label == "bicyclic 12 alpha None"]
+        stacks += [graphs for label, graphs, _, _ in scan_units
+                   if label == "bicyclic 12 alpha None"]
         assert len(stacks[-1]) == 28_908
         for graphs in (g for g in stacks if g):
             mats = adjacency_matrices(graphs)
@@ -345,6 +357,47 @@ class TestWalkPrefilter:
             assert w9 < 2 ** 53
             lo, _ = verify._walk_bounds(adjacency_matrices([g]))
             assert lo[0] == w9 / w8
+
+
+class TestClassBlockStacks:
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_stacks_equal_adjacency_matrices(self, n, monkeypatch):
+        # the scan's batch stacks, filled block by block from rank rows,
+        # against adjacency_matrices of the built graphs, bit for bit: every
+        # two-cycle core and every cycle, unfiltered and at each alpha that
+        # occurs, in batches of 7 so that blocks span batch boundaries
+        stacks = []
+
+        def capture(mats, best):
+            stacks.append(mats)
+            return np.arange(0), np.zeros(0)
+
+        monkeypatch.setattr(verify, "_band_radii", capture)
+        monkeypatch.setattr(verify, "_BATCH", 7)
+        cores = [build_bicyclic(spec)[0] for spec in _core_specs_bicyclic(n)]
+        cores += [build_cycle(k) for k in range(3, n + 1)]
+        whole_budget = spanning = 0
+        for core in cores:
+            extra = n - core.n
+            alphas = sorted({cls[2] for cls in _forest_assignments(core, extra)})
+            for alpha in (None, *alphas):
+                blocks = list(_forest_blocks(core, extra, alpha))
+                graphs = list(_class_graphs(n, _forest_assignments(core, extra, alpha)))
+                stacks.clear()
+                seen, count, _, _ = verify._scan_stream(blocks, None)
+                assert seen == count == len(graphs) > 0
+                assert [len(m) for m in stacks] == [7] * (count // 7) + [count % 7] * (count % 7 > 0)
+                got = np.concatenate(stacks)
+                want = adjacency_matrices(graphs)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (
+                    core.rows, alpha)
+                ends = np.cumsum([len(b) for b in blocks])
+                starts = ends - [len(b) for b in blocks]
+                spanning += int(np.any(starts // 7 != (ends - 1) // 7))
+                sizes = _tree_parents(extra + 1)[0]
+                whole_budget += sum(int((sizes[b.ranks] == extra).sum()) for b in blocks
+                                    if extra)
+        assert whole_budget > 0 and (spanning > 0 or n < 7)
 
 
 class TestHarness:
