@@ -436,6 +436,64 @@ class ClassBlock:
 # arrays of a core's pass (BENCH_forest_arrays.json).
 _BLOCK = 1 << 10
 
+# {automorphisms: {core rows: (check_after, alpha memo)}}: the tables of
+# every core the forest pass has met, under the one ``automorphisms`` that
+# built them
+_CORE_TABLES: dict = {}
+
+
+def _core_tables(core: Graph):
+    """The orbit tests and the alpha memo of ``core``, built once per process.
+
+    ``check_after(v)`` is the test after column ``v`` (the whole test for
+    ``v = c``): the positions decided so far of each automorphism that
+    column ``v`` decides a new position of, a-major with i ascending, with
+    decreasing weights so that the earliest difference of a group is its
+    largest weighted entry; None when there are none.  The memo maps a
+    vertex mask ``W`` to alpha(core[W]) for ``_mis``.
+
+    Both depend only on the core graph (its automorphisms and its rows), not
+    on n, the forest budget or the alpha filter, so every order and every
+    later search of this process reuses them, keyed by the core's bitmask
+    rows.  The structural generators meet only two-cycle cores and cycles of
+    order at most ``EDGE_MODE_CAP``, so the cache holds at most that many
+    cores (335 two-cycle cores and 14 cycles).  The tables are memos of this
+    module's ``automorphisms``, so they are kept under the function that
+    built them: when that attribute is replaced (a counting wrapper), the
+    cache starts empty and every core's automorphisms are computed again.
+    """
+    known = _CORE_TABLES.get(automorphisms)
+    if known is None:
+        _CORE_TABLES.clear()
+        known = _CORE_TABLES[automorphisms] = {}
+    tables = known.get(core.rows)
+    if tables is not None:
+        return tables
+    c = core.n
+    # the positions (a, i, a[i]) that can differ (a[i] != i), keyed by the
+    # column after which each is decided: the first one where 0..i and
+    # a[0..i] are all assigned.  Sorted: the identity comes first, and its
+    # comparison is always equal.
+    pairs: list[tuple[int, int, int, int]] = []
+    for bit, a in enumerate(automorphisms(core)[1:]):
+        col = 0
+        for i, j in enumerate(a):
+            col = max(col, i, j)
+            if j != i:
+                pairs.append((col, bit, i, j))
+
+    @cache
+    def check_after(v: int):
+        new = {bit for col, bit, _, _ in pairs if col == v or v == c}
+        if not new:
+            return None
+        bits, pos, img = zip(*sorted(pair[1:] for pair in pairs if pair[0] <= v and pair[1] in new))
+        starts = [k for k, bit in enumerate(bits) if k == 0 or bit != bits[k - 1]]
+        return list(pos), list(img), np.arange(2 * len(bits), 0, -2, dtype=np.int16), starts
+
+    tables = known[core.rows] = check_after, {}
+    return tables
+
 
 def _forest_blocks(
     core: Graph, extra: int, alpha: int | None = None
@@ -467,39 +525,15 @@ def _forest_blocks(
     decided so far and dropped when the image is smaller, since no
     assignment grown from it is an orbit minimum.  Once every row has spent
     its budget the later vertices stay bare, and the whole test runs at
-    once.  The rows left at the end are exactly the orbit minima.
+    once.  The rows left at the end are exactly the orbit minima.  The
+    tests and the alpha memo come from ``_core_tables``, once per core and
+    process.
     """
     c = core.n
     rows = core.rows
     rank, extra_nodes, first, _, a_out, gain = _tree_catalog(extra + 1)
     upto, exact = first[1:], np.diff(first)  # trees with at most / exactly e extra nodes
-    # the positions (a, i, a[i]) that can differ (a[i] != i), keyed by the
-    # column after which each is decided: the first one where 0..i and
-    # a[0..i] are all assigned.  Sorted: the identity comes first, and its
-    # comparison is always equal.
-    pairs: list[tuple[int, int, int, int]] = []
-    for bit, a in enumerate(automorphisms(core)[1:]):
-        col = 0
-        for i, j in enumerate(a):
-            col = max(col, i, j)
-            if j != i:
-                pairs.append((col, bit, i, j))
-
-    @cache
-    def check_after(v: int):
-        """The test after column ``v`` (the whole test for ``c``): the pairs
-        decided so far of each automorphism that column ``v`` decides a new
-        pair of, a-major with i ascending, with decreasing weights so that
-        the earliest difference of a group is its largest weighted entry;
-        None when there are none."""
-        new = {bit for col, bit, _, _ in pairs if col == v or v == c}
-        if not new:
-            return None
-        bits, pos, img = zip(*sorted(pair[1:] for pair in pairs if pair[0] <= v and pair[1] in new))
-        starts = [k for k, bit in enumerate(bits) if k == 0 or bit != bits[k - 1]]
-        return list(pos), list(img), np.arange(2 * len(bits), 0, -2, dtype=np.int16), starts
-
-    memo: dict[int, int] = {}
+    check_after, memo = _core_tables(core)
     classes = 0
 
     def orbit_minima(state, check):

@@ -21,7 +21,8 @@ import json
 import os
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -399,9 +400,66 @@ def _save_checkpoint(path: str, state: dict) -> None:
     os.replace(tmp, path)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS
+    reports one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise InvalidParameterError(f"workers must be >= 1, got {workers}")
+    """Refuse a worker count below 1 or above the usable CPUs, before any
+    pool exists: a pool forks all of its workers at its first search and
+    keeps them."""
+    cpus = _usable_cpus()
+    if not 1 <= workers <= cpus:
+        raise InvalidParameterError(f"workers must be 1..{cpus} (the usable CPUs), got {workers}")
+
+
+# Chunks per worker that a parallel search sends its parts in, at least one
+# part each: a chunk is one round trip to a worker.  16 per worker cut a
+# bicyclic pass (406 cores for n = 10, 12, 14) to 111 round trips and still
+# balance cores of uneven cost, and keep the 34 full-space branches one per
+# chunk, so a checkpointed search saves after its first branch.
+_CHUNKS_PER_WORKER = 16
+
+# The kept process pool as (worker count, pool); None before the first
+# parallel search and after a broken one.
+_POOL: tuple[int, ProcessPoolExecutor] | None = None
+
+
+def _unit_results(unit, todo: list, workers: int) -> Iterator:
+    """``unit`` of each item of ``todo``, in order.
+
+    One worker runs the units in this process.  More run them in the kept
+    pool, in about ``_CHUNKS_PER_WORKER`` chunks per worker.  The pool is
+    made at the first parallel search and kept until the interpreter exits
+    (``concurrent.futures`` joins its workers then); a search that asks for
+    another worker count shuts it down and makes one of that count, so at
+    most ``workers`` processes live.  Its workers are forked at its first
+    search, so they keep the module attributes of that moment, and the
+    tables they build (``enumeration._core_tables``) serve every later
+    search.  Closing this generator cancels the chunks not yet started.  A
+    pool whose worker died raises ``BrokenProcessPool`` and is dropped, so
+    the next search makes a fresh one.
+    """
+    global _POOL
+    if workers == 1 or not todo:
+        yield from map(unit, todo)
+        return
+    if _POOL is None or _POOL[0] != workers:
+        if _POOL is not None:
+            _POOL[1].shutdown(cancel_futures=True)
+        _POOL = workers, ProcessPoolExecutor(max_workers=workers)
+    pool = _POOL[1]
+    chunksize = max(1, len(todo) // (_CHUNKS_PER_WORKER * workers))
+    try:
+        yield from pool.map(unit, todo, chunksize=chunksize)
+    except BrokenProcessPool:
+        if _POOL is not None and _POOL[1] is pool:
+            _POOL = None
+        raise
 
 
 def _search(
@@ -414,19 +472,20 @@ def _search(
 ) -> MinimizerResult:
     """The one search driver: scan every part, merge, certify the argmin.
 
-    ``unit((n, alpha, part))`` scans one part.  Parts run through a process
-    pool when ``workers > 1`` and in this process otherwise; either way the
-    results are merged in part order as they arrive, and after each one the
-    finished prefix is saved to ``checkpoint`` (keyed by n, alpha and the
-    number of parts), from which a later run with any worker count resumes.
+    ``unit((n, alpha, part))`` scans one part.  Parts run through the
+    process pool of ``workers`` processes, kept for the whole process (see
+    ``_unit_results``), when ``workers > 1`` and in this process otherwise;
+    either way the results are merged in part order as they arrive, and
+    after each one the finished prefix is saved to ``checkpoint`` (keyed by
+    n, alpha and the number of parts), from which a later run with any
+    worker count resumes.
     """
     _check_workers(workers)
     key = {"n": n, "alpha": alpha, "units": len(parts)}
     saved = _load_checkpoint(checkpoint, key)
     done, (seen, count, best, cands) = saved or (-1, (0, 0, float("inf"), []))
     todo = [(n, alpha, part) for part in parts[done + 1:]]
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        results = pool.map(unit, todo) if pool else map(unit, todo)
+    with closing(_unit_results(unit, todo, workers)) as results:
         for i, (s, c, b, cd) in enumerate(results, start=done + 1):
             seen += s
             count += c
@@ -468,8 +527,12 @@ def minimizer_bicyclic(n: int, alpha: int | None = None, workers: int = 1) -> Mi
     """Certified minimum-radius graphs among connected (n+1)-edge graphs,
     optionally filtered by independence number.
 
-    With ``workers > 1`` each two-cycle core is a parallel unit; one worker
-    streams the whole class as a single unit.
+    With ``workers > 1`` each two-cycle core is a parallel unit, sent in
+    chunks to a pool that lives for the whole process: its workers are
+    forked at the first parallel search, so a module attribute patched after
+    that does not reach them, and they keep each core's forest tables for
+    every later order.  One worker streams the whole class as a single unit
+    in this process.
     """
     if not 4 <= n <= EDGE_MODE_CAP:
         raise InvalidParameterError(

@@ -5,7 +5,6 @@ as a checklist.  The long exhaustive sweeps (criteria 1 and 3) are at the
 end; the whole module is the release gate and is expected to stay green.
 """
 
-import os
 import random
 from fractions import Fraction
 
@@ -37,6 +36,7 @@ from spectramin.spectral import (
 )
 from spectramin.transforms import shift_neighbors, split_vertex, subdivide_internal
 from spectramin.verify import (
+    _usable_cpus,
     graph_from_family,
     minimizer,
     minimizer_bicyclic,
@@ -45,7 +45,7 @@ from spectramin.verify import (
     verify_small_order_minimizers,
 )
 
-WORKERS = min(2, os.cpu_count() or 1)
+WORKERS = min(2, _usable_cpus())
 
 
 def _ok(msg: str) -> None:

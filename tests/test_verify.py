@@ -9,12 +9,14 @@ import signal
 import subprocess
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 import spectramin
-from spectramin import verify
+from spectramin import enumeration, verify
+from spectramin.cli import main
 from spectramin.enumeration import (
     _bicyclic_blocks,
     _bicyclic_classes,
@@ -54,6 +56,11 @@ from spectramin.verify import (
     verify_small_order_minimizers,
     write_reports,
 )
+
+# the parallel tests use 2 workers where 2 CPUs are usable: a search refuses
+# more workers than that
+WORKERS = min(2, verify._usable_cpus())
+needs_two_cpus = pytest.mark.skipif(WORKERS < 2, reason="a kept pool of 2 workers needs 2 usable CPUs")
 
 
 # SHA-256 of the report text (``to_text`` lines joined by newlines): the
@@ -110,7 +117,7 @@ class TestMinimizer:
 
     def test_workers_agree(self):
         a = minimizer(7, 3, workers=1)
-        b = minimizer(7, 3, workers=2)
+        b = minimizer(7, 3, workers=WORKERS)
         assert argmin_forms(a) == argmin_forms(b)
         assert a.class_size == b.class_size
         assert a.searched == b.searched
@@ -165,13 +172,14 @@ class TestMinimizer:
             minimizer(7, 3, checkpoint=str(ck))
 
     def test_kill_and_resume(self, tmp_path):
-        # a parallel run killed mid-search leaves a readable checkpoint, and
-        # resuming it under either worker count gives the uninterrupted result
+        # a run killed mid-search (parallel where 2 CPUs are usable) leaves a
+        # readable checkpoint, and resuming it under either worker count
+        # gives the uninterrupted result
         ck = tmp_path / "ck.json"
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spectramin.__file__)))
         code = (
             "import sys; from spectramin.verify import minimizer; "
-            "minimizer(8, 3, workers=2, checkpoint=sys.argv[1])"
+            f"minimizer(8, 3, workers={WORKERS}, checkpoint=sys.argv[1])"
         )
         start = time.monotonic()
         proc = subprocess.Popen([sys.executable, "-c", code, str(ck)], env=env,
@@ -190,12 +198,12 @@ class TestMinimizer:
         shutil.copy(ck, tmp_path / "ck1.json")
 
         start = time.monotonic()
-        clean = minimizer(8, 3, workers=2)
+        clean = minimizer(8, 3, workers=WORKERS)
         # the first branch is saved long before the whole search could end
         # (about a tenth of the way in); a driver that saves only after the
         # pool has drained cannot beat a clean run
         assert first_save < time.monotonic() - start
-        for workers, path in [(2, ck), (1, tmp_path / "ck1.json")]:
+        for workers, path in [(WORKERS, ck), (1, tmp_path / "ck1.json")]:
             resumed = minimizer(8, 3, workers=workers, checkpoint=str(path))
             assert resumed.searched == clean.searched == 11117
             assert resumed.class_size == clean.class_size
@@ -218,7 +226,7 @@ class TestMinimizerBicyclic:
     @staticmethod
     def _assert_workers_agree(n, alpha):
         a = minimizer_bicyclic(n, alpha, workers=1)
-        b = minimizer_bicyclic(n, alpha, workers=2)
+        b = minimizer_bicyclic(n, alpha, workers=WORKERS)
         assert argmin_forms(a) == argmin_forms(b)
         assert a.searched == b.searched
         assert a.class_size == b.class_size
@@ -230,6 +238,110 @@ class TestMinimizerBicyclic:
 
     def test_workers_agree_alpha_filtered(self):
         self._assert_workers_agree(12, 5)
+
+
+@pytest.fixture
+def own_pool(monkeypatch):
+    """No kept pool at the start, and every pool the test's searches make is
+    one of its children, shut down after the test."""
+    made = []
+    make = verify.ProcessPoolExecutor
+
+    def tracked(*args, **kwargs):
+        made.append(make(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(verify, "_POOL", None)
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", tracked)
+    yield made
+    for pool in made:
+        pool.shutdown()
+
+
+def _same_result(a: MinimizerResult, b: MinimizerResult) -> None:
+    assert argmin_forms(a) == argmin_forms(b)
+    assert (a.searched, a.class_size, a.min_rho, a.unresolved) == (
+        b.searched, b.class_size, b.min_rho, b.unresolved)
+
+
+class TestKeptPool:
+    @needs_two_cpus
+    def test_pool_kept_across_orders(self, own_pool):
+        # one pool serves every order, in any order, and each order's
+        # result equals the serial one
+        pids = []
+        for n in (14, 10, 12):
+            parallel = minimizer_bicyclic(n, n // 2 - 1, workers=2)
+            pids.append(sorted(verify._POOL[1]._processes))
+            _same_result(parallel, minimizer_bicyclic(n, n // 2 - 1, workers=1))
+        assert len(own_pool) == 1
+        assert len(pids[0]) == 2 and pids == [pids[0]] * 3
+
+    @needs_two_cpus
+    def test_other_worker_count_replaces_the_pool(self, own_pool, monkeypatch):
+        # one pool at a time: a search with another count shuts the kept
+        # pool down (its workers are joined) before it makes its own
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 3)
+        minimizer(7, 3, workers=2)
+        first = verify._POOL[1]
+        workers = list(first._processes.values())
+        minimizer(7, 3, workers=3)
+        assert verify._POOL[0] == 3 and verify._POOL[1] is not first
+        assert len(own_pool) == 2 and not any(w.is_alive() for w in workers)
+
+    def test_core_tables_built_once_per_core(self, monkeypatch):
+        # the n = 10 cores are among the 126 of n = 12: the second search
+        # builds only the cores the first did not meet.  A replaced
+        # automorphisms starts the tables afresh, so this counts them all
+        # after a search that built them with the original.
+        minimizer_bicyclic(10, 4, workers=1)
+        built = []
+        automorphisms = enumeration.automorphisms
+
+        def counted(core):
+            built.append(core.rows)
+            return automorphisms(core)
+
+        monkeypatch.setattr(enumeration, "automorphisms", counted)
+        minimizer_bicyclic(10, 4, workers=1)
+        assert len(built) == len(_core_specs_bicyclic(10)) == 66
+        minimizer_bicyclic(12, 5, workers=1)
+        assert len(built) == len(set(built)) == len(_core_specs_bicyclic(12)) == 126
+        minimizer_bicyclic(12, 5, workers=1)
+        assert len(built) == 126
+
+    @needs_two_cpus
+    def test_broken_pool_is_replaced(self, own_pool):
+        want = minimizer_bicyclic(10, 4, workers=1)
+        _same_result(minimizer_bicyclic(10, 4, workers=2), want)
+        pool = verify._POOL[1]
+        os.kill(next(iter(pool._processes)), signal.SIGKILL)
+        deadline = time.monotonic() + 60
+        while not pool._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        with pytest.raises(BrokenProcessPool):
+            minimizer_bicyclic(10, 4, workers=2)
+        assert verify._POOL is None
+        _same_result(minimizer_bicyclic(10, 4, workers=2), want)
+        assert verify._POOL[1] is not pool and len(own_pool) == 2
+
+    def test_more_workers_than_cpus_refused_before_any_pool(self, own_pool, monkeypatch,
+                                                             capsys):
+        # a pool forks all of its workers at its first search, so the count
+        # is checked first; no pool may start here even if the check fails
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+        too_many = verify._usable_cpus() + 1
+        with pytest.raises(InvalidParameterError, match="usable CPUs"):
+            minimizer(7, 3, workers=too_many)
+        with pytest.raises(InvalidParameterError, match="usable CPUs"):
+            minimizer_bicyclic(10, 4, workers=too_many)
+        assert main(["verify", "theorem-1.1", "--n", "10", "--workers", "5000"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "workers must be 1.." in err and "got 5000" in err
+        assert verify._POOL is None and own_pool == []
 
 
 def _eigensolve_everything_scan(graphs, alpha):
