@@ -10,10 +10,18 @@ Two engines:
   are rejected before that call: the last canonical position lies in the
   last refined color cell, which lies inside the top-degree class, and an
   orbit lies inside one cell, so a new vertex of less than the largest
-  degree, or outside the last cell, cannot be in the orbit.  A leaf whose
-  last cell is the new vertex alone is accepted with no call at all: the
-  orbit test then holds trivially, and no child of a leaf reads its
-  generators;
+  degree, or outside the last cell, cannot be in the orbit.  The last
+  level of a walk is built as numpy blocks of parents, each about
+  ``_LEAF_BLOCK`` candidate children, refined together with one int64 key
+  per vertex (exact while (n - 1)·n^n < 2^63, so for n <= 15).  A leaf
+  whose last cell is the new vertex alone is accepted with no call at
+  all: the orbit test then holds trivially, and no child of a leaf reads
+  its generators.  A leaf's independence number and connectivity come
+  from its parent P and neighbor subset S: alpha(P + k) = max(alpha(P),
+  1 + alpha(P - S)), from one table per parent over all vertex masks, and
+  the leaf is connected exactly when every component of P meets S.  A
+  search takes the leaves as those blocks of int64 rows with their alphas
+  (``LeafBlock``);
 * structural generation for connected graphs with exactly ``n`` or ``n + 1``
   edges: such graphs are a cycle / two-cycle core with rooted forests hanging
   off it, so they are produced directly from (core, forest assignment) pairs
@@ -52,6 +60,7 @@ built.
 from __future__ import annotations
 
 from functools import cache
+from math import comb
 from typing import Generator, Iterator, Sequence
 
 import numpy as np
@@ -61,13 +70,14 @@ from .graphs import (
     Graph,
     InvalidParameterError,
     _canon,
+    _mask_components,
     _mis,
     _permute_mask,
     _refined_colors,
+    _refined_colors_batch,
     automorphisms,
     build_bicyclic,
     build_cycle,
-    is_connected,
     spec_B,
     spec_C,
     spec_P,
@@ -93,7 +103,6 @@ def _accepted_children(
     gens: Generators,
     edge_count: int,
     max_edges: int | None,
-    bare: bool = False,
 ) -> Iterator[State]:
     """Children of a parent on ``k`` vertices, one per isomorphism class.
 
@@ -116,13 +125,11 @@ def _accepted_children(
     ``top`` and lies in ``S``), or when its refined color is not the
     largest (the refinement test, whose colors ``_canon`` then reuses).
     Both tests are invariant under the parent's group, so a rejected orbit
-    is rejected member by member and the same least ``S`` survive.
+    is rejected member by member and the same least ``S`` survive.  A child
+    that passes both gets its ``_canon`` call.
 
-    A child that passes both tests gets its full ``_canon`` call, except
-    with ``bare``, which a caller sets when the children are leaves whose
-    generators nobody reads.  Then a child whose last refined cell is
-    ``{k}`` is accepted with no search and no generators: ``_canon`` would
-    place ``k`` last, so ``perm[k] = k`` and the orbit test holds.
+    The last level of a walk is built by ``_leaf_block`` instead, with the
+    same tests over a stack of children.
     """
     bit_k = 1 << k
     degrees = [r.bit_count() for r in rows]
@@ -144,12 +151,8 @@ def _accepted_children(
                     orbit.append(U)
         child = tuple(r | bit_k if S >> i & 1 else r for i, r in enumerate(rows)) + (S,)
         colors = _refined_colors(k + 1, child)
-        last = max(colors)
-        if colors[k] != last:
+        if colors[k] != max(colors):
             continue  # refinement test
-        if bare and colors.count(last) == 1:
-            yield child, (), edge_count + add  # last cell {k}: perm[k] = k
-            continue
         perm, orbits, child_gens = _canon(k + 1, child, colors)
         if orbits[k] == orbits[perm[k]]:
             yield child, child_gens, edge_count + add
@@ -159,46 +162,229 @@ _ROOT: State = ((0,), (), 0)  # the one-vertex graph, where every walk starts
 
 
 def _walk(
-    n: int, state: State, max_edges: int | None = None, bare_leaves: bool = False
+    n: int, state: State, max_edges: int | None = None, stop: int | None = None
 ) -> Iterator[State]:
-    """Every generation state on ``n`` vertices below ``state``, depth first
-    in generation order.
+    """Every generation state on ``stop`` vertices (``n`` when not given)
+    below ``state``, depth first in generation order.
 
     With ``max_edges``, no state exceeds that many edges, and a child is cut
-    when even joining each later vertex to all before it cannot reach
-    ``max_edges`` (the exact-count floor).  With ``bare_leaves``, for callers
-    that read only the rows and edge counts of the leaves, a leaf may carry
-    no generators (see ``_accepted_children``); the leaves are the same, in
-    the same order.
+    when even joining each later vertex up to the ``n``-th to all before it
+    cannot reach ``max_edges`` (the exact-count floor).
     """
     rows, gens, edge_count = state
     k = len(rows)
-    if k == n:
+    if k == (n if stop is None else stop):
         yield state
         return
     floor = 0 if max_edges is None else max_edges - sum(range(k + 1, n))
-    bare = bare_leaves and k + 1 == n
-    for child in _accepted_children(k, rows, gens, edge_count, max_edges, bare):
+    for child in _accepted_children(k, rows, gens, edge_count, max_edges):
         if child[2] >= floor:
-            yield from _walk(n, child, max_edges, bare_leaves)
+            yield from _walk(n, child, max_edges, stop)
 
 
-def _connected(n: int, state: State, m_edges: int | None = None) -> Iterator[Graph]:
-    """Connected n-vertex graphs below ``state``; with ``m_edges``, only those
-    with exactly that many edges."""
-    for rows, _, edge_count in _walk(n, state, m_edges, bare_leaves=True):
-        if m_edges is None or edge_count == m_edges:
-            g = Graph.from_rows(n, rows)
-            if is_connected(g):
-                yield g
+# Candidate children per leaf block: a block takes whole parents until the
+# children that pass their degree test reach this many.
+_LEAF_BLOCK = 1 << 12
+
+
+@cache
+def _subsets(k: int) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
+    """Tables of the subsets ``S`` of ``k`` vertices, indexed by ``S``:
+    (bits, sizes, passes), where ``bits[S, i]`` is bit ``i`` of ``S``
+    (int64), ``sizes[S] = |S|``, and ``passes[d][t]`` is the number of ``S``
+    that pass the degree test of a parent whose largest degree ``d`` is
+    held by ``t`` vertices: every ``S`` above size ``d``, and those of size
+    ``d`` that miss those ``t`` vertices."""
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    passes = [[sum(comb(k, s) for s in range(d + 1, k + 1)) + comb(k - t, d)
+               for t in range(k + 1)] for d in range(k + 1)]
+    return bits, bits.sum(1), passes
+
+
+def _orbit_least(k: int, gens: list[Generators]) -> np.ndarray:
+    """``least[p, S]``: whether ``S`` is the least subset of its orbit under
+    the group that ``gens[p]`` generates, for every subset ``S`` of ``k``
+    vertices and every parent ``p``.
+
+    Each subset carries a label, a member of its orbit, at first itself.  A
+    round lowers every label to the least label among its generator images
+    and then to its own label's label, until nothing moves.  Then no label
+    exceeds the label of a generator image, and the generators join an orbit
+    into one cycle-connected piece (each has finite order), so an orbit
+    shares one label; its least member never moves, so that label is the
+    least member, and ``S`` is least exactly when its label is ``S``.
+    """
+    label = np.tile(np.arange(1 << k), (len(gens), 1))
+    owner = np.array([p for p, g in enumerate(gens) for _ in g], np.intp)
+    if owner.size:
+        weights = 1 << np.array([a for g in gens for a in g], np.int64)
+        images = weights @ _subsets(k)[0].T  # the image of every S, per generator
+        moving, starts = np.unique(owner, return_index=True)
+        while True:
+            lowest = np.minimum.reduceat(np.take_along_axis(label[owner], images, 1), starts)
+            moved = np.minimum(label[moving], lowest)
+            moved = np.take_along_axis(moved, moved, 1)
+            if np.array_equal(moved, label[moving]):
+                break
+            label[moving] = moved
+    return label == np.arange(1 << k)
+
+
+def _alpha_tables(rows: np.ndarray) -> np.ndarray:
+    """``alpha[p, mask]``, the independence number of graph ``p`` of a stack
+    of bitmask rows (int64, shape (P, k)) induced on ``mask``, for every
+    vertex mask.
+
+    The masks with top bit ``h`` are filled together: an independent set of
+    such a mask leaves ``h`` out or takes it and none of its neighbors, so
+    alpha(mask) = max(alpha(mask − h), 1 + alpha(mask ∖ N[h])), and both
+    smaller masks lie below 2^h.
+    """
+    p, k = rows.shape
+    alpha = np.zeros((p, 1 << k), np.int8)
+    for h in range(k):
+        below = np.arange(1 << h)
+        take = np.take_along_axis(alpha, below & ~rows[:, h, None], 1)
+        alpha[:, 1 << h:2 << h] = np.maximum(alpha[:, :1 << h], take + 1)
+    return alpha
+
+
+class LeafBlock:
+    """Consecutive leaves of an orderly walk, as int64 rows: ``rows[i]``
+    holds the bitmask rows of leaf ``i`` on ``n`` vertices and ``alpha[i]``
+    its independence number."""
+
+    __slots__ = ("n", "rows", "alpha")
+
+    def __init__(self, n: int, rows: np.ndarray, alpha: np.ndarray):
+        self.n, self.rows, self.alpha = n, rows, alpha
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def where(self, keep: np.ndarray) -> "LeafBlock":
+        """The leaves that the boolean mask ``keep`` selects, in order."""
+        return LeafBlock(self.n, self.rows[keep], self.alpha[keep])
+
+    def graph(self, i: int) -> Graph:
+        """The graph of leaf ``i``."""
+        return Graph.from_rows(self.n, self.rows[i].tolist())
+
+    def graphs(self) -> Iterator[Graph]:
+        """The graph of every leaf, in order."""
+        return (Graph.from_rows(self.n, rows) for rows in self.rows.tolist())
+
+    def fill(self, out: np.ndarray, lo: int, hi: int) -> None:
+        """Write the adjacency matrices of leaves ``lo..hi`` into the
+        ``(hi - lo, n, n)`` stack ``out``, in one scatter."""
+        out[...] = self.rows[lo:hi, :, None] >> np.arange(self.n) & 1
+
+
+def _leaf_block(
+    n: int, parents: list[State], max_edges: int | None, connected: bool
+) -> LeafBlock:
+    """The accepted children of ``parents``, states on ``n - 1`` vertices,
+    in generation order as one block; with ``connected``, only the
+    connected ones.
+
+    It runs the tests of ``_accepted_children`` over a stack of children.
+    The candidates of each parent are its orbit-least subsets ``S`` that
+    pass the degree test (and the edge bound, which at the last level is
+    the exact count ``max_edges``).  All of them are refined at once, and a
+    child that passes the refinement test is searched by ``_canon`` unless
+    its last cell is ``{k}``: ``_canon`` would then place ``k`` last, so
+    ``perm[k] = k`` and the orbit test holds.  No leaf's generators are
+    kept, since no walk reads them.
+
+    A child's alpha and connectivity come from its parent P and ``S``.  An
+    independent set of P + k leaves k out, or takes k and avoids ``S``, so
+    alpha(P + k) = max(alpha(P), 1 + alpha(P − S)), both read from the
+    parent's table of ``_alpha_tables``.  The new vertex joins exactly the
+    components of P that meet ``S``, so the child is connected exactly when
+    every component of P meets ``S``.
+    """
+    k = n - 1
+    bits, sizes, _ = _subsets(k)
+    rows = np.array([p[0] for p in parents], np.int64)
+    degrees = sizes[rows]
+    top = degrees.max(1, keepdims=True)
+    top_mask = (degrees == top) @ (1 << np.arange(k))
+    subsets = np.arange(1 << k)
+    ok = top + ((subsets & top_mask[:, None]) != 0) <= sizes  # degree test
+    if max_edges is not None:
+        ok &= np.array([p[2] for p in parents])[:, None] + sizes == max_edges
+    ok &= _orbit_least(k, [p[1] for p in parents])
+    parent, S = np.nonzero(ok)
+    child = np.empty((len(S), n), np.int64)
+    child[:, :k] = rows[parent] | bits[S] << k
+    child[:, k] = S
+    colors, classes = _refined_colors_batch(n, child)
+    last = classes - 1
+    keep = colors[:, k] == last  # refinement test
+    for i in np.flatnonzero(keep & ((colors == last[:, None]).sum(1) > 1)).tolist():
+        perm, orbits, _ = _canon(n, tuple(child[i].tolist()), colors[i].tolist())
+        keep[i] = orbits[k] == orbits[perm[k]]
+    full = (1 << k) - 1
+    if connected:
+        comps = np.zeros((len(parents), k), np.int64)  # padded with empty components
+        for p, (parent_rows, _, _) in enumerate(parents):
+            found = _mask_components(parent_rows, full)
+            comps[p, :len(found)] = found
+        comps = comps[parent]
+        keep &= (((comps & S[:, None]) != 0) | (comps == 0)).all(1)
+    parent, S = parent[keep], S[keep]
+    alpha = _alpha_tables(rows)
+    return LeafBlock(n, child[keep], np.maximum(alpha[parent, full], alpha[parent, full & ~S] + 1))
+
+
+def _leaf_blocks(
+    n: int, state: State, max_edges: int | None = None, connected: bool = True
+) -> Iterator[LeafBlock]:
+    """The leaves on ``n`` vertices below ``state`` in walk order, as
+    ``LeafBlock``s; with ``connected``, only the connected ones.
+    With ``max_edges``, only the leaves with exactly that many edges.
+
+    The walk goes to the parents on ``n - 1`` vertices, and ``_leaf_block``
+    builds their children a block of parents at a time.  A block takes
+    whole parents until the children that pass their degree test (counted
+    without orbits) reach ``_LEAF_BLOCK``, so it holds about that many
+    candidates at every order.  A state already on ``n`` vertices is its
+    own leaf.
+    """
+    rows, _, edge_count = state
+    if len(rows) == n:
+        full = (1 << n) - 1
+        if (max_edges is None or edge_count == max_edges) and (
+                not connected or _mask_components(rows, full) == [full]):
+            yield LeafBlock(n, np.array([rows], np.int64), np.array([_mis(rows, full, {})], np.int8))
+        return
+    passes = _subsets(n - 1)[2]
+    parents: list[State] = []
+    pending = 0
+    for parent in _walk(n, state, max_edges, n - 1):
+        degrees = [r.bit_count() for r in parent[0]]
+        top = max(degrees)
+        pending += passes[top][degrees.count(top)]
+        parents.append(parent)
+        if pending >= _LEAF_BLOCK:
+            yield _leaf_block(n, parents, max_edges, connected)
+            parents, pending = [], 0
+    if parents:
+        yield _leaf_block(n, parents, max_edges, connected)
+
+
+def _leaf_graphs(n: int, state: State, max_edges: int | None = None,
+                 connected: bool = True) -> Iterator[Graph]:
+    """The graphs of ``_leaf_blocks``, one at a time."""
+    for block in _leaf_blocks(n, state, max_edges, connected):
+        yield from block.graphs()
 
 
 def enumerate_all_graphs(n: int) -> Iterator[Graph]:
     """All simple graphs on ``n`` vertices, one per isomorphism class."""
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
-    for rows, _, _ in _walk(n, _ROOT, bare_leaves=True):
-        yield Graph.from_rows(n, rows)
+    yield from _leaf_graphs(n, _ROOT, connected=False)
 
 
 def enumerate_connected(n: int, extended: bool = False) -> Iterator[Graph]:
@@ -212,7 +398,7 @@ def enumerate_connected(n: int, extended: bool = False) -> Iterator[Graph]:
         raise InvalidParameterError(
             f"enumerate_connected supports n <= {cap} (extended={extended}), got {n}"
         )
-    yield from _connected(n, _ROOT)
+    yield from _leaf_graphs(n, _ROOT)
 
 
 def branch_states() -> list[State]:
@@ -224,9 +410,19 @@ def branch_states() -> list[State]:
     return list(_walk(BRANCH_LEVEL, _ROOT))
 
 
-def enumerate_connected_from_branch(n: int, state: State) -> Iterator[Graph]:
-    """Connected n-vertex descendants of one level-5 branch state."""
-    yield from _connected(n, state)
+def enumerate_connected_from_branch(n: int, state: State) -> Iterator[LeafBlock]:
+    """The connected n-vertex descendants of one level-5 branch state, as
+    ``LeafBlock``s in walk order: int64 rows plus each leaf's alpha, so a
+    search filters and stacks them with no ``Graph`` made.
+
+    The last level is built a block of parents at a time (``_leaf_blocks``):
+    the children are refined together with int64 keys, exact while
+    (n - 1)·n^n < 2^63 (n <= 15); a child's alpha is alpha(P + k) =
+    max(alpha(P), 1 + alpha(P - S)) for its parent P and neighbor subset S;
+    and it is connected exactly when every component of P meets S.  With
+    n = 5 the state is its own leaf.
+    """
+    yield from _leaf_blocks(n, state)
 
 
 def enumerate_with_edge_count(n: int, m_edges: int) -> Iterator[Graph]:
@@ -250,7 +446,7 @@ def enumerate_with_edge_count(n: int, m_edges: int) -> Iterator[Graph]:
         return
     if n > EXTENDED_CAP:
         raise InvalidParameterError(f"general edge-count mode capped at n = {EXTENDED_CAP}")
-    yield from _connected(n, _ROOT, m_edges)
+    yield from _leaf_graphs(n, _ROOT, m_edges)
 
 
 # ---------------------------------------------------------------------------

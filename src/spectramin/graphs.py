@@ -412,6 +412,55 @@ def _refined_colors(n: int, rows: Sequence[int]) -> list[int]:
     return colors
 
 
+def _dense_ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ranks, count) per row of ``keys``: each key's place among its row's
+    distinct keys in ascending order, and the number of distinct keys."""
+    order = np.argsort(keys, axis=1, kind="stable")
+    ordered = np.take_along_axis(keys, order, 1)
+    step = np.zeros(keys.shape, np.int64)
+    step[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    np.cumsum(step, axis=1, out=step)
+    ranks = np.empty_like(step)
+    np.put_along_axis(ranks, order, step, 1)
+    return ranks, step[:, -1] + 1
+
+
+def _refined_colors_batch(n: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_refined_colors`` of every graph of a stack, as (colors, classes):
+    ``rows[i]`` holds the bitmask rows of graph ``i`` (int64, shape (B, n)),
+    ``colors[i]`` equals ``_refined_colors(n, rows[i])`` and ``classes[i]``
+    is its number of colors.
+
+    Each round ranks the keys ``colors[v]·n^c − Σ_{u∈N(v)} n^(c−1−colors[u])``
+    of the scalar routine row by row, for the rows whose class count still
+    grows.  A row refines while ``c < n``, so a key lies within
+    (n − 1)·n^c < (n − 1)·n^n in size, which is exact in int64 while
+    (n − 1)·n^n < 2^63, that is for n <= 15.
+    """
+    if n > 15:
+        raise InvalidParameterError(f"int64 refinement keys hold n <= 15, got {n}")
+    degrees = np.zeros_like(rows)
+    for u in range(n):
+        degrees += rows >> u & 1
+    colors, classes = _dense_ranks(degrees)
+    power = n ** np.arange(n + 1, dtype=np.int64)
+    live = np.flatnonzero(classes < n)
+    while live.size:
+        c = classes[live, None]
+        old = colors[live]
+        weight = power[c - 1 - old]
+        keys = old * power[c]
+        nbrs = rows[live]
+        for u in range(n):
+            keys -= (nbrs >> u & 1) * weight[:, u, None]
+        new, count = _dense_ranks(keys)
+        grown = count > c[:, 0]
+        colors[live[grown]] = new[grown]
+        classes[live[grown]] = count[grown]
+        live = live[grown & (count < n)]
+    return colors, classes
+
+
 def _canon(
     n: int, rows: Sequence[int], colors: Sequence[int] | None = None
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:

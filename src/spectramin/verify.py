@@ -36,7 +36,6 @@ from .enumeration import (
     EDGE_MODE_CAP,
     EXTENDED_CAP,
     FULL_SPACE_CAP,
-    ClassBlock,
     _bicyclic_blocks,
     _core_specs_bicyclic,
     bicyclic_graphs,  # unused here, kept patchable: perfbench/tracing.py wraps it
@@ -50,7 +49,6 @@ from .graphs import (
     Graph,
     InvalidInputError,
     InvalidParameterError,
-    adjacency_matrices,
     build_bicyclic,
     build_complete,
     build_cycle,
@@ -209,20 +207,6 @@ def _band_radii(mats: np.ndarray, best: float) -> tuple[np.ndarray, np.ndarray]:
     return keep, _rho_batch(mats[keep])
 
 
-class _Graphs(list):
-    """Graphs already built, as one block of a scan (see ``ClassBlock``)."""
-
-    @property
-    def n(self) -> int:
-        return self[0].n
-
-    def graph(self, i: int) -> Graph:
-        return self[i]
-
-    def fill(self, out: np.ndarray, lo: int, hi: int) -> None:
-        out[...] = adjacency_matrices(self[lo:hi])
-
-
 def _batches(blocks: Iterable) -> Iterator[list[tuple]]:
     """The classes of a block stream, ``_BATCH`` at a time in stream order
     (the last batch may be short), each batch a list of (block, lo, hi)
@@ -256,37 +240,28 @@ def _scan_stream(
 ) -> tuple[int, int, float, list[tuple[float, str]]]:
     """One pass: alpha-filter, numeric radii, candidates near the minimum.
 
-    ``stream`` holds either graphs, which are alpha-filtered here, or
-    ``ClassBlock``s of rank rows, which the forest pass filtered upstream
-    and which pass as they are.  Returns (graphs or classes streamed, class
-    size, numeric min, [(rho, graph6)] for graphs within the safety band of
-    the stream minimum).  In-class graphs are taken one stream-order batch
-    of ``_BATCH`` at a time.  Each batch's matrix stack is filled block by
-    block (``adjacency_matrices`` for graphs, one scatter per block of rank
-    rows), and ``_band_radii`` eigensolves only the graphs whose walk lower
-    bound can reach the band (all of a small batch).  The result equals
-    eigensolving every graph: the final band is the stream-order list of
-    graphs with rho <= min + band, which no dropped graph can join, and the
-    minimum's own bound never exceeds the cut.  Only band members become
-    ``Graph``s, and only the final band becomes graph6.
+    ``stream`` holds blocks: ``LeafBlock``s of the orderly walk, which carry
+    each leaf's alpha and are filtered here by ``alpha``, or ``ClassBlock``s
+    of rank rows, which the forest pass filtered upstream and which pass as
+    they are (``alpha`` None).  Returns (classes streamed, class size,
+    numeric min, [(rho, graph6)] for graphs within the safety band of the
+    stream minimum).  In-class graphs are taken one stream-order batch of
+    ``_BATCH`` at a time.  Each batch's matrix stack is filled with one
+    scatter per block, and ``_band_radii`` eigensolves only the graphs
+    whose walk lower bound can reach the band (all of a small batch).  The
+    result equals eigensolving every graph: the final band is the
+    stream-order list of graphs with rho <= min + band, which no dropped
+    graph can join, and the minimum's own bound never exceeds the cut.
+    Only band members become ``Graph``s, and only the final band becomes
+    graph6.
     """
     seen = 0
 
     def in_class():
         nonlocal seen
-        graphs = _Graphs()
-        for item in stream:
-            if isinstance(item, ClassBlock):
-                seen += len(item)
-                yield item
-                continue
-            seen += 1
-            if alpha is None or independence_number(item) == alpha:
-                graphs.append(item)
-                if len(graphs) == _BATCH:
-                    yield graphs
-                    graphs = _Graphs()
-        yield graphs
+        for block in stream:
+            seen += len(block)
+            yield block if alpha is None else block.where(block.alpha == alpha)
 
     count = 0
     best = float("inf")
@@ -342,7 +317,8 @@ def _resolve_argmin(cands: list[tuple[float, str]]) -> tuple[list[Graph], bool]:
 
 
 def _minimizer_branch(args) -> tuple[int, int, float, list[tuple[float, str]]]:
-    """Full-space work unit: scan the connected descendants of one state."""
+    """Full-space work unit: scan the connected descendants of one state,
+    which come as blocks of leaves with their alphas."""
     n, alpha, state = args
     return _scan_stream(enumerate_connected_from_branch(n, state), alpha)
 

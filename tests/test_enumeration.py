@@ -5,15 +5,20 @@ import itertools
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from spectramin import enumeration
 from spectramin.enumeration import (
     _ROOT,
+    _accepted_children,
+    _alpha_tables,
     _attach_forest,
     _bicyclic_classes,
     _core_specs_bicyclic,
     _forest_assignments,
+    _leaf_block,
+    _leaf_blocks,
     _trees_of_size,
     _walk,
     bicyclic_graphs,
@@ -25,6 +30,7 @@ from spectramin.enumeration import (
     rooted_tree_sequences,
     unicyclic_graphs,
 )
+from spectramin.verify import minimizer
 from spectramin.graphs import (
     Graph,
     InvalidParameterError,
@@ -32,6 +38,7 @@ from spectramin.graphs import (
     _canon,
     _mis,
     _refined_colors,
+    _refined_colors_batch,
     automorphisms,
     build_bicyclic,
     build_cycle,
@@ -54,6 +61,10 @@ WALK7_SHA256 = "d99c6dff3561e0b2cd882310ab6fabda4746aa2d1d96566ebe2ad92f317fe01e
 WALK8_SHA256 = "fec40eacca7d12838fdb2359e6bb715ef977ab257c6e5bdb45e5d8fca277e1bc"
 WALK8_CANON_CALLS = 13_624  # 85,022 when every least subset was searched
 WALK8_BARE_CANON_CALLS = 3_992  # the same walk when leaves need no generators
+# SHA-256 of repr of minimizer(n, alpha) for n = 1..6 and alpha None, 1..n
+SMALL_MINIMIZERS_SHA256 = "17817a5e9b1032895e41d693c1e83c14a8f8931a62abe415515e1f5cc51fb9e8"
+# SHA-256 of repr of each general edge-count class's rows for n <= 7
+EDGE_MODE_ROWS_SHA256 = "27143003bd4a472a82df4ffd04b1d42ad11e37f0a7554a5c80f18c766f88c360"
 # SHA-256 of repr of each order's list of labelled rows, in stream order
 BICYCLIC_ROWS_4_10_SHA256 = "ef294d10858030d790a3bb2e71294432db9a223eed769b3115640db140959d4a"
 UNICYCLIC_ROWS_3_10_SHA256 = "2806b64dde3b15a23fcd2809339a4dd44bfd24dd027ba68853df59b194289133"
@@ -214,7 +225,8 @@ class TestOrderlyGeneration:
         assert hashlib.sha256(rows).hexdigest() == BRANCH_ROWS_SHA256
         forms = []
         for st in states:
-            forms.extend(canonical_form(g) for g in enumerate_connected_from_branch(7, st))
+            forms.extend(canonical_form(g) for block in enumerate_connected_from_branch(7, st)
+                         for g in block.graphs())
         assert len(forms) == CONNECTED_COUNTS[7]
         assert len(set(forms)) == CONNECTED_COUNTS[7]
 
@@ -224,6 +236,12 @@ def _walk_sha256(n):
     for state in _walk(n, _ROOT):
         h.update(repr(state).encode())
     return h.hexdigest()
+
+
+def _leaf_rows(n, state, max_edges=None, connected=False):
+    """The rows of every leaf of ``_leaf_blocks``, as tuples in stream order."""
+    return [tuple(rows) for block in _leaf_blocks(n, state, max_edges, connected)
+            for rows in block.rows.tolist()]
 
 
 def _oracle_refined_colors(n, rows):
@@ -329,6 +347,7 @@ class TestPreSearchRejection:
         assert len(calls) == WALK8_CANON_CALLS
 
     def test_bare_leaves_walk8_same_leaves_and_search_count_pinned(self, monkeypatch):
+        # the last level built in blocks, with no generators for the leaves
         full = [(rows, e) for rows, _, e in _walk(8, _ROOT)]
         calls = []
 
@@ -337,9 +356,140 @@ class TestPreSearchRejection:
             return _canon(*args)
 
         monkeypatch.setattr(enumeration, "_canon", counting)
-        bare = [(rows, e) for rows, _, e in _walk(8, _ROOT, bare_leaves=True)]
+        bare = [(rows, sum(r.bit_count() for r in rows) // 2) for rows in _leaf_rows(8, _ROOT)]
         assert bare == full
         assert len(calls) == WALK8_BARE_CANON_CALLS
+        assert calls.count(8) == 2_739
+
+
+class TestLeafBlocks:
+    """The last level of a walk built in blocks, against the scalar walk and
+    the scalar routines it replaces."""
+
+    def test_batched_refinement_on_every_leaf_child_to_eight(self, monkeypatch):
+        checked = []
+
+        def compared(n, rows):
+            colors, classes = _refined_colors_batch(n, rows)
+            for r, c, k in zip(rows.tolist(), colors.tolist(), classes.tolist()):
+                assert c == _refined_colors(n, r) == _oracle_refined_colors(n, r), r
+                assert k == len(set(c))
+            checked.append(len(rows))
+            return colors, classes
+
+        monkeypatch.setattr(enumeration, "_refined_colors_batch", compared)
+        for n in range(2, 9):
+            assert len(_leaf_rows(n, _ROOT)) == ALL_COUNTS[n]
+        assert sum(checked) > 18_000
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_batched_refinement_on_random_stacks(self, n):
+        rng = random.Random(3300 + n)
+        graphs = []
+        for _ in range(400):
+            p = rng.random()
+            graphs.append(Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                    if rng.random() < p]).rows)
+        graphs += [build_cycle(n).rows] if n > 2 else []
+        colors, classes = _refined_colors_batch(n, np.array(graphs, np.int64))
+        for rows, c, k in zip(graphs, colors.tolist(), classes.tolist()):
+            assert c == _refined_colors(n, rows) == _oracle_refined_colors(n, rows), rows
+            assert k == len(set(c))
+
+    def test_refinement_keys_capped_at_fifteen(self):
+        with pytest.raises(InvalidParameterError):
+            _refined_colors_batch(16, np.zeros((1, 16), np.int64))
+
+    def test_alpha_tables_equal_mis_on_every_mask(self):
+        for n in range(1, 8):
+            graphs = [g.rows for g in enumerate_all_graphs(n)]
+            tables = _alpha_tables(np.array(graphs, np.int64))
+            for rows, table in zip(graphs, tables.tolist()):
+                memo = {}
+                assert table == [_mis(rows, mask, memo) for mask in range(1 << n)], rows
+
+    def test_connectivity_and_alpha_on_every_leaf_to_eight(self):
+        for n in range(1, 9):
+            every = [Graph.from_rows(n, rows) for rows in _leaf_rows(n, _ROOT)]
+            blocks = list(_leaf_blocks(n, _ROOT))
+            want = [g for g in every if is_connected(g)]
+            assert [g for b in blocks for g in b.graphs()] == want
+            assert len(want) == CONNECTED_COUNTS[n]
+            alphas = [a for b in blocks for a in b.alpha.tolist()]
+            assert alphas == [independence_number(g) for g in want]
+
+    def test_three_branches_at_nine_equal_the_walk(self):
+        states = branch_states()
+        for state in (states[0], states[17], states[-1]):
+            walk = [rows for rows, _, _ in _walk(9, state)]
+            assert _leaf_rows(9, state) == walk
+            connected = [rows for rows in walk if is_connected(Graph.from_rows(9, rows))]
+            assert _leaf_rows(9, state, connected=True) == connected
+
+    def test_branch_state_is_its_own_leaf_at_five(self):
+        for state in branch_states():
+            rows = state[0]
+            g = Graph.from_rows(5, rows)
+            blocks = list(enumerate_connected_from_branch(5, state))
+            if is_connected(g):
+                [block] = blocks
+                assert block.rows.tolist() == [list(rows)]
+                assert block.alpha.tolist() == [independence_number(g)]
+            else:
+                assert blocks == []
+
+    def test_small_minimizers_pinned(self):
+        # n = 1..4 walk from _ROOT, n = 5 scans each branch state as a leaf
+        h = hashlib.sha256()
+        for n in range(1, 7):
+            for alpha in (None, *range(1, n + 1)):
+                h.update(repr(minimizer(n, alpha)).encode())
+        assert h.hexdigest() == SMALL_MINIMIZERS_SHA256
+
+    def test_parents_without_generators(self):
+        # every parent on 6 and 7 vertices, one block each, against its
+        # scalar children; asymmetric parents carry no generators
+        bare = 0
+        for k in (6, 7):
+            for parent in _walk(k, _ROOT):
+                rows, gens, edges = parent
+                want = [child[0] for child in _accepted_children(k, rows, gens, edges, None)]
+                block = _leaf_block(k + 1, [parent], None, False)
+                assert [tuple(r) for r in block.rows.tolist()] == want, rows
+                bare += gens == ()
+        assert bare > 0
+
+    @pytest.mark.parametrize("size", [1, 7, 100])
+    def test_block_boundaries_between_parents(self, size, monkeypatch):
+        want = _leaf_rows(7, _ROOT, connected=True)
+        want_alpha = [a for b in _leaf_blocks(7, _ROOT) for a in b.alpha.tolist()]
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return _canon(*args)
+
+        monkeypatch.setattr(enumeration, "_canon", counting)
+        monkeypatch.setattr(enumeration, "_LEAF_BLOCK", size)
+        blocks = list(_leaf_blocks(7, _ROOT))
+        assert [tuple(r) for b in blocks for r in b.rows.tolist()] == want
+        assert [a for b in blocks for a in b.alpha.tolist()] == want_alpha
+        assert calls.count(7) == 358
+        if size == 1:  # one block per parent: each has a connected child (S = all)
+            assert len(blocks) == ALL_COUNTS[6]
+
+    def test_edge_count_mode_pinned(self):
+        # every general edge-count class to n = 7: rows and order unchanged
+        h = hashlib.sha256()
+        total = 0
+        for n in range(1, 8):
+            for m in range(n * (n - 1) // 2 + 2):
+                if m in (n, n + 1) and n >= 3:
+                    continue
+                rows = [g.rows for g in enumerate_with_edge_count(n, m)]
+                total += len(rows)
+                h.update(repr(rows).encode())
+        assert (h.hexdigest(), total) == (EDGE_MODE_ROWS_SHA256, 850)
 
 
 class TestEdgeCountMode:

@@ -177,21 +177,26 @@ class TestMinimizer:
         # gives the uninterrupted result
         ck = tmp_path / "ck.json"
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spectramin.__file__)))
+        # the child prints the monotonic clock (system-wide) as its search
+        # starts, so the time to the first save leaves out its start-up
         code = (
-            "import sys; from spectramin.verify import minimizer; "
+            "import sys, time; from spectramin.verify import minimizer; "
+            "print(time.monotonic(), flush=True); "
             f"minimizer(8, 3, workers={WORKERS}, checkpoint=sys.argv[1])"
         )
         start = time.monotonic()
         proc = subprocess.Popen([sys.executable, "-c", code, str(ck)], env=env,
-                                start_new_session=True)
+                                stdout=subprocess.PIPE, text=True, start_new_session=True)
         try:
+            search_start = float(proc.stdout.readline())
             while not ck.exists() and proc.poll() is None and time.monotonic() - start < 300:
                 time.sleep(0.02)
-            first_save = time.monotonic() - start
+            first_save = time.monotonic() - search_start
         finally:
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
             proc.wait(timeout=60)
+            proc.stdout.close()
         assert ck.exists()
         data = json.loads(ck.read_text())
         assert data["done"] < data["units"] - 1  # the kill interrupted the search
@@ -373,18 +378,25 @@ def _eigensolve_everything_scan(graphs, alpha):
         batch = []
 
 
+def _expanded_scan(blocks, alpha):
+    """``_eigensolve_everything_scan`` of the graphs of a block stream."""
+    return _eigensolve_everything_scan((g for b in blocks for g in b.graphs()), alpha)
+
+
 @pytest.fixture(scope="module")
 def scan_units():
-    """(label, graphs, alpha, scan input) units: every full-space branch
-    unit for n = 5..8, with alpha at the target and unfiltered, fed as
-    graphs, and the bicyclic class for n = 10 and 12, unfiltered and at
-    alpha = n/2 - 1, fed as the search feeds it: blocks of rank rows
-    filtered upstream, scanned with alpha None, beside their graphs."""
+    """(label, graphs, alpha, scan input) units, each fed as the search
+    feeds it, beside its graphs: every full-space branch unit for
+    n = 5..8, with alpha at the target and unfiltered, as blocks of leaves
+    that the scan filters by their alphas, and the bicyclic class for
+    n = 10 and 12, unfiltered and at alpha = n/2 - 1, as blocks of rank
+    rows filtered upstream, scanned with alpha None."""
     units = []
     for n in range(5, 9):
         for i, state in enumerate(branch_states()):
-            graphs = list(enumerate_connected_from_branch(n, state))
-            units += [(f"full {n} unit {i} alpha {a}", graphs, a, graphs)
+            blocks = list(enumerate_connected_from_branch(n, state))
+            graphs = [g for b in blocks for g in b.graphs()]
+            units += [(f"full {n} unit {i} alpha {a}", graphs, a, blocks)
                       for a in (target_alpha(n), None)]
     for n in (10, 12):
         classes = list(_bicyclic_classes(n))
@@ -415,7 +427,7 @@ class TestWalkPrefilter:
             for alpha in (None, *range(1, n + 1)):
                 got = repr(minimizer(n, alpha))
                 with monkeypatch.context() as m:
-                    m.setattr(verify, "_scan_stream", _eigensolve_everything_scan)
+                    m.setattr(verify, "_scan_stream", _expanded_scan)
                     assert got == repr(minimizer(n, alpha)), (n, alpha)
 
     def test_small_batch_solved_whole(self, monkeypatch):
