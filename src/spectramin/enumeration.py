@@ -10,18 +10,18 @@ Two engines:
   are rejected before that call: the last canonical position lies in the
   last refined color cell, which lies inside the top-degree class, and an
   orbit lies inside one cell, so a new vertex of less than the largest
-  degree, or outside the last cell, cannot be in the orbit.  The last
-  level of a walk is built as numpy blocks of parents, each about
-  ``_LEAF_BLOCK`` candidate children, refined together with one int64 key
-  per vertex (exact while (n - 1)·n^n < 2^63, so for n <= 15).  A leaf
-  whose last cell is the new vertex alone is accepted with no call at
-  all: the orbit test then holds trivially, and no child of a leaf reads
-  its generators.  A leaf's independence number and connectivity come
-  from its parent P and neighbor subset S: alpha(P + k) = max(alpha(P),
-  1 + alpha(P - S)), from one table per parent over all vertex masks, and
-  the leaf is connected exactly when every component of P meets S.  A
-  search takes the leaves as those blocks of int64 rows with their alphas
-  (``LeafBlock``);
+  degree, or outside the last cell, cannot be in the orbit.  One routine,
+  ``_children``, builds every level of a walk as numpy groups of parents,
+  each about ``_CHILD_BLOCK`` candidate children, refined together with
+  one int64 key per vertex (exact while (n - 1)·n^n < 2^63, so for
+  n <= 15).  At the last level a leaf whose last cell is the new vertex
+  alone is accepted with no call at all: the orbit test then holds
+  trivially, and no child of a leaf reads its generators.  A leaf's
+  independence number and connectivity come from its parent P and
+  neighbor subset S: alpha(P + k) = max(alpha(P), 1 + alpha(P - S)), from
+  one table per parent over all vertex masks, and the leaf is connected
+  exactly when every component of P meets S.  A search takes the leaves
+  as blocks of int64 rows with their alphas (``LeafBlock``);
 * structural generation for connected graphs with exactly ``n`` or ``n + 1``
   edges: such graphs are a cycle / two-cycle core with rooted forests hanging
   off it, so they are produced directly from (core, forest assignment) pairs
@@ -61,7 +61,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import comb
-from typing import Generator, Iterator, Sequence
+from typing import Generator, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -72,8 +72,6 @@ from .graphs import (
     _canon,
     _mask_components,
     _mis,
-    _permute_mask,
-    _refined_colors,
     _refined_colors_batch,
     automorphisms,
     build_bicyclic,
@@ -97,94 +95,12 @@ State = tuple[tuple[int, ...], Generators, int]  # (rows, group generators, edge
 # canonical augmentation
 
 
-def _accepted_children(
-    k: int,
-    rows: tuple[int, ...],
-    gens: Generators,
-    edge_count: int,
-    max_edges: int | None,
-) -> Iterator[State]:
-    """Children of a parent on ``k`` vertices, one per isomorphism class.
-
-    A child is the parent plus vertex ``k`` joined to a neighbor subset
-    ``S``.  One ascending pass marks each subset's orbit under ``gens``, the
-    parent's group generators, so only the least ``S`` of an orbit is tried.
-    The child is accepted exactly when vertex ``k`` lies in the orbit of the
-    vertex at its last canonical position (McKay's canonical augmentation).
-    That orbit is an isomorphism invariant, so a class is accepted from one
-    parent only, and from one orbit of ``S`` only.
-
-    Two exact tests reject most children before ``_canon`` searches.
-    ``_canon`` places the vertices cell by cell, so the vertex ``perm[k]``
-    at the last position lies in the last refined cell; refinement starts
-    from degree and sorts by (previous color, ...), so that cell lies inside
-    the class of the largest degree; and every orbit lies inside one cell.
-    So vertex ``k`` fails the orbit test when its degree ``|S|`` is below
-    the child's largest degree (the degree test, O(1) per ``S``: an old
-    vertex reaches ``top + 1`` only if it had the parent's largest degree
-    ``top`` and lies in ``S``), or when its refined color is not the
-    largest (the refinement test, whose colors ``_canon`` then reuses).
-    Both tests are invariant under the parent's group, so a rejected orbit
-    is rejected member by member and the same least ``S`` survive.  A child
-    that passes both gets its ``_canon`` call.
-
-    The last level of a walk is built by ``_leaf_block`` instead, with the
-    same tests over a stack of children.
-    """
-    bit_k = 1 << k
-    degrees = [r.bit_count() for r in rows]
-    top = max(degrees)
-    top_mask = sum(1 << i for i, d in enumerate(degrees) if d == top)
-    marked = bytearray(bit_k)
-    for S in range(bit_k):
-        add = S.bit_count()
-        if marked[S] or max_edges is not None and edge_count + add > max_edges:
-            continue
-        if top + (1 if S & top_mask else 0) > add:
-            continue  # degree test
-        orbit = [S]
-        for T in orbit:
-            for g in gens:
-                U = _permute_mask(g, T)
-                if not marked[U]:
-                    marked[U] = 1
-                    orbit.append(U)
-        child = tuple(r | bit_k if S >> i & 1 else r for i, r in enumerate(rows)) + (S,)
-        colors = _refined_colors(k + 1, child)
-        if colors[k] != max(colors):
-            continue  # refinement test
-        perm, orbits, child_gens = _canon(k + 1, child, colors)
-        if orbits[k] == orbits[perm[k]]:
-            yield child, child_gens, edge_count + add
-
-
 _ROOT: State = ((0,), (), 0)  # the one-vertex graph, where every walk starts
 
-
-def _walk(
-    n: int, state: State, max_edges: int | None = None, stop: int | None = None
-) -> Iterator[State]:
-    """Every generation state on ``stop`` vertices (``n`` when not given)
-    below ``state``, depth first in generation order.
-
-    With ``max_edges``, no state exceeds that many edges, and a child is cut
-    when even joining each later vertex up to the ``n``-th to all before it
-    cannot reach ``max_edges`` (the exact-count floor).
-    """
-    rows, gens, edge_count = state
-    k = len(rows)
-    if k == (n if stop is None else stop):
-        yield state
-        return
-    floor = 0 if max_edges is None else max_edges - sum(range(k + 1, n))
-    for child in _accepted_children(k, rows, gens, edge_count, max_edges):
-        if child[2] >= floor:
-            yield from _walk(n, child, max_edges, stop)
-
-
-# Candidate children per leaf block: a block takes whole parents until the
-# children that pass their degree test reach this many.
-_LEAF_BLOCK = 1 << 12
+# Candidate children per group of parents: a group takes whole parents until
+# the children that pass their degree test reach this many.  It sizes the
+# stacks of every level of a walk.
+_CHILD_BLOCK = 1 << 12
 
 
 @cache
@@ -228,6 +144,120 @@ def _orbit_least(k: int, gens: list[Generators]) -> np.ndarray:
                 break
             label[moving] = moved
     return label == np.arange(1 << k)
+
+
+def _children(
+    n: int, parents: list[State], max_edges: int | None, leaves: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Generators]]:
+    """The accepted children of ``parents``, states on ``k`` vertices of a
+    walk to ``n``, one per isomorphism class, in (parent, ``S``) order:
+    (parent index, ``S``, the children's rows as an int64 stack of shape
+    (B, k + 1), the children's generators).
+
+    A child is a parent plus vertex ``k`` joined to a neighbor subset ``S``.
+    It is accepted exactly when vertex ``k`` lies in the orbit of the vertex
+    at its last canonical position (McKay's canonical augmentation).  That
+    orbit is an isomorphism invariant, so a class is accepted from one
+    parent only, and from one orbit of ``S`` only: only the ``S`` least in
+    its orbit under the parent's group is a candidate (``_orbit_least``).
+
+    Two exact tests reject most candidates before ``_canon`` searches.
+    ``_canon`` places the vertices cell by cell, so the vertex ``perm[k]``
+    at the last position lies in the last refined cell; refinement starts
+    from degree and sorts by (previous color, ...), so that cell lies inside
+    the class of the largest degree; and every orbit lies inside one cell.
+    So vertex ``k`` fails the orbit test when its degree ``|S|`` is below
+    the child's largest degree (the degree test: an old vertex reaches
+    ``top + 1`` only if it had the parent's largest degree ``top`` and lies
+    in ``S``), or when its refined color is not the largest (the refinement
+    test, one batched refinement of the whole stack, whose colors
+    ``_canon`` then reuses).  Both tests are invariant under the parent's
+    group, so a rejected orbit is rejected member by member and the same
+    least ``S`` survive.  With ``max_edges`` a candidate also needs
+    ``floor <= edges <= max_edges``, where floor = max_edges − Σ range(k +
+    1, n): below it, even joining each later vertex up to the ``n``-th to
+    all before it cannot reach ``max_edges`` (at the last level, the exact
+    count).
+
+    A child that passes every test is searched by ``_canon``, which decides
+    the orbit test and gives the generators its own children use.  With
+    ``leaves`` (the last level) a child whose last cell is ``{k}`` is
+    accepted with no search: ``_canon`` would place ``k`` last, so
+    ``perm[k] = k`` and the orbit test holds.  Its generators read ``()``,
+    since no walk reads a leaf's.
+    """
+    k = len(parents[0][0])
+    bits, sizes, _ = _subsets(k)
+    rows = np.array([p[0] for p in parents], np.int64)
+    degrees = sizes[rows]
+    top = degrees.max(1, keepdims=True)
+    top_mask = (degrees == top) @ (1 << np.arange(k))
+    ok = top + ((np.arange(1 << k) & top_mask[:, None]) != 0) <= sizes  # degree test
+    if max_edges is not None:
+        edges = np.array([p[2] for p in parents])[:, None] + sizes
+        ok &= (max_edges - sum(range(k + 1, n)) <= edges) & (edges <= max_edges)
+    ok &= _orbit_least(k, [p[1] for p in parents])
+    parent, S = np.nonzero(ok)
+    child = np.empty((len(S), k + 1), np.int64)
+    child[:, :k] = rows[parent] | bits[S] << k
+    child[:, k] = S
+    colors, classes = _refined_colors_batch(k + 1, child)
+    last = classes - 1
+    keep = colors[:, k] == last  # refinement test
+    search = keep & ((colors == last[:, None]).sum(1) > 1) if leaves else keep
+    gens = {}
+    for i in np.flatnonzero(search).tolist():
+        perm, orbits, gens[i] = _canon(k + 1, tuple(child[i].tolist()), colors[i].tolist())
+        keep[i] = orbits[k] == orbits[perm[k]]
+    kept = np.flatnonzero(keep)
+    return parent[kept], S[kept], child[kept], [gens.get(i, ()) for i in kept.tolist()]
+
+
+def _groups(states: Iterable[State]) -> Iterator[list[State]]:
+    """``states``, all on one number of vertices, in consecutive groups.  A
+    group takes whole states until the children that pass their degree test
+    (counted without orbits) reach ``_CHILD_BLOCK``, so it holds about that
+    many candidates at every order."""
+    group: list[State] = []
+    pending = 0
+    for state in states:
+        degrees = [r.bit_count() for r in state[0]]
+        top = max(degrees)
+        pending += _subsets(len(degrees))[2][top][degrees.count(top)]
+        group.append(state)
+        if pending >= _CHILD_BLOCK:
+            yield group
+            group, pending = [], 0
+    if group:
+        yield group
+
+
+def _level(n: int, states: Iterable[State], max_edges: int | None) -> Iterator[State]:
+    """The accepted children of ``states`` as states of a walk to ``n``, a
+    group of parents at a time, in (parent, ``S``) order."""
+    for group in _groups(states):
+        parent, S, child, gens = _children(n, group, max_edges, False)
+        for p, s, rows, g in zip(parent.tolist(), S.tolist(), child.tolist(), gens):
+            yield tuple(rows), g, group[p][2] + s.bit_count()
+
+
+def _walk(
+    n: int, state: State, max_edges: int | None = None, stop: int | None = None
+) -> Iterator[State]:
+    """Every generation state on ``stop`` vertices (``n`` when not given)
+    below ``state``, depth first in generation order.
+
+    The walk is a chain of lazy levels (``_level``), each fed by the one
+    before it.  Every level keeps its parents' order and puts each parent's
+    children in ``S`` order, so the chain yields the depth-first order.
+    With ``max_edges``, no state exceeds that many edges, and no state is
+    kept that cannot reach ``max_edges`` by vertex ``n`` (the floor of
+    ``_children``).
+    """
+    states: Iterator[State] = iter([state])
+    for _ in range(len(state[0]), n if stop is None else stop):
+        states = _level(n, states, max_edges)
+    return states
 
 
 def _alpha_tables(rows: np.ndarray) -> np.ndarray:
@@ -284,17 +314,8 @@ def _leaf_block(
     n: int, parents: list[State], max_edges: int | None, connected: bool
 ) -> LeafBlock:
     """The accepted children of ``parents``, states on ``n - 1`` vertices,
-    in generation order as one block; with ``connected``, only the
-    connected ones.
-
-    It runs the tests of ``_accepted_children`` over a stack of children.
-    The candidates of each parent are its orbit-least subsets ``S`` that
-    pass the degree test (and the edge bound, which at the last level is
-    the exact count ``max_edges``).  All of them are refined at once, and a
-    child that passes the refinement test is searched by ``_canon`` unless
-    its last cell is ``{k}``: ``_canon`` would then place ``k`` last, so
-    ``perm[k] = k`` and the orbit test holds.  No leaf's generators are
-    kept, since no walk reads them.
+    in generation order as one block (``_children`` at the last level); with
+    ``connected``, only the connected ones.
 
     A child's alpha and connectivity come from its parent P and ``S``.  An
     independent set of P + k leaves k out, or takes k and avoids ``S``, so
@@ -303,38 +324,19 @@ def _leaf_block(
     components of P that meet ``S``, so the child is connected exactly when
     every component of P meets ``S``.
     """
-    k = n - 1
-    bits, sizes, _ = _subsets(k)
+    parent, S, child, _ = _children(n, parents, max_edges, True)
     rows = np.array([p[0] for p in parents], np.int64)
-    degrees = sizes[rows]
-    top = degrees.max(1, keepdims=True)
-    top_mask = (degrees == top) @ (1 << np.arange(k))
-    subsets = np.arange(1 << k)
-    ok = top + ((subsets & top_mask[:, None]) != 0) <= sizes  # degree test
-    if max_edges is not None:
-        ok &= np.array([p[2] for p in parents])[:, None] + sizes == max_edges
-    ok &= _orbit_least(k, [p[1] for p in parents])
-    parent, S = np.nonzero(ok)
-    child = np.empty((len(S), n), np.int64)
-    child[:, :k] = rows[parent] | bits[S] << k
-    child[:, k] = S
-    colors, classes = _refined_colors_batch(n, child)
-    last = classes - 1
-    keep = colors[:, k] == last  # refinement test
-    for i in np.flatnonzero(keep & ((colors == last[:, None]).sum(1) > 1)).tolist():
-        perm, orbits, _ = _canon(n, tuple(child[i].tolist()), colors[i].tolist())
-        keep[i] = orbits[k] == orbits[perm[k]]
-    full = (1 << k) - 1
+    full = (1 << (n - 1)) - 1
     if connected:
-        comps = np.zeros((len(parents), k), np.int64)  # padded with empty components
+        comps = np.zeros(rows.shape, np.int64)  # padded with empty components
         for p, (parent_rows, _, _) in enumerate(parents):
             found = _mask_components(parent_rows, full)
             comps[p, :len(found)] = found
         comps = comps[parent]
-        keep &= (((comps & S[:, None]) != 0) | (comps == 0)).all(1)
-    parent, S = parent[keep], S[keep]
+        keep = (((comps & S[:, None]) != 0) | (comps == 0)).all(1)
+        parent, S, child = parent[keep], S[keep], child[keep]
     alpha = _alpha_tables(rows)
-    return LeafBlock(n, child[keep], np.maximum(alpha[parent, full], alpha[parent, full & ~S] + 1))
+    return LeafBlock(n, child, np.maximum(alpha[parent, full], alpha[parent, full & ~S] + 1))
 
 
 def _leaf_blocks(
@@ -345,11 +347,8 @@ def _leaf_blocks(
     With ``max_edges``, only the leaves with exactly that many edges.
 
     The walk goes to the parents on ``n - 1`` vertices, and ``_leaf_block``
-    builds their children a block of parents at a time.  A block takes
-    whole parents until the children that pass their degree test (counted
-    without orbits) reach ``_LEAF_BLOCK``, so it holds about that many
-    candidates at every order.  A state already on ``n`` vertices is its
-    own leaf.
+    builds their children a group of parents (``_groups``) at a time.  A
+    state already on ``n`` vertices is its own leaf.
     """
     rows, _, edge_count = state
     if len(rows) == n:
@@ -358,18 +357,7 @@ def _leaf_blocks(
                 not connected or _mask_components(rows, full) == [full]):
             yield LeafBlock(n, np.array([rows], np.int64), np.array([_mis(rows, full, {})], np.int8))
         return
-    passes = _subsets(n - 1)[2]
-    parents: list[State] = []
-    pending = 0
-    for parent in _walk(n, state, max_edges, n - 1):
-        degrees = [r.bit_count() for r in parent[0]]
-        top = max(degrees)
-        pending += passes[top][degrees.count(top)]
-        parents.append(parent)
-        if pending >= _LEAF_BLOCK:
-            yield _leaf_block(n, parents, max_edges, connected)
-            parents, pending = [], 0
-    if parents:
+    for parents in _groups(_walk(n, state, max_edges, n - 1)):
         yield _leaf_block(n, parents, max_edges, connected)
 
 
@@ -391,7 +379,8 @@ def enumerate_connected(n: int, extended: bool = False) -> Iterator[Graph]:
     """Connected graphs on ``n`` vertices up to isomorphism.
 
     ``n`` is capped at 9 by default; the roughly 12-million-class ``n = 10``
-    space runs only with ``extended=True``.
+    space runs only with ``extended=True``.  ``EXTENDED_CAP`` = 10 stays
+    below the n <= 15 that every level's int64 refinement keys hold.
     """
     cap = EXTENDED_CAP if extended else FULL_SPACE_CAP
     if not 1 <= n <= cap:
@@ -415,12 +404,12 @@ def enumerate_connected_from_branch(n: int, state: State) -> Iterator[LeafBlock]
     ``LeafBlock``s in walk order: int64 rows plus each leaf's alpha, so a
     search filters and stacks them with no ``Graph`` made.
 
-    The last level is built a block of parents at a time (``_leaf_blocks``):
-    the children are refined together with int64 keys, exact while
-    (n - 1)·n^n < 2^63 (n <= 15); a child's alpha is alpha(P + k) =
-    max(alpha(P), 1 + alpha(P - S)) for its parent P and neighbor subset S;
-    and it is connected exactly when every component of P meets S.  With
-    n = 5 the state is its own leaf.
+    Every level is built a group of parents at a time (``_children``), its
+    children refined together with int64 keys, exact while (n - 1)·n^n <
+    2^63 (n <= 15).  At the last level (``_leaf_blocks``) a child's alpha
+    is alpha(P + k) = max(alpha(P), 1 + alpha(P - S)) for its parent P and
+    neighbor subset S, and it is connected exactly when every component of
+    P meets S.  With n = 5 the state is its own leaf.
     """
     yield from _leaf_blocks(n, state)
 
@@ -432,6 +421,8 @@ def enumerate_with_edge_count(n: int, m_edges: int) -> Iterator[Graph]:
     core-plus-forest generators (good to n = 16); anything else runs the
     orderly engine with edge-count pruning and is capped at n = 10.
     """
+    if n < 1:
+        raise InvalidParameterError("n must be >= 1")
     if m_edges < n - 1:
         return
     if m_edges == n + 1:

@@ -11,7 +11,6 @@ import pytest
 from spectramin import enumeration
 from spectramin.enumeration import (
     _ROOT,
-    _accepted_children,
     _alpha_tables,
     _attach_forest,
     _bicyclic_classes,
@@ -19,6 +18,7 @@ from spectramin.enumeration import (
     _forest_assignments,
     _leaf_block,
     _leaf_blocks,
+    _level,
     _trees_of_size,
     _walk,
     bicyclic_graphs,
@@ -37,6 +37,7 @@ from spectramin.graphs import (
     _bits,
     _canon,
     _mis,
+    _permute_mask,
     _refined_colors,
     _refined_colors_batch,
     automorphisms,
@@ -231,6 +232,61 @@ class TestOrderlyGeneration:
         assert len(set(forms)) == CONNECTED_COUNTS[7]
 
 
+def _accepted_children(k, rows, gens, edge_count, max_edges):
+    """Children of a parent on ``k`` vertices, one per isomorphism class:
+    the scalar reference of the batched child tests of ``_children``.
+
+    A child is the parent plus vertex ``k`` joined to a neighbor subset
+    ``S``.  One ascending pass marks each subset's orbit under ``gens``, the
+    parent's group generators, so only the least ``S`` of an orbit is tried.
+    The child is accepted exactly when vertex ``k`` lies in the orbit of the
+    vertex at its last canonical position (McKay's canonical augmentation).
+    The degree test and the refinement test reject a child before its
+    ``_canon`` search, and every child that passes both is searched.
+    """
+    bit_k = 1 << k
+    degrees = [r.bit_count() for r in rows]
+    top = max(degrees)
+    top_mask = sum(1 << i for i, d in enumerate(degrees) if d == top)
+    marked = bytearray(bit_k)
+    for S in range(bit_k):
+        add = S.bit_count()
+        if marked[S] or max_edges is not None and edge_count + add > max_edges:
+            continue
+        if top + (1 if S & top_mask else 0) > add:
+            continue  # degree test
+        orbit = [S]
+        for T in orbit:
+            for g in gens:
+                U = _permute_mask(g, T)
+                if not marked[U]:
+                    marked[U] = 1
+                    orbit.append(U)
+        child = tuple(r | bit_k if S >> i & 1 else r for i, r in enumerate(rows)) + (S,)
+        colors = _refined_colors(k + 1, child)
+        if colors[k] != max(colors):
+            continue  # refinement test
+        perm, orbits, child_gens = _canon(k + 1, child, colors)
+        if orbits[k] == orbits[perm[k]]:
+            yield child, child_gens, edge_count + add
+
+
+def _oracle_walk(n, state, max_edges=None):
+    """The states on ``n`` vertices below ``state``, by a depth-first
+    recursion over ``_accepted_children``: a child is cut when even joining
+    each later vertex up to the ``n``-th to all before it cannot reach
+    ``max_edges`` (the exact-count floor)."""
+    rows, gens, edge_count = state
+    k = len(rows)
+    if k == n:
+        yield state
+        return
+    floor = 0 if max_edges is None else max_edges - sum(range(k + 1, n))
+    for child in _accepted_children(k, rows, gens, edge_count, max_edges):
+        if child[2] >= floor:
+            yield from _oracle_walk(n, child, max_edges)
+
+
 def _walk_sha256(n):
     h = hashlib.sha256()
     for state in _walk(n, _ROOT):
@@ -273,15 +329,17 @@ class TestRefinedColors:
             assert _refined_colors(n, g.rows) == _oracle_refined_colors(n, g.rows), g
 
     def test_every_child_refined_in_the_walk_to_eight(self, monkeypatch):
+        # every level refines its candidate children as one batch
         seen = []
 
         def checked(n, rows):
-            colors = _refined_colors(n, rows)
-            assert colors == _oracle_refined_colors(n, rows), rows
-            seen.append(n)
-            return colors
+            colors, classes = _refined_colors_batch(n, rows)
+            for r, c in zip(rows.tolist(), colors.tolist()):
+                assert c == _refined_colors(n, r) == _oracle_refined_colors(n, r), r
+                seen.append(n)
+            return colors, classes
 
-        monkeypatch.setattr(enumeration, "_refined_colors", checked)
+        monkeypatch.setattr(enumeration, "_refined_colors_batch", checked)
         assert sum(1 for _ in _walk(8, _ROOT)) == ALL_COUNTS[8]
         assert seen.count(8) > 10_000
 
@@ -447,17 +505,25 @@ class TestLeafBlocks:
         assert h.hexdigest() == SMALL_MINIMIZERS_SHA256
 
     def test_parents_without_generators(self):
-        # every parent on 6 and 7 vertices, one block each, against its
-        # scalar children; asymmetric parents carry no generators
+        # every parent on 1..7 vertices, one group each, against its scalar
+        # children: whole states from a level, rows from a leaf block;
+        # asymmetric parents carry no generators
         bare = 0
-        for k in (6, 7):
+        for k in range(1, 8):
             for parent in _walk(k, _ROOT):
                 rows, gens, edges = parent
-                want = [child[0] for child in _accepted_children(k, rows, gens, edges, None)]
+                want = list(_accepted_children(k, rows, gens, edges, None))
+                assert list(_level(k + 1, [parent], None)) == want, rows
                 block = _leaf_block(k + 1, [parent], None, False)
-                assert [tuple(r) for r in block.rows.tolist()] == want, rows
+                assert [tuple(r) for r in block.rows.tolist()] == [c[0] for c in want], rows
                 bare += gens == ()
         assert bare > 0
+
+    def test_edge_bounded_walk_equals_the_scalar_walk(self):
+        # the floor cuts candidates before their search; the states are the oracle's
+        for m in range(22):
+            assert list(_walk(7, _ROOT, m)) == list(_oracle_walk(7, _ROOT, m)), m
+        assert list(_walk(7, _ROOT)) == list(_oracle_walk(7, _ROOT))
 
     @pytest.mark.parametrize("size", [1, 7, 100])
     def test_block_boundaries_between_parents(self, size, monkeypatch):
@@ -470,7 +536,7 @@ class TestLeafBlocks:
             return _canon(*args)
 
         monkeypatch.setattr(enumeration, "_canon", counting)
-        monkeypatch.setattr(enumeration, "_LEAF_BLOCK", size)
+        monkeypatch.setattr(enumeration, "_CHILD_BLOCK", size)
         blocks = list(_leaf_blocks(7, _ROOT))
         assert [tuple(r) for b in blocks for r in b.rows.tolist()] == want
         assert [a for b in blocks for a in b.alpha.tolist()] == want_alpha
@@ -531,6 +597,14 @@ class TestEdgeCountMode:
 
     def test_infeasible_empty(self):
         assert list(enumerate_with_edge_count(5, 3)) == []
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (-1, -2), (0, 5)])
+    def test_rejects_orders_below_one(self, n, m):
+        with pytest.raises(InvalidParameterError):
+            list(enumerate_with_edge_count(n, m))
+
+    def test_single_vertex(self):
+        assert [g.rows for g in enumerate_with_edge_count(1, 0)] == [(0,)]
 
     def test_bicyclic_five(self):
         graphs = list(enumerate_with_edge_count(5, 6))
