@@ -425,24 +425,30 @@ def _dense_ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranks, step[:, -1] + 1
 
 
-def _refined_colors_batch(n: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _refined_colors_batch(
+    n: int, rows: np.ndarray, start: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """``_refined_colors`` of every graph of a stack, as (colors, classes):
     ``rows[i]`` holds the bitmask rows of graph ``i`` (int64, shape (B, n)),
-    ``colors[i]`` equals ``_refined_colors(n, rows[i])`` and ``classes[i]``
-    is its number of colors.
+    with no ``start``, ``colors[i]`` equals ``_refined_colors(n, rows[i])``,
+    and ``classes[i]`` is its number of colors.
 
-    Each round ranks the keys ``colors[v]·n^c − Σ_{u∈N(v)} n^(c−1−colors[u])``
-    of the scalar routine row by row, for the rows whose class count still
-    grows.  A row refines while ``c < n``, so a key lies within
-    (n − 1)·n^c < (n − 1)·n^n in size, which is exact in int64 while
-    (n − 1)·n^n < 2^63, that is for n <= 15.
+    Round 0 ranks the degrees, or ``start``, one integer per vertex (shape
+    (B, n)), when given.  Each round ranks the keys
+    ``colors[v]·n^c − Σ_{u∈N(v)} n^(c−1−colors[u])`` of the scalar routine
+    row by row, for the rows whose class count still grows.  A row refines
+    while ``c < n``, so a key lies within (n − 1)·n^c < (n − 1)·n^n in size,
+    which is exact in int64 while (n − 1)·n^n < 2^63, that is for n <= 15.
+    A ``start`` whose classes lie inside degree classes keeps the keys
+    ordered as (color, sorted neighbor colors) would be.
     """
     if n > 15:
         raise InvalidParameterError(f"int64 refinement keys hold n <= 15, got {n}")
-    degrees = np.zeros_like(rows)
-    for u in range(n):
-        degrees += rows >> u & 1
-    colors, classes = _dense_ranks(degrees)
+    if start is None:
+        start = np.zeros_like(rows)
+        for u in range(n):
+            start += rows >> u & 1
+    colors, classes = _dense_ranks(start)
     power = n ** np.arange(n + 1, dtype=np.int64)
     live = np.flatnonzero(classes < n)
     while live.size:

@@ -494,7 +494,7 @@ def minimizer(
     """
     cap = EXTENDED_CAP if extended else FULL_SPACE_CAP
     if not 1 <= n <= cap:
-        raise InvalidParameterError(f"minimizer supports n <= {cap}, got {n}")
+        raise InvalidParameterError(f"minimizer supports 1 <= n <= {cap}, got {n}")
     states = branch_states() if n >= BRANCH_LEVEL else [_ROOT]
     return _search(_minimizer_branch, n, alpha, states, workers, checkpoint)
 

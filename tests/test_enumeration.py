@@ -16,9 +16,13 @@ from spectramin.enumeration import (
     _bicyclic_classes,
     _core_specs_bicyclic,
     _forest_assignments,
+    _individualized,
+    _last_cell_in_orbit,
     _leaf_block,
     _leaf_blocks,
     _level,
+    _maps_k_onto,
+    _matching_maps,
     _trees_of_size,
     _walk,
     bicyclic_graphs,
@@ -61,7 +65,10 @@ BRANCH_ROWS_SHA256 = "e94338128edbbc91a05b1d1763fe9b5a9adea3fe162346b23bcf6610e8
 WALK7_SHA256 = "d99c6dff3561e0b2cd882310ab6fabda4746aa2d1d96566ebe2ad92f317fe01e"
 WALK8_SHA256 = "fec40eacca7d12838fdb2359e6bb715ef977ab257c6e5bdb45e5d8fca277e1bc"
 WALK8_CANON_CALLS = 13_624  # 85,022 when every least subset was searched
-WALK8_BARE_CANON_CALLS = 3_992  # the same walk when leaves need no generators
+# the same walk when leaves need no generators and a leaf whose last cell
+# an explicit automorphism puts in the new vertex's orbit needs no search
+# (3,992 with only a last cell of one vertex accepted unsearched)
+WALK8_BARE_CANON_CALLS = 1_298
 # SHA-256 of repr of minimizer(n, alpha) for n = 1..6 and alpha None, 1..n
 SMALL_MINIMIZERS_SHA256 = "17817a5e9b1032895e41d693c1e83c14a8f8931a62abe415515e1f5cc51fb9e8"
 # SHA-256 of repr of each general edge-count class's rows for n <= 7
@@ -201,6 +208,14 @@ class TestOrderlyGeneration:
         with pytest.raises(InvalidParameterError):
             next(enumerate_connected(11, extended=True))
 
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_refusal_names_the_accepted_range(self, extended):
+        cap = 10 if extended else 9
+        for n in (0, -1, cap + 1):
+            with pytest.raises(InvalidParameterError,
+                               match=fr"supports 1 <= n <= {cap} \(extended={extended}\), got {n}$"):
+                next(enumerate_connected(n, extended))
+
     def test_extended_path_streams(self):
         # the full n=10 run is an hour-scale job; check the extended mode
         # streams valid, distinct 10-vertex graphs without exhausting it
@@ -300,11 +315,12 @@ def _leaf_rows(n, state, max_edges=None, connected=False):
             for rows in block.rows.tolist()]
 
 
-def _oracle_refined_colors(n, rows):
-    """Refinement with explicit (color, sorted neighbor colors) keys: the
-    oracle of the integer keys of ``_refined_colors``."""
+def _oracle_refined_colors(n, rows, start=None):
+    """Refinement with explicit (color, sorted neighbor colors) keys, from
+    the ranks of ``start`` or else of the degrees: the oracle of the integer
+    keys of ``_refined_colors`` and ``_refined_colors_batch``."""
     nbrs = [_bits(rows[i]) for i in range(n)]
-    keys = [len(nb) for nb in nbrs]
+    keys = [len(nb) for nb in nbrs] if start is None else list(start)
     uniq = sorted(set(keys))
     rank = {k: r for r, k in enumerate(uniq)}
     colors = [rank[k] for k in keys]
@@ -329,19 +345,34 @@ class TestRefinedColors:
             assert _refined_colors(n, g.rows) == _oracle_refined_colors(n, g.rows), g
 
     def test_every_child_refined_in_the_walk_to_eight(self, monkeypatch):
-        # every level refines its candidate children as one batch
-        seen = []
+        # every level refines its candidate children as one batch, and the
+        # leaf certificates refine from individualized starting colorings;
+        # a row met again (the leaf walks repeat the walk's levels) is not
+        # re-checked
+        seen, refined, checked = [], [], set()
 
-        def checked(n, rows):
-            colors, classes = _refined_colors_batch(n, rows)
-            for r, c in zip(rows.tolist(), colors.tolist()):
-                assert c == _refined_colors(n, r) == _oracle_refined_colors(n, r), r
-                seen.append(n)
+        def compared(n, rows, start=None):
+            colors, classes = _refined_colors_batch(n, rows, start)
+            starts = [None] * len(rows) if start is None else map(tuple, start.tolist())
+            for r, s, c, k in zip(rows.tolist(), starts, colors.tolist(), classes.tolist()):
+                seen.append((n, s is None))
+                if (tuple(r), s) in checked:
+                    continue
+                checked.add((tuple(r), s))
+                assert c == _oracle_refined_colors(n, r, s), (r, s)
+                assert s is not None or c == _refined_colors(n, r), r
+                assert k == len(set(c))
+            refined.append(len(rows))
             return colors, classes
 
-        monkeypatch.setattr(enumeration, "_refined_colors_batch", checked)
+        monkeypatch.setattr(enumeration, "_refined_colors_batch", compared)
         assert sum(1 for _ in _walk(8, _ROOT)) == ALL_COUNTS[8]
-        assert seen.count(8) > 10_000
+        assert seen.count((8, True)) > 10_000
+        refined.clear()
+        for n in range(2, 9):
+            assert len(_leaf_rows(n, _ROOT)) == ALL_COUNTS[n]
+        assert sum(refined) > 18_000
+        assert seen.count((8, False)) > 1_000
 
     def test_random_graphs(self):
         rng = random.Random(2121)
@@ -417,28 +448,129 @@ class TestPreSearchRejection:
         bare = [(rows, sum(r.bit_count() for r in rows) // 2) for rows in _leaf_rows(8, _ROOT)]
         assert bare == full
         assert len(calls) == WALK8_BARE_CANON_CALLS
-        assert calls.count(8) == 2_739
+        assert calls.count(8) == 45  # 2,739 with no orbit certificate
+
+
+def _canon_accepts(rows):
+    """McKay's orbit test for the last vertex, decided by ``_canon``."""
+    k = len(rows) - 1
+    perm, orbits, _ = _canon(k + 1, rows)
+    return orbits[k] == orbits[perm[k]]
+
+
+def _is_automorphism(rows, sigma):
+    """Scalar oracle of ``_maps_k_onto`` without its ``sigma(k)`` test."""
+    n = len(rows)
+    return sorted(sigma) == list(range(n)) and all(
+        _permute_mask(sigma, rows[v]) == rows[sigma[v]] for v in range(n))
+
+
+def _in_last_cell(rows, v):
+    """``rows`` relabeled by the swap of ``v`` and the last vertex."""
+    k = len(rows) - 1
+    perm = list(range(k + 1))
+    perm[v], perm[k] = k, v
+    return Graph.from_rows(k + 1, rows).relabel(perm).rows
+
+
+def _random_rows(rng, n):
+    p = rng.random()
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]).rows
+
+
+def _random_regular_rows(rng, n):
+    d = rng.choice([d for d in range(n - 1) if n * d % 2 == 0])
+    return Graph(n, nx.random_regular_graph(d, n, seed=rng.randrange(1 << 30)).edges()).rows
+
+
+VERTEX_TRANSITIVE = {
+    "C_7": build_cycle(7),
+    "K_3,3": Graph(6, [(i, j) for i in range(3) for j in range(3, 6)]),
+    "cube": Graph(8, [(i, i ^ 1 << b) for i in range(8) for b in range(3) if i < i ^ 1 << b]),
+    "Petersen": Graph(10, nx.petersen_graph().edges()),
+}
+
+
+class TestLeafCertificates:
+    """The explicit automorphisms that accept a leaf with no search."""
+
+    def test_every_certified_leaf_to_eight_is_accepted_by_canon(self, monkeypatch):
+        certified = []
+
+        def checked(rows, colors):
+            proved = _last_cell_in_orbit(rows, colors)
+            for r, c, p in zip(rows.tolist(), colors.tolist(), proved.tolist()):
+                if p and c.count(c[-1]) > 1:
+                    assert _canon_accepts(r), r
+                    certified.append(len(r))
+            return proved
+
+        monkeypatch.setattr(enumeration, "_last_cell_in_orbit", checked)
+        for n in range(2, 9):
+            assert len(_leaf_rows(n, _ROOT)) == ALL_COUNTS[n]
+        assert certified.count(8) == 2_694  # of 2,739 leaf searches
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_random_stacks_accept_as_canon(self, n):
+        # the last vertex moved into the last cell, so each graph is a leaf
+        # that passes the refinement test; a certificate may only accept
+        # what _canon accepts, and whatever it leaves goes to _canon.  Half
+        # the graphs are regular, where refinement splits nothing and
+        # _canon rejects some
+        rng = random.Random(2700 + n)
+        stack = []
+        for i in range(220):
+            rows = _random_regular_rows(rng, n) if i % 2 else _random_rows(rng, n)
+            colors = _refined_colors(n, rows)
+            last = [v for v in range(n) if colors[v] == max(colors)]
+            stack.append(_in_last_cell(rows, rng.choice(last)))
+        rows = np.array(stack, np.int64)
+        proved = _last_cell_in_orbit(rows, _refined_colors_batch(n, rows)[0]).tolist()
+        canon = [_canon_accepts(r) for r in stack]
+        assert [p or c for p, c in zip(proved, canon)] == canon
+        assert sum(proved) > len(stack) // 2
+        assert n < 7 or not all(canon)
+
+    @pytest.mark.parametrize("name", VERTEX_TRANSITIVE)
+    def test_vertex_transitive_graphs_certified(self, name):
+        g = VERTEX_TRANSITIVE[name]
+        rows = np.array([g.rows], np.int64)
+        assert _canon_accepts(g.rows)
+        assert _last_cell_in_orbit(rows, _refined_colors_batch(g.n, rows)[0]).tolist() == [True]
+
+    @pytest.mark.parametrize("name", VERTEX_TRANSITIVE)
+    def test_broken_maps_do_not_certify(self, name):
+        g = VERTEX_TRANSITIVE[name]
+        n, k = g.n, g.n - 1
+        rows = np.array([g.rows] * k, np.int64)
+        w = np.arange(k)
+        sigma = _matching_maps(rows, _refined_colors_batch(n, rows)[0], w)
+        assert _maps_k_onto(rows, sigma, w).all()
+        broken = []
+        for s in sigma.tolist():
+            assert _is_automorphism(g.rows, s)
+            for u, x in itertools.combinations(range(k), 2):
+                t = s[:]
+                t[u], t[x] = t[x], t[u]
+                if not _is_automorphism(g.rows, t):  # an edge onto a non-edge
+                    broken.append(t)
+                    break
+        assert len(broken) == k
+        assert not _maps_k_onto(rows, np.array(broken), w).any()
+        # automorphisms, asked for the wrong image of k
+        assert not _maps_k_onto(rows, sigma, (w + 1) % k).any()
+        assert not _maps_k_onto(rows, np.tile(np.arange(n), (k, 1)), w).any()
+
+    def test_a_map_that_is_not_a_permutation_does_not_certify(self):
+        # every row of an edgeless graph maps onto its image's row
+        rows = np.zeros((1, 3), np.int64)
+        assert not _maps_k_onto(rows, np.array([[0, 0, 0]]), np.array([0]))
+        assert _maps_k_onto(rows, np.array([[2, 1, 0]]), np.array([0]))
 
 
 class TestLeafBlocks:
     """The last level of a walk built in blocks, against the scalar walk and
     the scalar routines it replaces."""
-
-    def test_batched_refinement_on_every_leaf_child_to_eight(self, monkeypatch):
-        checked = []
-
-        def compared(n, rows):
-            colors, classes = _refined_colors_batch(n, rows)
-            for r, c, k in zip(rows.tolist(), colors.tolist(), classes.tolist()):
-                assert c == _refined_colors(n, r) == _oracle_refined_colors(n, r), r
-                assert k == len(set(c))
-            checked.append(len(rows))
-            return colors, classes
-
-        monkeypatch.setattr(enumeration, "_refined_colors_batch", compared)
-        for n in range(2, 9):
-            assert len(_leaf_rows(n, _ROOT)) == ALL_COUNTS[n]
-        assert sum(checked) > 18_000
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_batched_refinement_on_random_stacks(self, n):
@@ -452,6 +584,20 @@ class TestLeafBlocks:
         colors, classes = _refined_colors_batch(n, np.array(graphs, np.int64))
         for rows, c, k in zip(graphs, colors.tolist(), classes.tolist()):
             assert c == _refined_colors(n, rows) == _oracle_refined_colors(n, rows), rows
+            assert k == len(set(c))
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_refinement_from_individualized_colorings(self, n):
+        # the certificates' starting colorings: refined colors with one
+        # vertex split off its cell
+        rng = random.Random(3400 + n)
+        graphs = [_random_rows(rng, n) for _ in range(400)]
+        rows = np.array(graphs, np.int64)
+        v = np.array([rng.randrange(n) for _ in graphs])
+        start = _individualized(_refined_colors_batch(n, rows)[0], v)
+        colors, classes = _refined_colors_batch(n, rows, start)
+        for r, s, c, k in zip(graphs, start.tolist(), colors.tolist(), classes.tolist()):
+            assert c == _oracle_refined_colors(n, r, s), (r, s)
             assert k == len(set(c))
 
     def test_refinement_keys_capped_at_fifteen(self):
@@ -540,7 +686,7 @@ class TestLeafBlocks:
         blocks = list(_leaf_blocks(7, _ROOT))
         assert [tuple(r) for b in blocks for r in b.rows.tolist()] == want
         assert [a for b in blocks for a in b.alpha.tolist()] == want_alpha
-        assert calls.count(7) == 358
+        assert calls.count(7) == 4  # 358 with no orbit certificate
         if size == 1:  # one block per parent: each has a connected child (S = all)
             assert len(blocks) == ALL_COUNTS[6]
 

@@ -115,6 +115,14 @@ class TestMinimizer:
         res = minimizer(4, 4)  # alpha = n needs the edgeless graph: disconnected
         assert res.class_size == 0 and res.argmin == []
 
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_refusal_names_the_accepted_range(self, extended):
+        cap = 10 if extended else 9
+        for n in (0, -1, cap + 1):
+            with pytest.raises(InvalidParameterError,
+                               match=f"supports 1 <= n <= {cap}, got {n}$"):
+                minimizer(n, 1, extended=extended)
+
     def test_workers_agree(self):
         a = minimizer(7, 3, workers=1)
         b = minimizer(7, 3, workers=WORKERS)
