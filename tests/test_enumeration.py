@@ -336,6 +336,31 @@ def _oracle_refined_colors(n, rows, start=None):
     return colors
 
 
+def _compared_refinement(seen, refined=None):
+    """A stand-in for ``_refined_colors_batch`` that checks every row it
+    refines against the oracle and the scalar refinement, recording
+    ``(n, start is None)`` per row in ``seen`` and each batch size in
+    ``refined``; a row met again with the same start is not re-checked."""
+    checked = set()
+
+    def compared(n, rows, start=None):
+        colors, classes = _refined_colors_batch(n, rows, start)
+        starts = [None] * len(rows) if start is None else map(tuple, start.tolist())
+        for r, s, c, k in zip(rows.tolist(), starts, colors.tolist(), classes.tolist()):
+            seen.append((n, s is None))
+            if (tuple(r), s) in checked:
+                continue
+            checked.add((tuple(r), s))
+            assert c == _oracle_refined_colors(n, r, s), (r, s)
+            assert s is not None or c == _refined_colors(n, r), r
+            assert k == len(set(c))
+        if refined is not None:
+            refined.append(len(rows))
+        return colors, classes
+
+    return compared
+
+
 class TestRefinedColors:
     """The integer-key refinement gives exactly the oracle's colors."""
 
@@ -345,34 +370,11 @@ class TestRefinedColors:
             assert _refined_colors(n, g.rows) == _oracle_refined_colors(n, g.rows), g
 
     def test_every_child_refined_in_the_walk_to_eight(self, monkeypatch):
-        # every level refines its candidate children as one batch, and the
-        # leaf certificates refine from individualized starting colorings;
-        # a row met again (the leaf walks repeat the walk's levels) is not
-        # re-checked
-        seen, refined, checked = [], [], set()
-
-        def compared(n, rows, start=None):
-            colors, classes = _refined_colors_batch(n, rows, start)
-            starts = [None] * len(rows) if start is None else map(tuple, start.tolist())
-            for r, s, c, k in zip(rows.tolist(), starts, colors.tolist(), classes.tolist()):
-                seen.append((n, s is None))
-                if (tuple(r), s) in checked:
-                    continue
-                checked.add((tuple(r), s))
-                assert c == _oracle_refined_colors(n, r, s), (r, s)
-                assert s is not None or c == _refined_colors(n, r), r
-                assert k == len(set(c))
-            refined.append(len(rows))
-            return colors, classes
-
-        monkeypatch.setattr(enumeration, "_refined_colors_batch", compared)
+        # every level refines its candidate children as one batch
+        seen = []
+        monkeypatch.setattr(enumeration, "_refined_colors_batch", _compared_refinement(seen))
         assert sum(1 for _ in _walk(8, _ROOT)) == ALL_COUNTS[8]
         assert seen.count((8, True)) > 10_000
-        refined.clear()
-        for n in range(2, 9):
-            assert len(_leaf_rows(n, _ROOT)) == ALL_COUNTS[n]
-        assert sum(refined) > 18_000
-        assert seen.count((8, False)) > 1_000
 
     def test_random_graphs(self):
         rng = random.Random(2121)
@@ -571,6 +573,17 @@ class TestLeafCertificates:
 class TestLeafBlocks:
     """The last level of a walk built in blocks, against the scalar walk and
     the scalar routines it replaces."""
+
+    def test_batched_refinement_on_every_leaf_child_to_eight(self, monkeypatch):
+        # the leaf walks refine their children as batches, and the leaf
+        # certificates refine from individualized starting colorings
+        seen, refined = [], []
+        monkeypatch.setattr(enumeration, "_refined_colors_batch",
+                            _compared_refinement(seen, refined))
+        for n in range(2, 9):
+            assert len(_leaf_rows(n, _ROOT)) == ALL_COUNTS[n]
+        assert sum(refined) > 18_000
+        assert seen.count((8, False)) > 1_000
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_batched_refinement_on_random_stacks(self, n):
