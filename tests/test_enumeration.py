@@ -217,8 +217,9 @@ class TestOrderlyGeneration:
                 next(enumerate_connected(n, extended))
 
     def test_extended_path_streams(self):
-        # the full n=10 run is an hour-scale job; check the extended mode
-        # streams valid, distinct 10-vertex graphs without exhausting it
+        # the full n=10 stream (11,716,571 graphs) takes well under a
+        # minute on two workers; check the extended mode streams valid,
+        # distinct 10-vertex graphs without exhausting it
         import itertools
 
         sample = list(itertools.islice(enumerate_connected(10, extended=True), 500))
@@ -336,12 +337,11 @@ def _oracle_refined_colors(n, rows, start=None):
     return colors
 
 
-def _compared_refinement(seen, refined=None):
-    """A stand-in for ``_refined_colors_batch`` that checks every row it
-    refines against the oracle and the scalar refinement, recording
-    ``(n, start is None)`` per row in ``seen`` and each batch size in
-    ``refined``; a row met again with the same start is not re-checked."""
-    checked = set()
+def _compared_refinement(seen, checked):
+    """A stand-in for ``_refined_colors_batch`` that records ``(n, start is
+    None)`` per row it refines in ``seen`` and checks each row against the
+    oracle and the scalar refinement, unless its (row, start) is already in
+    the set ``checked``."""
 
     def compared(n, rows, start=None):
         colors, classes = _refined_colors_batch(n, rows, start)
@@ -354,11 +354,24 @@ def _compared_refinement(seen, refined=None):
             assert c == _oracle_refined_colors(n, r, s), (r, s)
             assert s is not None or c == _refined_colors(n, r), r
             assert k == len(set(c))
-        if refined is not None:
-            refined.append(len(rows))
         return colors, classes
 
     return compared
+
+
+@pytest.fixture(scope="module")
+def checked_walks():
+    """The walk to 8 and the leaf walks to n = 2..8 under
+    ``_compared_refinement``, sharing one set so that a row the two repeat
+    is checked once: (the walk's states, its ``seen``, the leaves per n,
+    the leaf walks' ``seen``)."""
+    checked, walk_seen, leaf_seen = set(), [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "_refined_colors_batch", _compared_refinement(walk_seen, checked))
+        states = sum(1 for _ in _walk(8, _ROOT))
+        mp.setattr(enumeration, "_refined_colors_batch", _compared_refinement(leaf_seen, checked))
+        leaves = {n: len(_leaf_rows(n, _ROOT)) for n in range(2, 9)}
+    return states, walk_seen, leaves, leaf_seen
 
 
 class TestRefinedColors:
@@ -369,11 +382,10 @@ class TestRefinedColors:
         for g in enumerate_all_graphs(n):
             assert _refined_colors(n, g.rows) == _oracle_refined_colors(n, g.rows), g
 
-    def test_every_child_refined_in_the_walk_to_eight(self, monkeypatch):
+    def test_every_child_refined_in_the_walk_to_eight(self, checked_walks):
         # every level refines its candidate children as one batch
-        seen = []
-        monkeypatch.setattr(enumeration, "_refined_colors_batch", _compared_refinement(seen))
-        assert sum(1 for _ in _walk(8, _ROOT)) == ALL_COUNTS[8]
+        states, seen, _, _ = checked_walks
+        assert states == ALL_COUNTS[8]
         assert seen.count((8, True)) > 10_000
 
     def test_random_graphs(self):
@@ -574,15 +586,12 @@ class TestLeafBlocks:
     """The last level of a walk built in blocks, against the scalar walk and
     the scalar routines it replaces."""
 
-    def test_batched_refinement_on_every_leaf_child_to_eight(self, monkeypatch):
+    def test_batched_refinement_on_every_leaf_child_to_eight(self, checked_walks):
         # the leaf walks refine their children as batches, and the leaf
         # certificates refine from individualized starting colorings
-        seen, refined = [], []
-        monkeypatch.setattr(enumeration, "_refined_colors_batch",
-                            _compared_refinement(seen, refined))
-        for n in range(2, 9):
-            assert len(_leaf_rows(n, _ROOT)) == ALL_COUNTS[n]
-        assert sum(refined) > 18_000
+        _, _, leaves, seen = checked_walks
+        assert leaves == {n: ALL_COUNTS[n] for n in range(2, 9)}
+        assert sum(1 for _, bare in seen if bare) > 18_000
         assert seen.count((8, False)) > 1_000
 
     @pytest.mark.parametrize("n", range(2, 11))
