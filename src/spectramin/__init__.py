@@ -6,6 +6,8 @@ from .analytic import (
     QuotientMatrix,
     boundary_matrix,
     f_value,
+    hub_bracket,
+    hub_exceeds,
     path_cycle_swap_gap,
     perron_closed_form,
     quotient_matrix_symmetric,

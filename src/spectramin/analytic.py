@@ -1,4 +1,4 @@
-"""Closed-form spectral radius machinery for the dumbbell family B(m, p, q).
+"""Closed-form spectral radius machinery for the two-cycle cores.
 
 On every degree-2 stretch of B(m, p, q) the Perron vector satisfies the
 three-term recurrence ``rho x_i = x_{i-1} + x_{i+1}``, whose solution with
@@ -6,26 +6,36 @@ prescribed endpoint values a, b is the hyperbolic-sine interpolant
 
     f_i(t, k, a, b) = (b sinh(it) + a sinh((k-i)t)) / sinh(kt),
 
-with ``rho = 2 cosh t``.  Eliminating the stretch interiors turns the two hub
-equations into a symmetric 2x2 system M(rho) (a, b)^T = 0: M(rho) is the
-Schur complement of rho I - A onto the two hubs.  The interiors are paths of
-radius below 2, so for rho > 2 the interior block is positive definite, and
-Haynsworth's inertia additivity, In(rho I - A) = In(interior) + In(M(rho)),
-makes M(rho) positive definite exactly when rho > rho(B).  This module finds
-rho by bisecting that predicate, takes (a, b) from the kernel of M(rho),
-rebuilds the full Perron vector in closed form, exposes the shared
-equitable-partition quotient behind rho(P(m,p,m)) = rho(B(m,p,m)), and
-evaluates the positive gap expression certifying rho(B(m,p,m)) < rho(B(m,m,p)).
+with ``rho = 2 cosh t``.  Every two-cycle core (C, B or P) is a set of
+hub-to-hub walks whose interiors are paths.  Eliminating those interiors
+leaves the hub Schur complement M(r) of rI - A, 1x1 for C and 2x2 for B and
+P, built from the path determinants D_k(r).  The interiors have radius
+below 2, so for r >= 2 their block is positive definite, and Haynsworth's
+inertia additivity, In(rI - A) = In(interior) + In(M(r)), makes M(r)
+positive definite exactly when r > rho.  ``hub_exceeds`` decides rho > r
+exactly in integers at a dyadic r, and ``hub_bracket`` bisects it.
+
+``rho_analytic`` solves B(m, p, q) by Newton's method on the least
+eigenvalue of the float M(r) from r = 2, then proves the root: two
+``hub_exceeds`` calls must bracket rho within 2**-47 of it, and
+``hub_bracket`` takes over if they do not.  No verdict rests on a float
+backward error.  The hub values (a, b) come from the better-conditioned
+row of M(rho); the module also rebuilds the full Perron vector in closed
+form, exposes the shared equitable-partition quotient behind
+rho(P(m,p,m)) = rho(B(m,p,m)), and evaluates the positive gap expression
+certifying rho(B(m,p,m)) < rho(B(m,m,p)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import acosh, cosh, exp
+from fractions import Fraction
+from math import acosh, ceil, cosh, exp, hypot, isfinite, ldexp
 
 import numpy as np
 
 from .graphs import (
+    BicyclicSpec,
     Graph,
     InvalidParameterError,
     VertexLabeling,
@@ -33,9 +43,9 @@ from .graphs import (
     spec_B,
     spec_P,
 )
-from .spectral import NumericFailure
+from .spectral import NumericFailure, RhoBracket
 
-HUB_BACKWARD_TOL = 1e-11  # bound on the relative root error behind the hub residuals
+_SOLVE_BITS = 48  # the solve's exact check brackets rho on the grid of 2**-48
 
 
 def f_value(i: int, t: float, k: int, a: float, b: float) -> float:
@@ -67,29 +77,134 @@ def _sinh_ratio(t: float, k: int) -> float:
     return exp((1 - k) * t) * (1.0 - exp(-2.0 * t)) / (1.0 - exp(-2.0 * k * t))
 
 
+def _hub_walks(spec: BicyclicSpec) -> tuple[tuple[int, int, int], ...]:
+    """The hub-to-hub walks of a two-cycle core as (u, v, interior length).
+
+    Hub 0 is ``hub_a`` and hub 1 is ``hub_b``; C has hub 0 only.
+    """
+    m, p, q = spec.m, spec.p, spec.q
+    if spec.family == "C":
+        return (0, 0, m - 1), (0, 0, q - 1)
+    if spec.family == "B":
+        return (0, 0, m - 1), (1, 1, q - 1), (0, 1, p - 1)
+    return (0, 1, m - 1), (0, 1, p - 1), (0, 1, q - 1)
+
+
+def _hub_schur(walks, r: float) -> tuple[list[float], list[float]]:
+    """M(r) and M'(r) as [m00, m11, m01] in floats, for r >= 2.
+
+    With D_k the path determinants (D_0 = 1, D_1 = r), the ratios
+    alpha_L = D_{L-1}/D_L and beta_L = 1/D_L follow alpha_L = 1/(r - alpha_{L-1})
+    and beta_L = beta_{L-1} alpha_L from alpha_0 = 0, beta_0 = 1, and their
+    r-derivatives follow by the chain rule.  A walk with L interior vertices
+    between hubs u != v subtracts alpha_L from M_uu and M_vv and beta_L from
+    M_uv; a loop at u subtracts 2 (alpha_L + beta_L) from M_uu.
+    """
+    mat, der = [r, r, 0.0], [1.0, 1.0, 0.0]
+    for u, v, length in walks:
+        al, dal, be, dbe = 0.0, 0.0, 1.0, 0.0
+        for _ in range(length):
+            al = 1.0 / (r - al)
+            dal = (dal - 1.0) * al * al
+            be, dbe = be * al, dbe * al + be * dal
+        if u == v:
+            mat[u] -= 2.0 * (al + be)
+            der[u] -= 2.0 * (dal + dbe)
+        else:
+            mat[0] -= al
+            mat[1] -= al
+            mat[2] -= be
+            der[0] -= dal
+            der[1] -= dal
+            der[2] -= dbe
+    return mat, der
+
+
 def boundary_matrix(m: int, p: int, q: int, rho: float) -> np.ndarray:
-    """Coefficient matrix M(rho) of the two hub equations of B(m, p, q).
+    """Hub Schur complement M(rho) of rho I - A for B(m, p, q), in floats.
 
     Row 1 is the hub-a balance ``rho a = 2 f_1(t,m,a,a) + f_1(t,p,a,b)``
-    split into coefficients of a and b, row 2 the hub-b counterpart.  This is
-    exactly the Schur complement of rho I - A onto the two hubs (for p = 1
-    the hub edge gives the off-diagonal -1).  For rho > 2 the stretch
-    interiors, paths of radius below 2, form a positive definite block, so by
-    inertia additivity M(rho) is positive definite exactly when rho > rho(B).
+    split into coefficients of a and b, row 2 the hub-b counterpart (for
+    p = 1 the hub edge gives the off-diagonal -1).  M(rho) is positive
+    definite exactly when rho > rho(B).
     """
-    spec_B(m, p, q)  # validates the family parameters
-    if rho <= 2.0:
-        raise InvalidParameterError(f"boundary matrix needs rho > 2, got {rho}")
-    t = t_of_rho(rho)
-    m11 = rho - 2.0 * f_value(1, t, m, 1.0, 1.0) - f_value(1, t, p, 1.0, 0.0)
-    m22 = rho - 2.0 * f_value(1, t, q, 1.0, 1.0) - f_value(p - 1, t, p, 0.0, 1.0)
-    off = -f_value(1, t, p, 0.0, 1.0)
+    walks = _hub_walks(spec_B(m, p, q))
+    if rho < 2.0:
+        raise InvalidParameterError(f"boundary matrix needs rho >= 2, got {rho}")
+    (m11, m22, off), _ = _hub_schur(walks, rho)
     return np.array([[m11, off], [off, m22]])
 
 
 def boundary_det(m: int, p: int, q: int, rho: float) -> float:
     mat = boundary_matrix(m, p, q, rho)
     return float(mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0])
+
+
+def hub_exceeds(spec: BicyclicSpec, R: int, b: int) -> bool:
+    """Whether rho(core) > R / 2**b, decided exactly in integers.
+
+    The law: the interiors of the hub-to-hub walks are paths, of radius
+    below 2, so for r >= 2 the interior block of rI - A is positive
+    definite, and by Haynsworth's inertia additivity
+    In(rI - A) = In(interior) + In(M(r)).  Hence rho > r exactly when the
+    hub Schur complement M(r) is not positive semidefinite.
+
+    M(r) is assembled from the path determinants D_k(r), which are positive
+    for r >= 2: D_k(2) = k + 1 and no root of D_k exceeds 2.  With
+    r = R / 2**b the integers E_k = 2**(bk) D_k follow E_0 = 1, E_1 = R,
+    E_k = R E_{k-1} - 4**b E_{k-2}, so they are positive too.  2**b M(r)
+    times the product of the walks' E_L is an integer matrix with the same
+    signs, and the test reads its diagonal and determinant.
+    """
+    if b < 0 or R < 2 << b:
+        raise InvalidParameterError(f"hub_exceeds needs b >= 0 and R / 2**b >= 2, got {R}, {b}")
+    walks = _hub_walks(spec)
+    four = 1 << 2 * b
+    e = [1, R]
+    while len(e) <= max(length for _, _, length in walks):
+        e.append(R * e[-1] - four * e[-2])
+    den = 1
+    for _, _, length in walks:
+        den *= e[length]
+    x = y = R * den
+    z = 0
+    for u, v, length in walks:
+        cofactor = den // e[length]
+        prev = e[length - 1] if length else 0
+        if u == v:  # 2**b * 2 (D_{L-1} + 1) / D_L
+            term = 2 * four * (prev + (1 << b * (length - 1))) * cofactor
+            if u:
+                y -= term
+            else:
+                x -= term
+        else:  # 2**b D_{L-1} / D_L on both diagonals, 2**b / D_L off them
+            x -= four * prev * cofactor
+            y -= four * prev * cofactor
+            z -= (1 << b * (length + 1)) * cofactor
+    if spec.family == "C":
+        return x < 0
+    return x < 0 or y < 0 or x * y < z * z
+
+
+def hub_bracket(spec: BicyclicSpec, width: Fraction | float) -> RhoBracket:
+    """(lo, hi] around rho(core) of width at most ``width``, by bisecting
+    ``hub_exceeds`` on a dyadic grid from [2, max degree].
+
+    rho > 2 because the core properly contains a cycle, and rho is at most
+    the maximum degree: 4 at the C hub, 3 in B and P.
+    """
+    width = Fraction(width)
+    if width <= 0:
+        raise InvalidParameterError(f"bracket width must be positive, got {width}")
+    b = (ceil(1 / width) - 1).bit_length()  # 2**-b <= width
+    lo, hi = 2 << b, (4 if spec.family == "C" else 3) << b
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if hub_exceeds(spec, mid, b):
+            lo = mid
+        else:
+            hi = mid
+    return RhoBracket(Fraction(lo, 1 << b), Fraction(hi, 1 << b))
 
 
 @dataclass(frozen=True)
@@ -115,84 +230,64 @@ class AnalyticSolution:
         return 2.0 * cosh(self.t)
 
 
+def _newton_root(walks) -> float:
+    """rho by Newton's method on the least eigenvalue mu(r) of M(r), from r = 2.
+
+    M(r) is Loewner-increasing and concave in r with M'(r) >= I, so mu is
+    increasing and concave: its tangents lie above it, every step lands at
+    or below rho, and the iterates rise monotonically to rho.  The loop
+    stops when a step no longer moves r by more than rounding.
+    """
+    r, step = 2.0, 1.0
+    while step > 1e-15 * r:
+        (x, y, z), (dx, dy, dz) = _hub_schur(walks, r)
+        h, dh = 0.5 * (x - y), 0.5 * (dx - dy)
+        s = hypot(h, z)
+        mu = 0.5 * (x + y) - s
+        slope = 0.5 * (dx + dy) - ((h * dh + z * dz) / s if s else hypot(dh, dz))
+        step = -mu / slope
+        r += step
+    return r
+
+
+def _proves_root(spec: BicyclicSpec, r: float) -> bool:
+    """Whether rho lies in ((R - 1) / 2**48, (R + 2) / 2**48] for
+    R = floor(r * 2**48), decided exactly; then |r - rho| <= 2**-47."""
+    R = int(ldexp(r, _SOLVE_BITS))
+    return (hub_exceeds(spec, R - 1, _SOLVE_BITS)
+            and not hub_exceeds(spec, R + 2, _SOLVE_BITS))
+
+
 def rho_analytic(m: int, p: int, q: int) -> AnalyticSolution:
-    """Spectral radius of B(m, p, q) from the 2x2 hub system alone.
+    """Spectral radius and hub values of B(m, p, q) from the hub system alone.
 
-    M(rho) is the Schur complement of rho I - A onto the hubs, and for
-    rho > 2 the interior block is positive definite, so by Haynsworth's
-    inertia additivity, In(rho I - A) = In(interior) + In(M(rho)), M(rho) is
-    positive definite exactly when rho > rho(B).  rho(B) lies in (2, 3]: B
-    properly contains a cycle and has maximum degree 3.  One bisection of
-    "m11 > 0 and det M > 0" over (2, 4] therefore converges to rho(B); det M
-    alone is not monotone, as it turns positive again below the second
-    eigenvalue.  One Newton polish on det M follows, then the positive kernel
-    direction (a, b) = (-m12, m11).  Independent of the eigensolver route;
-    the hub residuals, read as a backward error, certify the solve.
+    The Newton seed of ``_newton_root`` is proved by ``_proves_root``; if
+    the proof fails, the midpoint of ``hub_bracket`` at width 2**-48 is
+    used instead, so a valid spec always solves with an exact bracket
+    behind it.  The kernel of the rank-one M(rho) gives (a, b) from the row
+    with the larger diagonal, the one with less cancellation; for m = q the
+    hub swap is an automorphism, so a = b exactly.  The residuals of the two
+    hub equations, evaluated with the interpolants f, are reported and
+    certify nothing.  Independent of the eigensolver route.
     """
-    spec_B(m, p, q)  # validates the family parameters
-    lo, hi = 2.0, 4.0  # M(rho) is undefined at 2 and positive definite at 4
-    while hi - lo > 1e-15 * hi:
-        mid = 0.5 * (lo + hi)
-        mat = boundary_matrix(m, p, q, mid)
-        if mat[0, 0] > 0.0 and mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0] > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    root = 0.5 * (lo + hi)
-    # one Newton polish on the determinant
-    h = 1e-7
-    d0 = boundary_det(m, p, q, root)
-    dp = boundary_det(m, p, q, root + h)
-    dm = boundary_det(m, p, q, root - h)
-    slope = (dp - dm) / (2 * h)
-    if slope != 0.0:
-        cand = root - d0 / slope
-        if 2.0 < cand < 4.0 and abs(boundary_det(m, p, q, cand)) <= abs(d0):
-            root = cand
-
-    return _solution_at(m, p, q, root)
-
-
-def _hub_state(m: int, p: int, q: int, rho: float) -> tuple[float, float, float, float]:
-    """(a, b, residual a, residual b): the kernel direction of M(rho), scaled
-    so min(a, b) = 1, and the signed residuals of the two hub equations."""
-    mat = boundary_matrix(m, p, q, rho)
-    a, b = -mat[0, 1], mat[0, 0]
-    if a <= 0.0 or b <= 0.0:
-        raise NumericFailure(
-            f"kernel of det M is not positive at rho={rho} for B({m},{p},{q})"
-        )
+    spec = spec_B(m, p, q)
+    walks = _hub_walks(spec)
+    root = _newton_root(walks)
+    if not _proves_root(spec, root):
+        root = float(hub_bracket(spec, Fraction(1, 1 << _SOLVE_BITS)).midpoint())
+    if m == q:
+        a = b = 1.0
+    else:
+        (x, y, z), _ = _hub_schur(walks, root)
+        a, b = (-z, x) if x >= y else (y, -z)
     scale = min(a, b)
+    if not (scale > 0.0 and isfinite(max(a, b) / scale)):
+        raise NumericFailure(f"hub values of B({m},{p},{q}) leave the float range")
     a, b = a / scale, b / scale
-    t = t_of_rho(rho)
-    return (a, b,
-            rho * a - (2.0 * f_value(1, t, m, a, a) + f_value(1, t, p, a, b)),
-            rho * b - (2.0 * f_value(1, t, q, b, b) + f_value(p - 1, t, p, a, b)))
-
-
-def _solution_at(m: int, p: int, q: int, root: float) -> AnalyticSolution:
-    """The solution at a solved ``root``, certified by its hub residuals.
-
-    The kernel (a, b) = (-m12, m11) zeroes the first hub equation, so the
-    residual vector r(rho) is (0, det M(rho) / scale) up to rounding, and
-    |r| / (rho |r'|) is the relative root error that would explain it: a
-    root moved by a relative d reads d.  The solve fails above
-    ``HUB_BACKWARD_TOL``.  An absolute bound on |r| would reject long
-    dumbbells, whose hub values differ by orders of magnitude and whose
-    residuals carry rounding of that size.  The slope is one forward
-    difference at h = 1e-9 rho.
-    """
-    a, b, res_a, res_b = _hub_state(m, p, q, root)
-    h = 1e-9 * root
-    _, _, moved_a, moved_b = _hub_state(m, p, q, root + h)
-    rate = max(abs(moved_a - res_a), abs(moved_b - res_b)) / h
-    backward = max(abs(res_a), abs(res_b)) / (root * rate)
-    if not backward <= HUB_BACKWARD_TOL:
-        raise NumericFailure(
-            f"hub equation residuals {abs(res_a):.3g}/{abs(res_b):.3g} explain a relative "
-            f"root error of {backward:.3g}, above {HUB_BACKWARD_TOL}, for B({m},{p},{q})"
-        )
-    return AnalyticSolution(m, p, q, t_of_rho(root), a, b, abs(res_a), abs(res_b))
+    t = t_of_rho(root)
+    res_a = root * a - (2.0 * f_value(1, t, m, a, a) + f_value(1, t, p, a, b))
+    res_b = root * b - (2.0 * f_value(1, t, q, b, b) + f_value(p - 1, t, p, a, b))
+    return AnalyticSolution(m, p, q, t, a, b, abs(res_a), abs(res_b))
 
 
 def perron_closed_form(sol: AnalyticSolution) -> np.ndarray:

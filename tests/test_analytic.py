@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,19 +12,23 @@ from spectramin.analytic import (
     boundary_det,
     boundary_matrix,
     f_value,
+    hub_bracket,
+    hub_exceeds,
     path_cycle_swap_gap,
     perron_closed_form,
     quotient_matrix_symmetric,
     rho_analytic,
     t_of_rho,
 )
+from spectramin.enumeration import _core_specs_bicyclic
 from spectramin.graphs import (
     InvalidParameterError,
     build_bicyclic,
     spec_B,
+    spec_C,
     spec_P,
 )
-from spectramin.spectral import perron_pair, rho_numeric
+from spectramin.spectral import NumericFailure, perron_pair, rho_numeric
 
 # ---------------------------------------------------------------------------
 # reference formulas the tests check the package against
@@ -59,6 +64,44 @@ def hub_identity_residuals(sol: AnalyticSolution) -> tuple[float, float]:
     lhs2 = a * ch - f_value(1, t, q, a, a) - 0.5 * f_value(1, t, p, a, a)
     rhs2 = a * (a - b) / (2.0 * b) * ratio
     return abs(lhs1 - rhs1), abs(lhs2 - rhs2)
+
+
+def hub_exceeds_fraction(spec, r: Fraction) -> bool:
+    """Twin of hub_exceeds in Fractions: whether M(r) is not positive semidefinite.
+
+    The walks are read off ``build_bicyclic``'s labeling and M(r) is built
+    from the path determinants D_k(r) directly: a walk with L interior
+    vertices between hubs u != v adds -D_{L-1}/D_L to M_uu and M_vv and
+    -1/D_L to M_uv, a loop at u adds -2 (D_{L-1} + 1)/D_L to M_uu.
+    """
+    _, lab = build_bicyclic(spec)
+    d = {-1: Fraction(0), 0: Fraction(1)}
+    for k in range(1, spec.order):
+        d[k] = r * d[k - 1] - d[k - 2]
+    mat = {(0, 0): r, (1, 1): r, (0, 1): Fraction(0)}
+
+    def walk(u, v, seg):
+        length = len(seg)
+        if u == v:
+            mat[u, u] -= 2 * (d[length - 1] + 1) / d[length]
+        else:
+            mat[u, u] -= d[length - 1] / d[length]
+            mat[v, v] -= d[length - 1] / d[length]
+            mat[0, 1] -= 1 / d[length]
+
+    if spec.family == "P":
+        for seg in (lab.seg_m, lab.seg_p, lab.seg_q):
+            walk(0, 1, seg)
+    else:
+        hub_b = 0 if lab.hub_b == lab.hub_a else 1
+        walk(0, 0, lab.seg_m)
+        walk(hub_b, hub_b, lab.seg_q)
+        if spec.family == "B":
+            walk(0, 1, lab.seg_p)
+    if spec.family == "C":
+        return mat[0, 0] < 0
+    det = mat[0, 0] * mat[1, 1] - mat[0, 1] ** 2
+    return mat[0, 0] < 0 or mat[1, 1] < 0 or det < 0
 
 
 def swap_gap_direct(m: int, p: int) -> float:
@@ -241,20 +284,101 @@ class TestRhoAnalytic:
                     worst = max(worst, abs(rho_analytic(m, p, q).rho - rho_numeric(g)))
         assert worst < 1e-13
 
+    def test_long_dumbbell_hub_values(self):
+        # the hub values come from the better-conditioned row of M(rho): the
+        # first row alone left B(3,30,13) a relative hub residual of 3.6e-4
+        worst = 0.0
+        for m in range(3, 16):
+            for q in range(m, 16):
+                for p in range(1, 31):
+                    sol = rho_analytic(m, p, q)
+                    worst = max(worst, sol.residual_a / sol.a, sol.residual_b / sol.b)
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("m,p,q", [(3, 30, 13), (3, 30, 15), (15, 30, 3), (5, 12, 5)])
+    def test_hub_ratio_matches_eigenvector(self, m, p, q):
+        sol = rho_analytic(m, p, q)
+        g, lab = build_bicyclic(spec_B(m, p, q))
+        vec = np.linalg.eigh(g.adjacency_matrix())[1][:, -1]
+        ratio = vec[lab.hub_a] / vec[lab.hub_b]
+        assert abs(sol.a / sol.b - ratio) <= 1e-8 * ratio
+        if m == q:
+            assert sol.a == sol.b == 1.0
+
+    def test_path_beyond_float_range(self):
+        # at p = 2000 the hub coupling 1/D_{p-1}(rho) underflows: equal cycles
+        # still solve (a = b by symmetry), unequal ones have a hub ratio past
+        # the float range and are refused; a triangle with an infinite tail
+        # has radius sqrt(5), which the long dumbbell meets to rounding
+        sol = rho_analytic(3, 2000, 3)
+        assert sol.a == sol.b == 1.0
+        assert abs(sol.rho - 5**0.5) < 1e-14
+        with pytest.raises(NumericFailure):
+            rho_analytic(3, 2000, 4)
+
+    def test_failed_seed_falls_back_to_the_bracket(self, monkeypatch):
+        from spectramin import analytic
+
+        monkeypatch.setattr(analytic, "_newton_root", lambda walks: 2.5)
+        for m, p, q in [(4, 2, 4), (3, 30, 15), (9, 9, 9)]:
+            g, _ = build_bicyclic(spec_B(m, p, q))
+            assert abs(rho_analytic(m, p, q).rho - rho_numeric(g)) < 1e-13
+
     @pytest.mark.parametrize("m,p,q", [(4, 2, 4), (6, 5, 8), (3, 19, 4), (3, 30, 15), (15, 1, 15)])
     @pytest.mark.parametrize("shift", [1e-9, -1e-9])
     def test_moved_root_is_refused(self, m, p, q, shift):
-        from spectramin.analytic import _solution_at
-        from spectramin.spectral import NumericFailure
+        # the exact hub check proves the solved root and refuses one moved by a relative 1e-9
+        from spectramin.analytic import _proves_root
 
         root = rho_analytic(m, p, q).rho
-        with pytest.raises(NumericFailure):
-            _solution_at(m, p, q, root * (1 + shift))
+        assert _proves_root(spec_B(m, p, q), root)
+        assert not _proves_root(spec_B(m, p, q), root * (1 + shift))
 
     def test_rearranged_identities(self):
         for m, p, q in [(3, 1, 3), (5, 2, 3), (4, 7, 9), (8, 3, 6)]:
             r1, r2 = hub_identity_residuals(rho_analytic(m, p, q))
             assert max(r1, r2) < 1e-10
+
+
+class TestHubExceeds:
+    def test_agrees_with_eigensolver_on_every_core_to_24(self):
+        # 1,260 cores; at rho -/+ 1e-8 the predicate must read True/False
+        specs = _core_specs_bicyclic(24)
+        assert len(specs) == 1260
+        for spec in specs:
+            g, _ = build_bicyclic(spec)
+            rho = float(np.linalg.eigvalsh(g.adjacency_matrix())[-1])
+            assert hub_exceeds(spec, int(math.ldexp(rho - 1e-8, 52)), 52), spec
+            assert not hub_exceeds(spec, int(math.ldexp(rho + 1e-8, 52)), 52), spec
+
+    def test_matches_fraction_twin(self):
+        for spec in _core_specs_bicyclic(10):
+            grid = [(R, 5) for R in range(64, 129, 2)]
+            near = int(math.ldexp(rho_numeric(build_bicyclic(spec)[0]), 40))
+            grid += [(R, 40) for R in range(near - 2, near + 3)]
+            for R, b in grid:
+                assert hub_exceeds(spec, R, b) == hub_exceeds_fraction(spec, Fraction(R, 2**b)), (
+                    spec, R, b)
+
+    def test_rejects_radius_below_two(self):
+        with pytest.raises(InvalidParameterError):
+            hub_exceeds(spec_B(3, 1, 3), 2**11 - 1, 10)
+        with pytest.raises(InvalidParameterError):
+            hub_bracket(spec_B(3, 1, 3), 0)
+
+    @pytest.mark.parametrize("spec", [spec_C(3, 3), spec_C(5, 9), spec_P(1, 2, 2), spec_P(4, 6, 9),
+                                      spec_B(3, 1, 3), spec_B(7, 12, 4)])
+    def test_bracket_holds_the_radius(self, spec):
+        width = Fraction(1, 10**12)
+        br = hub_bracket(spec, width)
+        rho = rho_numeric(build_bicyclic(spec)[0])
+        assert br.width <= width
+        assert br.lo - Fraction(1, 10**13) < Fraction(rho) <= br.hi + Fraction(1, 10**13)
+
+    @pytest.mark.parametrize("m,p,q", [(4, 2, 4), (3, 30, 15), (15, 1, 15), (3, 200, 3)])
+    def test_bracket_reproduces_rho_analytic(self, m, p, q):
+        br = hub_bracket(spec_B(m, p, q), Fraction(1, 2**44))
+        assert abs(Fraction(rho_analytic(m, p, q).rho) - br.midpoint()) <= br.width
 
 
 class TestQuotient:

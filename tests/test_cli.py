@@ -33,6 +33,27 @@ class TestRho:
             ]
             assert all(d <= 1e-9 for d in deltas), spec
 
+    def test_long_dumbbell_solves(self, capsys):
+        assert main(["rho", "B:3,200,3"]) == 0
+        values = {}
+        for line in capsys.readouterr().out.splitlines():
+            if line.startswith("rho (") and "delta" in line:
+                name, rest = line.split("=", 1)
+                values[name.strip()] = float(rest.split("delta")[0])
+        assert abs(values["rho (analytic boundary)"] - values["rho (dense eigensolver)"]) <= 1e-9
+
+    def test_failing_route_leaves_no_report(self, monkeypatch, capsys):
+        from spectramin import cli
+        from spectramin.spectral import NumericFailure
+
+        def fail(*args):
+            raise NumericFailure("analytic route failed")
+
+        monkeypatch.setattr(cli, "rho_analytic", fail)
+        assert main(["rho", "B:3,1,3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error: analytic route failed" in err
+
     def test_malformed_exits_2(self, capsys):
         assert main(["rho", "B:3,1"]) == 2
         assert main(["rho", "nonsense spec"]) == 2
@@ -168,8 +189,8 @@ class TestBadInput:
             (["verify", "edge-minimal-pair", "--n", ""], None),
             (["verify", "lemmas", "--grid", ""], None),
             (["verify", "theorem-1.1", "--n", ""], None),
-            # a route that fails after the numeric ones have their radius
-            (["rho", "B:3,200,3"], None),
+            # a family graph past the exact polynomial cap
+            (["rho", "B:3,200,3", "--charpoly"], None),
             # a lemma grid whose equal pairs pass the exact cap, refused before any work
             (["verify", "lemmas", "--grid", "3..22"], None),
             # an --n or --grid item that is no integer or a..b range
