@@ -154,10 +154,11 @@ def hub_exceeds(spec: BicyclicSpec, R: int, b: int) -> bool:
     r = R / 2**b the integers E_k = 2**(bk) D_k follow E_0 = 1, E_1 = R,
     E_k = R E_{k-1} - 4**b E_{k-2}, so they are positive too.  2**b M(r)
     times the product of the walks' E_L is an integer matrix with the same
-    signs, and the test reads its diagonal and determinant.
+    signs, and the test reads its diagonal and determinant.  For C the unused
+    hub 1 keeps y = R den > 0 and z = 0, so the test reduces to x < 0.
     """
-    if b < 0 or R < 2 << b:
-        raise InvalidParameterError(f"hub_exceeds needs b >= 0 and R / 2**b >= 2, got {R}, {b}")
+    if not (isinstance(R, int) and isinstance(b, int)) or b < 0 or R < 2 << b:
+        raise InvalidParameterError(f"hub_exceeds needs ints R >= 2 << b, b >= 0, got {R!r}, {b!r}")
     walks = _hub_walks(spec)
     four = 1 << 2 * b
     e = [1, R]
@@ -181,8 +182,6 @@ def hub_exceeds(spec: BicyclicSpec, R: int, b: int) -> bool:
             x -= four * prev * cofactor
             y -= four * prev * cofactor
             z -= (1 << b * (length + 1)) * cofactor
-    if spec.family == "C":
-        return x < 0
     return x < 0 or y < 0 or x * y < z * z
 
 
@@ -193,9 +192,9 @@ def hub_bracket(spec: BicyclicSpec, width: Fraction | float) -> RhoBracket:
     rho > 2 because the core properly contains a cycle, and rho is at most
     the maximum degree: 4 at the C hub, 3 in B and P.
     """
+    if not (isinstance(width, (int, Fraction)) or isfinite(width)) or width <= 0:
+        raise InvalidParameterError(f"bracket width must be finite and positive, got {width}")
     width = Fraction(width)
-    if width <= 0:
-        raise InvalidParameterError(f"bracket width must be positive, got {width}")
     b = (ceil(1 / width) - 1).bit_length()  # 2**-b <= width
     lo, hi = 2 << b, (4 if spec.family == "C" else 3) << b
     while hi - lo > 1:

@@ -313,7 +313,7 @@ def rho_bracket(g: Graph, width: Fraction | float = Fraction(1, 10**12)) -> RhoB
     The certificate is exact: root counts show one simple root inside
     ``(lo, hi]`` and none between ``hi`` and the degree bound ``1 + max_deg``.
     """
-    if not isinstance(width, Fraction) and not isfinite(width):
+    if not isinstance(width, (int, Fraction)) and not isfinite(width):
         raise InvalidParameterError(f"bracket width must be finite, got {width}")
     w = Fraction(width)
     if w <= 0:

@@ -24,12 +24,13 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import accumulate
+from math import isqrt
 from typing import Iterable, Iterator
 
 import numpy as np
 
+from .analytic import hub_exceeds
 from .enumeration import (
     _ROOT,
     BRANCH_LEVEL,
@@ -56,12 +57,13 @@ from .graphs import (
     canonical_form,
     double_fork_tree,
     independence_number,
+    is_connected,
     predicted_independence,
     spec_B,
     spec_C,
     spec_P,
 )
-from .spectral import EXACT_CAP, compare_rho_certified, rho_bracket, rho_numeric
+from .spectral import DENSE_CAP, EXACT_CAP, compare_rho_certified, rho_numeric
 
 SAFETY_BAND = 1e-7
 _WALK_STEPS = 4  # the scan's lower bound is the Rayleigh quotient of A^4 1
@@ -566,12 +568,12 @@ def verify_minimum_radius_case_table(
     * A graph with m >= n + 2 edges has rho^2 >= sum(d^2)/n >= 4 + 20/n
       (Hofmeister 1988; at degree sum 2n + 4 the least sum of squares puts
       degree 3 on four vertices and 2 on the rest).  When the prediction's
-      certified ``hi`` has hi^2 < 4 + 20/n, checked in Fractions by
+      radius lies below sqrt(4 + 20/n), proved in integers by
       ``_denser_graphs_exceed``, every such graph lies above the prediction.
 
-    The premise holds for even n = 10..38 and fails at 40; an order where it
-    fails is reported unresolved.  Every order is routed before any row
-    runs, so an order with no route is refused up front.
+    The premise holds for even n = 10..38 and fails from 40; an order where
+    it fails is reported unresolved.  Every order is routed before any row
+    runs, so an order with no route is refused up front (``_case_route``).
     """
     _check_workers(workers)
     routes = [(n, _case_route(n, extended)) for n in n_list]
@@ -612,17 +614,18 @@ def verify_minimum_radius_case_table(
 
 def _case_route(n: int, extended: bool) -> str:
     """How the case-table row for ``n`` is settled: "full-space", "cycle-law",
-    "bicyclic" or "unresolved".  An order with no route is refused."""
+    "bicyclic" or "unresolved".  Refused: n < 3, n above ``DENSE_CAP`` (a
+    row's witness takes a dense eigensolve), and an even n past
+    ``EDGE_MODE_CAP`` whose premise holds."""
     if n < 3:
         raise InvalidParameterError(f"theorem-1.1 --n must be at least 3, got {n}")
+    if n > DENSE_CAP:
+        raise InvalidParameterError(
+            f"theorem-1.1 --n {n}: the case table stops at the dense cap n = {DENSE_CAP}")
     if n <= FULL_SPACE_CAP or (extended and n <= EXTENDED_CAP):
         return "full-space"
     if n % 2 == 1:
         return "cycle-law"
-    if n > EXACT_CAP:
-        raise InvalidParameterError(
-            f"theorem-1.1 --n {n}: even orders past the exact cap {EXACT_CAP} have no route"
-        )
     if not _denser_graphs_exceed(n):
         return "unresolved"
     if n > EDGE_MODE_CAP:
@@ -641,18 +644,13 @@ def _odd_cycle_law(n: int, alpha: int) -> VerificationReport:
     contains a cycle C_k, so its radius exceeds rho(C_k) = 2: the radius of
     a connected graph grows strictly from a proper subgraph (Perron-
     Frobenius).  So C_n is the unique minimizer once alpha(C_n) = (n - 1)/2
-    and rho(C_n) = 2 hold; both are checked exactly, the radius by a gcd
-    certificate against C_3.  Above ``EXACT_CAP`` the row stays unresolved.
+    and rho(C_n) = 2 hold, both checked exactly: the radius by A 1 = 2 1 (each
+    bitmask row has two bits) on the connected cycle, since a positive
+    eigenvector belongs to rho (Perron-Frobenius).
     """
-    if n > EXACT_CAP:
-        return VerificationReport(
-            "minimum-radius-case-table", {"n": n}, "unresolved",
-            detail=f"odd n beyond full enumeration and the exact cap {EXACT_CAP}: "
-            "cycle law not certified",
-        )
     cycle = build_cycle(n)
     alpha_ok = independence_number(cycle) == alpha
-    rho_two = compare_rho_certified(cycle, build_cycle(3)) == "equal"
+    rho_two = is_connected(cycle) and all(row.bit_count() == 2 for row in cycle.rows)
     mode = ("cycle-law (trees have alpha >= ceil(n/2); any other connected graph "
             "properly contains a cycle, so rho > 2 = rho(C_n))")
     return VerificationReport(
@@ -660,15 +658,17 @@ def _odd_cycle_law(n: int, alpha: int) -> VerificationReport:
         "pass" if alpha_ok and rho_two else "fail",
         witnesses=_witnesses([cycle]),
         detail=f"expected C:{n}, alpha(C_n) = {alpha}: {'yes' if alpha_ok else 'no'}, "
-        f"gcd-equality with C_3: {'yes' if rho_two else 'no'}",
+        f"rho(C_n) = 2 by A1 = 2*1: {'yes' if rho_two else 'no'}",
     )
 
 
 def _denser_graphs_exceed(n: int) -> bool:
     """True when every graph of order n with n + 2 or more edges has a larger
-    radius than the prediction: its certified ``hi`` has hi^2 < 4 + 20/n."""
-    hi = rho_bracket(graph_from_family(theorem_prediction(n))).hi
-    return hi * hi < 4 + Fraction(20, n)
+    radius than the prediction: rho <= R / 2**48 by ``hub_exceeds``, at the
+    largest R with R^2 n < (4n + 20) 4**48, so rho^2 < 4 + 20/n."""
+    m, p, q = (int(x) for x in theorem_prediction(n)[2:].split(","))
+    R = isqrt((((4 * n + 20) << 96) - 1) // n)
+    return not hub_exceeds(spec_B(m, p, q), R, 48)
 
 
 def verify_small_order_minimizers() -> list[VerificationReport]:

@@ -366,6 +366,23 @@ class TestHubExceeds:
         with pytest.raises(InvalidParameterError):
             hub_bracket(spec_B(3, 1, 3), 0)
 
+    @pytest.mark.parametrize("R, b", [(2.5 * 2**10, 10), (3 * 2**10, 10.0),
+                                      (Fraction(3 * 2**10), 10)])
+    def test_rejects_non_integer_arguments(self, R, b):
+        # a float R would run the "exact" recurrence in floats
+        with pytest.raises(InvalidParameterError, match="needs ints"):
+            hub_exceeds(spec_B(3, 1, 3), R, b)
+
+    @pytest.mark.parametrize("width", [float("inf"), float("nan"), -1.0])
+    def test_rejects_non_finite_widths(self, width):
+        with pytest.raises(InvalidParameterError, match="finite and positive"):
+            hub_bracket(spec_B(3, 1, 3), width)
+
+    def test_huge_integer_width_is_finite(self):
+        # an int too large for a float is still a finite width
+        br = hub_bracket(spec_B(3, 1, 3), 10**400)
+        assert (br.lo, br.hi) == (2, 3)
+
     @pytest.mark.parametrize("spec", [spec_C(3, 3), spec_C(5, 9), spec_P(1, 2, 2), spec_P(4, 6, 9),
                                       spec_B(3, 1, 3), spec_B(7, 12, 4)])
     def test_bracket_holds_the_radius(self, spec):

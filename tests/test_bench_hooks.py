@@ -135,3 +135,22 @@ def test_scan_batch_boundaries_pinned(search, sizes, monkeypatch):
     monkeypatch.setattr(verify, "_rho_batch", counted)
     search()
     assert solved == sizes
+
+
+def test_edge_minimal_gate_reads_pinned(monkeypatch):
+    # the edge-minimal workload wraps _scan_stream by a positional
+    # (graphs, alpha) call to sum the classes seen, and its gate requires
+    # "gcd-equality=yes" in the report's detail
+    seen = []
+    scan = verify._scan_stream
+
+    def counting_scan(graphs, alpha):
+        result = scan(graphs, alpha)
+        seen.append(result[0])
+        return result
+
+    monkeypatch.setattr(verify, "_scan_stream", counting_scan)
+    (report,) = verify.verify_edge_minimal_pair([10])
+    assert report.status == "pass"
+    assert "gcd-equality=yes" in report.detail
+    assert seen == [2_678]

@@ -126,6 +126,17 @@ class TestVerify:
         assert main(["verify", "theorem-1.1", "--n", "11,13"]) == 0
         assert capsys.readouterr().out.count("'mode': 'cycle-law") == 2
 
+    def test_theorem_odd_rows_past_the_exact_cap(self, capsys):
+        assert main(["verify", "theorem-1.1", "--n", "65,101,257"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("[PASS]") == out.count("'mode': 'cycle-law") == 3
+
+    def test_theorem_even_row_without_premise_is_unresolved(self, capsys):
+        assert main(["verify", "theorem-1.1", "--n", "66"]) == 3
+        out = capsys.readouterr().out
+        assert out.startswith("[UNRESOLVED] minimum-radius-case-table {'n': 66}")
+        assert "rho(prediction)^2 not certified below 4 + 20/n" in out
+
     def test_unread_checkpoint_is_named(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(CHECKPOINT_ENV, str(tmp_path / "ck.json"))
         assert main(["verify", "theorem-1.1", "--n", "6"]) == 2
@@ -179,7 +190,8 @@ class TestBadInput:
             # orders outside max-extremal's 1..8 or with no theorem-1.1 route
             (["verify", "max-extremal", "--n", "0"], None),
             (["verify", "theorem-1.1", "--n", "11,38"], None),
-            (["verify", "theorem-1.1", "--n", "66"], None),
+            (["verify", "theorem-1.1", "--n", "514"], None),
+            (["verify", "theorem-1.1", "--n", "11,514"], None),
             # a tolerance power iteration can never reach
             (["rho", "C:7", "--tol", "nan"], None),
             (["rho", "C:7", "--tol", "inf"], None),
@@ -246,6 +258,8 @@ class TestBadInput:
             (["max-extremal", "--n", "7,9"], "max-extremal --n must lie in 1..8, got 9"),
             (["theorem-1.1", "--n", "7,2"], "theorem-1.1 --n must be at least 3, got 2"),
             (["theorem-1.1", "--n", "16,18"], "theorem-1.1 --n 18: denser graphs are excluded"),
+            (["theorem-1.1", "--n", "11,514"], "theorem-1.1 --n 514: the case table stops at "
+             "the dense cap n = 512"),
         ],
     )
     def test_order_refused_before_any_row(self, argv, message, monkeypatch, capsys):
@@ -258,6 +272,7 @@ class TestBadInput:
         monkeypatch.setattr(verify, "enumerate_connected", no_search)
         monkeypatch.setattr(verify, "minimizer", no_search)
         monkeypatch.setattr(verify, "minimizer_bicyclic", no_search)
+        monkeypatch.setattr(verify, "_odd_cycle_law", no_search)
         assert main(["verify", *argv]) == 2
         out, err = capsys.readouterr()
         assert out == ""

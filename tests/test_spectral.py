@@ -327,6 +327,11 @@ class TestRhoBracket:
         with pytest.raises(InvalidParameterError, match="finite"):
             rho_bracket(build_cycle(7), width)
 
+    def test_huge_integer_width_is_finite(self):
+        # an int too large for a float is still a finite width
+        br = rho_bracket(build_cycle(7), 10**400)
+        assert br.lo < 2 <= br.hi
+
     def test_exact_cap_refused_before_any_eigensolve(self, monkeypatch):
         def no_eigh(a):
             raise AssertionError("eigensolve before the cap check")

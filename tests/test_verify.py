@@ -67,7 +67,10 @@ needs_two_cpus = pytest.mark.skipif(WORKERS < 2, reason="a kept pool of 2 worker
 # witness graph6 strings depend on the generators' labellings
 SMALL_ORDER_REPORTS_SHA256 = "53c0968cb4e48e3f509381e0141622426741a05b5ebb36b57082f56e9ffbe64a"
 EDGE_PAIR_7_10_REPORTS_SHA256 = "12c581421b40088ad5250b26e66a9fd4c14bcb8e1ecd6850aa9cde65df56e5e9"
-CASE_TABLE_REPORTS_SHA256 = "173d76c2424b829a72996b1b5880d21d4dbed8a71a87107049e61b6ca4944345"
+CASE_TABLE_REPORTS_SHA256 = "cc84e1c18d72557c0dc2bf495cbe9304f996609e24acf5cc4577e0a3042d3fec"
+# the same table without its odd law row 11: the search rows, pinned apart so
+# that a new detail on the law rows cannot hide a change to them
+CASE_TABLE_SEARCH_ROWS_SHA256 = "20a410519e867cc3d28f5677951d50f1cca403105cc4eecb1c8b7c80c81db172"
 
 
 def argmin_forms(res: MinimizerResult):
@@ -662,6 +665,8 @@ class TestHarness:
         assert digest(verify_edge_minimal_pair(range(7, 11))) == EDGE_PAIR_7_10_REPORTS_SHA256
         case_table = verify_minimum_radius_case_table([3, 4, 5, 6, 7, 8, 10, 11, 12])
         assert digest(case_table) == CASE_TABLE_REPORTS_SHA256
+        searched = [r for r in case_table if r.parameters["n"] != 11]
+        assert digest(searched) == CASE_TABLE_SEARCH_ROWS_SHA256
 
     def test_reports_deterministic(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -814,13 +819,55 @@ class TestCaseTableLaw:
             assert r.parameters["alpha"] == (n - 1) // 2
             assert r.detail.startswith(f"expected C:{n}")
 
-    def test_odd_row_above_exact_cap_is_unresolved(self):
-        (report,) = verify_minimum_radius_case_table([65])
-        assert report.status == "unresolved"
+    def test_odd_rows_past_the_exact_cap_pass(self):
+        reports = verify_minimum_radius_case_table([65, 101, 257])
+        assert [r.status for r in reports] == ["pass"] * 3
+        assert all(r.detail.endswith("rho(C_n) = 2 by A1 = 2*1: yes") for r in reports)
 
-    def test_odd_row_fails_without_gcd_equality(self, monkeypatch):
-        from spectramin import verify
+    def test_odd_row_fails_without_the_identity(self, monkeypatch):
+        # C_11 plus a chord has two rows of three bits; C_5 + C_6 is 2-regular
+        # but not connected.  Both keep alpha = 5, so only the identity fails.
+        chord = Graph(11, [(i, (i + 1) % 11) for i in range(11)] + [(0, 5)])
+        split = Graph(11, [(i, (i + 1) % 5) for i in range(5)]
+                      + [(5 + i, 5 + (i + 1) % 6) for i in range(6)])
+        for broken in (chord, split):
+            assert independence_number(broken) == 5
+            monkeypatch.setattr(verify, "build_cycle", lambda n: broken)
+            (report,) = verify_minimum_radius_case_table([11])
+            assert report.status == "fail"
+            assert report.detail.endswith("alpha(C_n) = 5: yes, rho(C_n) = 2 by A1 = 2*1: no")
 
-        monkeypatch.setattr(verify, "compare_rho_certified", lambda a, b: "unresolved")
-        (report,) = verify_minimum_radius_case_table([11])
-        assert report.status == "fail"
+    def test_law_rows_need_no_char_poly(self, monkeypatch):
+        from spectramin import spectral
+
+        def no_exact(*args, **kwargs):
+            raise AssertionError("a law row ran exact polynomial machinery")
+
+        monkeypatch.setattr(spectral, "char_poly", no_exact)
+        monkeypatch.setattr(verify, "compare_rho_certified", no_exact)
+        reports = verify_minimum_radius_case_table([11, 63, 65, 101, 257, 40, 66, 512])
+        assert [r.status for r in reports] == ["pass"] * 5 + ["unresolved"] * 3
+
+    def test_hub_premise_matches_the_bracket(self):
+        # the old premise: the certified hi of the prediction's char poly bracket
+        from fractions import Fraction
+
+        from spectramin.spectral import rho_bracket
+        from spectramin.verify import _denser_graphs_exceed
+
+        for n in range(10, 65, 2):
+            hi = rho_bracket(graph_from_family(theorem_prediction(n))).hi
+            assert _denser_graphs_exceed(n) == (hi * hi < 4 + Fraction(20, n)), n
+
+    def test_hub_premise_fails_up_to_the_dense_cap(self):
+        from spectramin.verify import _denser_graphs_exceed
+
+        assert not any(_denser_graphs_exceed(n) for n in range(40, 513, 2))
+
+    def test_cycle_identity_matches_the_gcd(self):
+        from spectramin.spectral import compare_rho_certified
+
+        for n in range(5, 64, 2):
+            identity = verify._odd_cycle_law(n, (n - 1) // 2).detail.endswith("A1 = 2*1: yes")
+            assert identity == (compare_rho_certified(build_cycle(n), build_cycle(3)) == "equal")
+            assert identity, n
