@@ -16,6 +16,7 @@ from .enumeration import EXTENDED_CAP, FULL_SPACE_CAP
 from .formats import from_edge_list, from_graph6
 from .graphs import Graph, InvalidInputError, InvalidParameterError, is_connected
 from .spectral import (
+    DENSE_CAP,
     EXACT_CAP,
     NumericFailure,
     char_poly,
@@ -173,10 +174,15 @@ def _parse_grid(token: str, flag: str = "--grid") -> tuple[int, int]:
 
 
 def _parse_orders(text: str) -> list[int]:
-    """``--n``: comma items, each an integer or an ``a..b`` range."""
+    """``--n``: comma items, each an integer or an ``a..b`` range.  A range
+    that passes ``DENSE_CAP``, the largest order any claim reads, is refused
+    before its orders are built."""
     orders = []
     for item in text.split(","):
         lo, hi = _parse_grid(item, "--n")
+        if ".." in item and hi > DENSE_CAP:
+            raise InvalidParameterError(
+                f"--n: range {item!r} passes n = {DENSE_CAP}, the largest order any claim reads")
         orders += range(lo, hi + 1)
     return orders
 
@@ -196,7 +202,7 @@ def cmd_sweep(args) -> int:
     for m in range(max(lo, 1), hi + 1):
         for p in range(max(lo, m), hi + 1):
             for q in range(max(lo, p), hi + 1):
-                if (m, p).count(1) > 1 or q < 2:
+                if (m, p).count(1) > 1:
                     continue
                 g = graph_from_family(f"P:{m},{p},{q}")
                 rows.append(f"P,{m},{p},{q},{_fmt(rho_numeric(g))},,,,,")

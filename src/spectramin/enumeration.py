@@ -38,10 +38,9 @@ Two engines:
   that shows a core automorphism maps it, and every row it would grow into,
   to a smaller one.  A search takes the classes as those blocks of rank
   rows (``ClassBlock``) and fills its matrix stacks from them with one
-  scatter per block, so no per-class tuple or graph is made; only
-  ``bicyclic_graphs``, ``unicyclic_graphs`` and the tuple forms expand
-  them.  This is what makes the n <= 16 fixed-edge-count sweeps
-  affordable.
+  scatter per block, so no per-class tuple or graph is made; the public
+  generators pack the same scatter's stacks into bitmask rows.  This is
+  what makes the n <= 16 fixed-edge-count sweeps affordable.
 
 The structural generator also yields the independence number of every class,
 computed while the forest is chosen rather than on the built graph.  For a
@@ -91,7 +90,6 @@ EXTENDED_CAP = 10
 EDGE_MODE_CAP = 16
 BRANCH_LEVEL = 5
 
-Assignment = tuple[tuple[int, ...], ...]  # one canonical rooted tree per core vertex
 Generators = tuple[tuple[int, ...], ...]  # automorphism group generators, as image tuples
 State = tuple[tuple[int, ...], Generators, int]  # (rows, group generators, edge count)
 
@@ -452,10 +450,9 @@ def _leaf_blocks(
         yield _leaf_block(n, parents, max_edges, connected)
 
 
-def _leaf_graphs(n: int, state: State, max_edges: int | None = None,
-                 connected: bool = True) -> Iterator[Graph]:
-    """The graphs of ``_leaf_blocks``, one at a time."""
-    for block in _leaf_blocks(n, state, max_edges, connected):
+def _graphs(blocks: Iterable[LeafBlock | ClassBlock]) -> Iterator[Graph]:
+    """The graph of every class of a block stream of either engine, in order."""
+    for block in blocks:
         yield from block.graphs()
 
 
@@ -463,7 +460,7 @@ def enumerate_all_graphs(n: int) -> Iterator[Graph]:
     """All simple graphs on ``n`` vertices, one per isomorphism class."""
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
-    yield from _leaf_graphs(n, _ROOT, connected=False)
+    yield from _graphs(_leaf_blocks(n, _ROOT, connected=False))
 
 
 def enumerate_connected(n: int, extended: bool = False) -> Iterator[Graph]:
@@ -478,7 +475,7 @@ def enumerate_connected(n: int, extended: bool = False) -> Iterator[Graph]:
         raise InvalidParameterError(
             f"enumerate_connected supports 1 <= n <= {cap} (extended={extended}), got {n}"
         )
-    yield from _leaf_graphs(n, _ROOT)
+    yield from _graphs(_leaf_blocks(n, _ROOT))
 
 
 def branch_states() -> list[State]:
@@ -528,7 +525,7 @@ def enumerate_with_edge_count(n: int, m_edges: int) -> Iterator[Graph]:
         return
     if n > EXTENDED_CAP:
         raise InvalidParameterError(f"general edge-count mode capped at n = {EXTENDED_CAP}")
-    yield from _leaf_graphs(n, _ROOT, m_edges)
+    yield from _graphs(_leaf_blocks(n, _ROOT, m_edges))
 
 
 # ---------------------------------------------------------------------------
@@ -585,22 +582,6 @@ def _trees_of_size(s: int) -> list[tuple[tuple[int, ...], int, int]]:
         a_out = _mis(rows, full ^ 1, {})
         table.append((tree, a_out, _mis(rows, full, {}) - a_out))
     return table
-
-
-def _attach_forest(
-    core_rows: Sequence[int], assignment: Sequence[tuple[int, ...]]
-) -> tuple[int, ...]:
-    """Core rows plus one rooted tree hung from each core vertex: the root
-    is the core vertex and the other nodes are appended in tree order."""
-    rows = list(core_rows)
-    for root, tree in enumerate(assignment):
-        if len(tree) == 1:
-            continue
-        shift = len(rows) - 1  # tree node i >= 1 becomes vertex shift + i
-        tree_rows = _tree_rows(tree)
-        rows[root] |= tree_rows[0] << shift
-        rows.extend((r & ~1) << shift | (r & 1) << root for r in tree_rows[1:])
-    return tuple(rows)
 
 
 @cache
@@ -660,32 +641,31 @@ def _class_alphas(rows: tuple[int, ...], x: np.ndarray, a_out, gain, memo: dict)
 class ClassBlock:
     """Consecutive classes of one core, as rows of tree ranks: class ``i``
     hangs the tree of rank ``ranks[i, v]`` from core vertex ``v``.  Its
-    graph has ``n`` vertices, numbered as ``_attach_forest`` numbers them;
-    ``memo`` is the core's alpha memo."""
+    graph has ``n`` vertices: the core's, then the extra nodes of each
+    column's tree, column by column in tree order (``fill``)."""
 
-    __slots__ = ("n", "core", "ranks", "memo")
+    __slots__ = ("n", "core", "ranks")
 
-    def __init__(self, n: int, core: Graph, ranks: np.ndarray, memo: dict):
-        self.n, self.core, self.ranks, self.memo = n, core, ranks, memo
+    def __init__(self, n: int, core: Graph, ranks: np.ndarray):
+        self.n, self.core, self.ranks = n, core, ranks
 
     def __len__(self) -> int:
         return len(self.ranks)
 
-    def _catalog(self):
-        return _tree_catalog(self.n - self.core.n + 1)
+    def _rows(self, lo: int, hi: int) -> np.ndarray:
+        """The bitmask rows of classes ``lo..hi`` (int64, shape (hi - lo,
+        n)), packed from one zeroed ``fill`` stack."""
+        out = np.zeros((hi - lo, self.n, self.n), np.int64)
+        self.fill(out, lo, hi)
+        return out @ (1 << np.arange(self.n))
 
     def graph(self, i: int) -> Graph:
         """The graph of class ``i``."""
-        tree = self._catalog()[3][self.ranks[i]]
-        return Graph.from_rows(self.n, _attach_forest(self.core.rows, tree))
+        return Graph.from_rows(self.n, self._rows(i, i + 1)[0].tolist())
 
-    def classes(self) -> Iterator[tuple[tuple[int, ...], Assignment, int]]:
-        """(core rows, forest assignment, alpha) of each class."""
-        _, _, _, by_rank, a_out, gain = self._catalog()
-        rows = self.core.rows
-        alphas = _class_alphas(rows, self.ranks, a_out, gain, self.memo)
-        for row, a in zip(by_rank[self.ranks].tolist(), alphas.tolist()):
-            yield rows, tuple(row), a
+    def graphs(self) -> Iterator[Graph]:
+        """The graph of every class, in order."""
+        return (Graph.from_rows(self.n, rows) for rows in self._rows(0, len(self)).tolist())
 
     def fill(self, out: np.ndarray, lo: int, hi: int) -> None:
         """Write the adjacency matrices of classes ``lo..hi`` into the zeroed
@@ -851,32 +831,13 @@ def _forest_blocks(
         if alpha is not None:
             x = x[_class_alphas(rows, x, a_out, gain, memo) == alpha]
         if len(x):
-            yield ClassBlock(c + extra, core, x, memo)
+            yield ClassBlock(c + extra, core, x)
 
     # the state: c tree ranks (0 is the bare tree) and the budget left
     start = np.zeros((1, c + 1), rank.dtype)
     start[0, c] = extra
     yield from grow(0, start)
     return classes
-
-
-def _expand(blocks: Generator[ClassBlock, None, int]):
-    """The classes of a block stream one at a time, as (core rows, forest
-    assignment, alpha); returns what the block stream returns."""
-    while True:
-        try:
-            block = next(blocks)
-        except StopIteration as stop:
-            return stop.value
-        yield from block.classes()
-
-
-def _forest_assignments(
-    core: Graph, extra: int, alpha: int | None = None
-) -> Generator[tuple[tuple[int, ...], Assignment, int], None, int]:
-    """(core rows, forest assignment, alpha), one per class of
-    ``_forest_blocks``, with the same filter and return value."""
-    return (yield from _expand(_forest_blocks(core, extra, alpha)))
 
 
 def _core_specs_bicyclic(n: int):
@@ -914,26 +875,10 @@ def _bicyclic_blocks(
     Each core is built when the stream reaches it.
     """
     classes = 0
-    if n < 4:
-        return classes
     for spec in _core_specs_bicyclic(n) if cores is None else cores:
         core, _ = build_bicyclic(spec)
         classes += yield from _forest_blocks(core, n - core.n, alpha)
     return classes
-
-
-def _bicyclic_classes(
-    n: int, cores: Sequence[BicyclicSpec] | None = None, alpha: int | None = None
-) -> Generator[tuple[tuple[int, ...], Assignment, int], None, int]:
-    """(core rows, forest assignment, alpha), one per class of
-    ``_bicyclic_blocks``, with the same filter and return value."""
-    return (yield from _expand(_bicyclic_blocks(n, cores, alpha)))
-
-
-def _class_graphs(n: int, classes) -> Iterator[Graph]:
-    """The graph of each (core rows, forest assignment, alpha) class."""
-    for rows, assignment, _ in classes:
-        yield Graph.from_rows(n, _attach_forest(rows, assignment))
 
 
 def bicyclic_graphs(n: int) -> Iterator[Graph]:
@@ -943,10 +888,10 @@ def bicyclic_graphs(n: int) -> Iterator[Graph]:
     forests attached; cores are enumerated by normalized parameters and the
     forest placements modulo core automorphisms.
     """
-    yield from _class_graphs(n, _bicyclic_classes(n))
+    yield from _graphs(_bicyclic_blocks(n))
 
 
 def unicyclic_graphs(n: int) -> Iterator[Graph]:
     """Connected graphs with exactly ``n`` edges, up to isomorphism."""
-    for k in range(3, n + 1):
-        yield from _class_graphs(n, _forest_assignments(build_cycle(k), n - k))
+    yield from _graphs(block for k in range(3, n + 1)
+                       for block in _forest_blocks(build_cycle(k), n - k))

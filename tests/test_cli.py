@@ -231,6 +231,13 @@ class TestBadInput:
         assert main(["verify", "lemmas", "--grid", "3..4", "--workers", "2", "--n", "9"]) == 2
         assert "error: verify lemmas does not read --n, --workers" in capsys.readouterr().err
 
+    def test_order_range_limit_is_named(self, capsys):
+        # refused before any of its ten billion orders is built
+        assert main(["verify", "theorem-1.1", "--n", "3..10000000000"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert "error: --n: range '3..10000000000' passes n = 512" in err
+
     def test_lemma_grid_limit_is_named(self, capsys):
         # B(22, 21, 24) has order 66: refused before any comparison runs
         assert main(["verify", "lemmas", "--grid", "3..22"]) == 2

@@ -12,10 +12,10 @@ from spectramin import enumeration
 from spectramin.enumeration import (
     _ROOT,
     _alpha_tables,
-    _attach_forest,
-    _bicyclic_classes,
+    _bicyclic_blocks,
+    _class_alphas,
     _core_specs_bicyclic,
-    _forest_assignments,
+    _forest_blocks,
     _individualized,
     _last_cell_in_orbit,
     _leaf_block,
@@ -23,6 +23,8 @@ from spectramin.enumeration import (
     _level,
     _maps_k_onto,
     _matching_maps,
+    _tree_catalog,
+    _tree_rows,
     _trees_of_size,
     _walk,
     bicyclic_graphs,
@@ -80,9 +82,40 @@ UNICYCLIC_ROWS_3_10_SHA256 = "2806b64dde3b15a23fcd2809339a4dd44bfd24dd027ba68853
 ROOTED_TREE_COUNTS = (1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766)
 
 
+def _attach_forest(core_rows, assignment):
+    """Core rows plus one rooted tree hung from each core vertex: the root
+    is the core vertex and the other nodes are appended in tree order.  The
+    oracle of the matrix scatter ``ClassBlock.fill`` builds graphs by."""
+    rows = list(core_rows)
+    for root, tree in enumerate(assignment):
+        if len(tree) == 1:
+            continue
+        shift = len(rows) - 1  # tree node i >= 1 becomes vertex shift + i
+        tree_rows = _tree_rows(tree)
+        rows[root] |= tree_rows[0] << shift
+        rows.extend((r & ~1) << shift | (r & 1) << root for r in tree_rows[1:])
+    return tuple(rows)
+
+
+def _classes(blocks):
+    """The classes of a ``ClassBlock`` stream one at a time, as (core rows,
+    forest assignment, alpha): each rank row read as its trees, with alpha
+    by ``_class_alphas``.  Returns what the block stream returns."""
+    while True:
+        try:
+            block = next(blocks)
+        except StopIteration as stop:
+            return stop.value
+        _, _, _, trees, a_out, gain = _tree_catalog(block.n - block.core.n + 1)
+        rows = block.core.rows
+        alphas = _class_alphas(rows, block.ranks, a_out, gain, {})
+        for assignment, alpha in zip(trees[block.ranks].tolist(), alphas.tolist()):
+            yield rows, tuple(assignment), alpha
+
+
 def _leaf_only_forest_assignments(core, extra):
     """The forest stream with the whole lex-min orbit test at every leaf:
-    the oracle of the prefix cut in ``_forest_assignments``."""
+    the oracle of the prefix cut in ``_forest_blocks``."""
     c = core.n
     rows = core.rows
     auts = automorphisms(core)[1:]  # sorted: the identity comes first
@@ -811,6 +844,19 @@ class TestStructuralGenerators:
             h.update(repr([g.rows for g in generator(n)]).encode())
         assert h.hexdigest() == pin
 
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_rows_equal_attached_forests(self, n):
+        # past the pinned orders: the public generators, and each block's
+        # graph(i), give in stream order the rows that the test-side
+        # _attach_forest builds for the same classes
+        blocks = list(_bicyclic_blocks(n))
+        want = [_attach_forest(rows, assignment) for rows, assignment, _ in _classes(iter(blocks))]
+        assert [g.rows for g in bicyclic_graphs(n)] == want
+        assert [b.graph(i).rows for b in blocks for i in range(len(b))] == want
+        want = [_attach_forest(rows, assignment) for k in range(3, n + 1)
+                for rows, assignment, _ in _classes(_forest_blocks(build_cycle(k), n - k))]
+        assert [g.rows for g in unicyclic_graphs(n)] == want
+
     @pytest.mark.parametrize("n", [6, 7, 8, 9])
     def test_structural_equals_orderly(self, n):
         structural = {canonical_form(g) for g in bicyclic_graphs(n)}
@@ -825,9 +871,9 @@ class TestStructuralGenerators:
 
     def test_streamed_alpha_matches_independence_number(self):
         # the composition law against the general solver, class by class
-        bicyclic = [(n, _bicyclic_classes(n)) for n in range(4, 13)]
+        bicyclic = [(n, _classes(_bicyclic_blocks(n))) for n in range(4, 13)]
         unicyclic = [
-            (n, _forest_assignments(Graph(k, [(i, (i + 1) % k) for i in range(k)]), n - k))
+            (n, _classes(_forest_blocks(build_cycle(k), n - k)))
             for n in range(3, 13)
             for k in range(3, n + 1)
         ]
@@ -851,7 +897,7 @@ class TestStructuralGenerators:
         counts = {4: 2, 6: 13, 8: 89, 10: 657, 12: 5_026, 14: 39_260}
         for n, count in counts.items():
             alphas = [alpha for k in range(3, n + 1) for _, _, alpha in
-                      _forest_assignments(Graph(k, [(i, (i + 1) % k) for i in range(k)]), n - k)]
+                      _classes(_forest_blocks(build_cycle(k), n - k))]
             assert len(alphas) == count
             assert min(alphas) == n // 2
 
@@ -866,14 +912,14 @@ class TestForestPrefixCut:
         for spec in _core_specs_bicyclic(n):
             core = build_bicyclic(spec)[0]
             oracle.extend(_leaf_only_forest_assignments(core, n - core.n))
-        assert list(_bicyclic_classes(n)) == oracle
+        assert list(_classes(_bicyclic_blocks(n))) == oracle
 
     @pytest.mark.parametrize("k", range(3, 13))
     def test_unicyclic_stream_equals_leaf_only_oracle(self, k):
         core = build_cycle(k)
         for n in range(k, 13):
             oracle = list(_leaf_only_forest_assignments(core, n - k))
-            assert list(_forest_assignments(core, n - k)) == oracle, n
+            assert list(_classes(_forest_blocks(core, n - k))) == oracle, n
 
     @pytest.mark.parametrize("n", range(4, 13))
     def test_alpha_filter_equals_oracle(self, n):
@@ -884,16 +930,16 @@ class TestForestPrefixCut:
         for core in cores:
             stream = list(_leaf_only_forest_assignments(core, n - core.n))
             for alpha in sorted({cls[2] for cls in stream}):
-                got = _drain(_forest_assignments(core, n - core.n, alpha))
+                got = _drain(_classes(_forest_blocks(core, n - core.n, alpha)))
                 assert got == (len(stream), [cls for cls in stream if cls[2] == alpha]), (
                     core.rows, alpha)
-            assert _drain(_forest_assignments(core, n - core.n)) == (len(stream), stream)
+            assert _drain(_classes(_forest_blocks(core, n - core.n))) == (len(stream), stream)
 
     @pytest.mark.parametrize("n, searched, kept", [
         (10, 2_678, 30), (12, 28_908, 171), (14, 300_748, 990)])
     def test_alpha_class_totals(self, n, searched, kept):
         # classes generated and classes in the theorem's alpha class
-        count, classes = _drain(_bicyclic_classes(n, alpha=n // 2 - 1))
+        count, classes = _drain(_classes(_bicyclic_blocks(n, alpha=n // 2 - 1)))
         assert (count, len(classes)) == (searched, kept)
         assert {cls[2] for cls in classes} == {n // 2 - 1}
 
@@ -906,7 +952,7 @@ class TestForestPrefixCut:
         for totals, core in cores:
             expected = _burnside_counts(core, 14 - core.n)
             for extra, burnside in enumerate(expected):
-                count = sum(1 for _ in _forest_assignments(core, extra))
+                count = sum(map(len, _forest_blocks(core, extra)))
                 assert count == burnside, (core.rows, extra)
                 totals[core.n + extra] += count
         assert (bicyclic[10], bicyclic[12], bicyclic[14]) == (2_678, 28_908, 300_748)

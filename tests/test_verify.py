@@ -19,10 +19,7 @@ from spectramin import enumeration, verify
 from spectramin.cli import main
 from spectramin.enumeration import (
     _bicyclic_blocks,
-    _bicyclic_classes,
-    _class_graphs,
     _core_specs_bicyclic,
-    _forest_assignments,
     _forest_blocks,
     _tree_parents,
     branch_states,
@@ -56,6 +53,7 @@ from spectramin.verify import (
     verify_small_order_minimizers,
     write_reports,
 )
+from test_enumeration import _attach_forest, _classes
 
 # the parallel tests use 2 workers where 2 CPUs are usable: a search refuses
 # more workers than that
@@ -410,9 +408,10 @@ def scan_units():
             units += [(f"full {n} unit {i} alpha {a}", graphs, a, blocks)
                       for a in (target_alpha(n), None)]
     for n in (10, 12):
-        classes = list(_bicyclic_classes(n))
+        classes = list(_classes(_bicyclic_blocks(n)))
         for a in (None, n // 2 - 1):
-            graphs = list(_class_graphs(n, (c for c in classes if a is None or c[2] == a)))
+            graphs = [Graph.from_rows(n, _attach_forest(rows, assignment))
+                      for rows, assignment, alpha in classes if a in (None, alpha)]
             units.append((f"bicyclic {n} alpha {a}", graphs, None,
                           list(_bicyclic_blocks(n, alpha=a))))
     return units
@@ -514,10 +513,11 @@ class TestClassBlockStacks:
         whole_budget = spanning = 0
         for core in cores:
             extra = n - core.n
-            alphas = sorted({cls[2] for cls in _forest_assignments(core, extra)})
+            alphas = sorted({cls[2] for cls in _classes(_forest_blocks(core, extra))})
             for alpha in (None, *alphas):
                 blocks = list(_forest_blocks(core, extra, alpha))
-                graphs = list(_class_graphs(n, _forest_assignments(core, extra, alpha)))
+                graphs = [Graph.from_rows(n, _attach_forest(rows, assignment))
+                          for rows, assignment, _ in _classes(iter(blocks))]
                 stacks.clear()
                 seen, count, _, _ = verify._scan_stream(blocks, None)
                 assert seen == count == len(graphs) > 0
@@ -526,6 +526,7 @@ class TestClassBlockStacks:
                 want = adjacency_matrices(graphs)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (
                     core.rows, alpha)
+                assert [g.rows for b in blocks for g in b.graphs()] == [g.rows for g in graphs]
                 ends = np.cumsum([len(b) for b in blocks])
                 starts = ends - [len(b) for b in blocks]
                 spanning += int(np.any(starts // 7 != (ends - 1) // 7))
