@@ -22,8 +22,9 @@ eigenvalue of the float M(r) from r = 2, then proves the root: two
 backward error.  The hub values (a, b) come from the better-conditioned
 row of M(rho); the module also rebuilds the full Perron vector in closed
 form, exposes the shared equitable-partition quotient behind
-rho(P(m,p,m)) = rho(B(m,p,m)), and evaluates the positive gap expression
-certifying rho(B(m,p,m)) < rho(B(m,m,p)).
+rho(P(m,p,m)) = rho(B(m,p,m)), and reads the paper's gap expression for
+rho(B(m,p,m)) < rho(B(m,m,p)) in floats; the certified claim is the
+``dumbbell-path-swap-strict`` sweep of ``verify_family_grids``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .graphs import (
     spec_B,
     spec_P,
 )
-from .spectral import NumericFailure, RhoBracket
+from .spectral import NumericFailure, RhoBracket, _bracket_width
 
 _SOLVE_BITS = 48  # the solve's exact check brackets rho on the grid of 2**-48
 
@@ -192,10 +193,7 @@ def hub_bracket(spec: BicyclicSpec, width: Fraction | float) -> RhoBracket:
     rho > 2 because the core properly contains a cycle, and rho is at most
     the maximum degree: 4 at the C hub, 3 in B and P.
     """
-    if not (isinstance(width, (int, Fraction)) or isfinite(width)) or width <= 0:
-        raise InvalidParameterError(f"bracket width must be finite and positive, got {width}")
-    width = Fraction(width)
-    b = (ceil(1 / width) - 1).bit_length()  # 2**-b <= width
+    b = (ceil(1 / _bracket_width(width)) - 1).bit_length()  # 2**-b <= width
     lo, hi = 2 << b, (4 if spec.family == "C" else 3) << b
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -382,7 +380,7 @@ def quotient_matrix_symmetric(m: int, p: int) -> QuotientMatrix:
 
 
 def path_cycle_swap_gap(m: int, p: int) -> float:
-    """Positive residual certifying rho(B(m,p,m)) < rho(B(m,m,p)).
+    """Numeric reading of the paper's gap for rho(B(m,p,m)) < rho(B(m,m,p)).
 
     Solve B(m, m, p) for (sigma, a, b); transplanting its hub values onto
     B(m, p, m) via f leaves each hub equation short by exactly
@@ -391,6 +389,8 @@ def path_cycle_swap_gap(m: int, p: int) -> float:
 
     which is strictly positive whenever m != p, so the transplanted vector
     is a strict super-solution and the radius of B(m, p, m) sits below sigma.
+    The float is no certificate: the certified claim is the
+    ``dumbbell-path-swap-strict`` sweep of ``verify_family_grids``.
     """
     if m == p:
         raise InvalidParameterError("gap is defined for distinct parameters")

@@ -26,7 +26,7 @@ from .spectral import (
 )
 from .transforms import proof_replay, serialize_trace
 from .verify import (
-    check_max_extremal_orders,
+    check_orders,
     graph_from_family,
     overall_exit_code,
     reads_checkpoint,
@@ -143,7 +143,7 @@ def cmd_verify(args) -> int:
         reports += verify_descent_endpoint_readings()
     elif args.claim == "max-extremal":
         ns = ns or [5, 6, 7]
-        check_max_extremal_orders(ns)
+        check_orders("max-extremal", ns)
         reports = [verify_max_extremal(n) for n in ns]
     else:  # edge-minimal-pair
         ns = ns or list(range(7, 13))

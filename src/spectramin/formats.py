@@ -23,20 +23,18 @@ def _encode_n(n: int) -> str:
 
 
 def _decode_n(s: str) -> tuple[int, int]:
-    """Return (n, chars consumed)."""
+    """Return (n, chars consumed): one header character, or "~" and 3, or
+    "~~" and 6, each in "?".."~" and read as 6 bits big-endian."""
     if not s:
         raise InvalidParameterError("empty graph6 string")
-    if s[0] != "~":
-        return ord(s[0]) - 63, 1
-    if len(s) >= 2 and s[1] != "~":
-        n = 0
-        for ch in s[1:4]:
-            n = (n << 6) | (ord(ch) - 63)
-        return n, 4
+    used = 1 if s[0] != "~" else 4 if s[1:2] != "~" else 8
+    head = s[:used]
+    if len(head) < used or not all("?" <= ch <= "~" for ch in head):
+        raise InvalidParameterError(f"malformed graph6 header {head!r}")
     n = 0
-    for ch in s[2:8]:
+    for ch in head[used // 4:]:
         n = (n << 6) | (ord(ch) - 63)
-    return n, 8
+    return n, used
 
 
 def to_graph6(g: Graph) -> str:

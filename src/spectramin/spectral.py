@@ -307,17 +307,20 @@ class _CertifiedRho:
                 self.lo = mid
 
 
+def _bracket_width(width: Fraction | float) -> Fraction:
+    """``width`` as a Fraction, refused unless finite (any int is) and positive."""
+    if not (isinstance(width, (int, Fraction)) or isfinite(width)) or width <= 0:
+        raise InvalidParameterError(f"bracket width must be finite and positive, got {width}")
+    return Fraction(width)
+
+
 def rho_bracket(g: Graph, width: Fraction | float = Fraction(1, 10**12)) -> RhoBracket:
     """Certified rational bracket of at most the given width around the top root.
 
     The certificate is exact: root counts show one simple root inside
     ``(lo, hi]`` and none between ``hi`` and the degree bound ``1 + max_deg``.
     """
-    if not isinstance(width, (int, Fraction)) and not isfinite(width):
-        raise InvalidParameterError(f"bracket width must be finite, got {width}")
-    w = Fraction(width)
-    if w <= 0:
-        raise InvalidParameterError("bracket width must be positive")
+    w = _bracket_width(width)
     if g.n > EXACT_CAP:  # refused before the eigensolve
         raise InvalidInputError(f"exact characteristic polynomial capped at n = {EXACT_CAP}")
     cert = _CertifiedRho(g)

@@ -39,9 +39,9 @@ from .enumeration import (
     FULL_SPACE_CAP,
     _bicyclic_blocks,
     _core_specs_bicyclic,
+    _leaf_blocks,
     bicyclic_graphs,  # unused here, kept patchable: perfbench/tracing.py wraps it
     branch_states,
-    enumerate_connected,
     enumerate_connected_from_branch,
 )
 from .formats import from_graph6, to_graph6
@@ -67,7 +67,8 @@ from .spectral import DENSE_CAP, EXACT_CAP, compare_rho_certified, rho_numeric
 
 SAFETY_BAND = 1e-7
 _WALK_STEPS = 4  # the scan's lower bound is the Rayleigh quotient of A^4 1
-MAX_EXTREMAL_CAP = 8  # the max-extremal sweep enumerates every connected graph
+# --n of each sweep, inclusive; max-extremal enumerates every connected graph
+_ORDER_RANGES = {"edge-minimal-pair": (7, EDGE_MODE_CAP), "max-extremal": (1, 8)}
 _BATCH = 4096
 # Below this many graphs one eigensolve of the whole batch is cheaper than
 # the walk bounds plus the pivot's solve (BENCH_forest_arrays.json).
@@ -687,6 +688,14 @@ def verify_small_order_minimizers() -> list[VerificationReport]:
     return reports
 
 
+def check_orders(claim: str, n_list: Iterable[int]) -> None:
+    """Refuse, before any row runs, an order outside the range of ``claim``."""
+    lo, hi = _ORDER_RANGES[claim]
+    bad = [n for n in n_list if not lo <= n <= hi]
+    if bad:
+        raise InvalidParameterError(f"{claim} --n must lie in {lo}..{hi}, got {bad[0]}")
+
+
 def verify_edge_minimal_pair(n_list: Iterable[int]) -> list[VerificationReport]:
     """Unrestricted (n+1)-edge minimizers: the balanced theta and dumbbell pair
     with exactly-certified equal radii.
@@ -696,11 +705,7 @@ def verify_edge_minimal_pair(n_list: Iterable[int]) -> list[VerificationReport]:
     and above ``EDGE_MODE_CAP`` the class is not generated.
     """
     n_list = list(n_list)
-    bad = [n for n in n_list if not 7 <= n <= EDGE_MODE_CAP]
-    if bad:
-        raise InvalidParameterError(
-            f"edge-minimal-pair --n must lie in 7..{EDGE_MODE_CAP}, got {bad[0]}"
-        )
+    check_orders("edge-minimal-pair", n_list)
     reports = []
     certs: dict = {}
     for n in n_list:
@@ -717,39 +722,31 @@ def verify_edge_minimal_pair(n_list: Iterable[int]) -> list[VerificationReport]:
     return reports
 
 
-def check_max_extremal_orders(n_list: Iterable[int]) -> None:
-    """Refuse, before any sweep, an order outside 1..MAX_EXTREMAL_CAP."""
-    bad = [n for n in n_list if not 1 <= n <= MAX_EXTREMAL_CAP]
-    if bad:
-        raise InvalidParameterError(
-            f"max-extremal --n must lie in 1..{MAX_EXTREMAL_CAP}, got {bad[0]}"
-        )
-
-
 def verify_max_extremal(n: int) -> VerificationReport:
     """Upper bound: every graph's radius is at most the join graph's, with
     equality only at the join graph itself.
 
-    Each graph is compared with the join graph of its independence number
-    by a certified comparison, and fails when the verdict is not "less"
-    unless it is that join graph (equal canonical forms)."""
-    check_max_extremal_orders([n])
+    Each connected leaf of the orderly walk (``_leaf_blocks``, which carry
+    their alphas) is compared with the join graph of its alpha by a
+    certified comparison, and fails when the verdict is not "less" unless
+    it is that join graph (equal canonical forms)."""
+    check_orders("max-extremal", [n])
     joins = {alpha: build_join_extremal(n, alpha) for alpha in range(1, n)}
     failures = []
     checked = 0
     certs: dict = {}  # the join graphs stay; a swept graph leaves after its comparison
-    for g in enumerate_connected(n):
-        alpha = independence_number(g)
-        if alpha == n:  # only the edgeless graph, never connected for n > 1
-            continue
-        checked += 1
-        jg = joins[alpha]
-        verdict = compare_rho_certified(g, jg, certs)
-        if g != jg:
-            certs.pop(g, None)
-        if verdict != "less" and canonical_form(g) != canonical_form(jg):
-            failures.append((to_graph6(g),
-                             f"not certified below bound {rho_numeric(jg)}: {verdict}"))
+    for block in _leaf_blocks(n, _ROOT):
+        for g, alpha in zip(block.graphs(), block.alpha.tolist()):
+            if alpha == n:  # only the edgeless graph, never connected for n > 1
+                continue
+            checked += 1
+            jg = joins[alpha]
+            verdict = compare_rho_certified(g, jg, certs)
+            if g != jg:
+                certs.pop(g, None)
+            if verdict != "less" and canonical_form(g) != canonical_form(jg):
+                failures.append((to_graph6(g),
+                                 f"not certified below bound {rho_numeric(jg)}: {verdict}"))
     return VerificationReport(
         "max-radius-join-bound",
         {"n": n, "checked": checked},
@@ -947,9 +944,9 @@ def verify_descent_endpoint_readings(k_values: Iterable[int] = (4, 6, 8)) -> lis
         n = 3 * k - 2
         same_order = build_bicyclic(spec_P(k - 1, k + 1, k - 1))[0]
         target = build_bicyclic(spec_B(k - 1, k + 1, k - 1))[0]
-        other = build_bicyclic(spec_P(k + 1, k - 1, k + 1))[0]
+        other = spec_P(k + 1, k - 1, k + 1).order
         eq = compare_rho_certified(same_order, target, certs)
-        ok_a = eq == "equal" and same_order.n == n and other.n == n + 2
+        ok_a = eq == "equal" and same_order.n == n and other == n + 2
         reports.append(
             VerificationReport(
                 "descent-equality-candidate",
@@ -958,7 +955,7 @@ def verify_descent_endpoint_readings(k_values: Iterable[int] = (4, 6, 8)) -> lis
                 witnesses=[(to_graph6(same_order), "equal-radius theta")],
                 detail=(
                     f"P({k - 1},{k + 1},{k - 1}) attains equality (certified {eq}); "
-                    f"the alternative P({k + 1},{k - 1},{k + 1}) has order {other.n} != {n}"
+                    f"the alternative P({k + 1},{k - 1},{k + 1}) has order {other} != {n}"
                 ),
             )
         )

@@ -211,6 +211,8 @@ class TestBadInput:
             (["verify", "edge-minimal-pair", "--n", "7..8..9"], None),
             (["verify", "max-extremal", "--n", "5..x"], None),
             (["verify", "lemmas", "--grid", "3.."], None),
+            # a graph6 header cut short, which once decoded to K_1
+            (["rho", "~@"], None),
         ],
     )
     def test_exits_2_with_message(self, argv, checkpoint, tmp_path, monkeypatch, capsys):
@@ -276,7 +278,7 @@ class TestBadInput:
         def no_search(*args, **kwargs):
             raise AssertionError("a row ran before the bad order was refused")
 
-        monkeypatch.setattr(verify, "enumerate_connected", no_search)
+        monkeypatch.setattr(verify, "_leaf_blocks", no_search)
         monkeypatch.setattr(verify, "minimizer", no_search)
         monkeypatch.setattr(verify, "minimizer_bicyclic", no_search)
         monkeypatch.setattr(verify, "_odd_cycle_law", no_search)

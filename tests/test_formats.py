@@ -5,7 +5,14 @@ import random
 import networkx as nx
 import pytest
 
-from spectramin.formats import from_edge_list, from_graph6, to_edge_list, to_graph6
+from spectramin.formats import (
+    _decode_n,
+    _encode_n,
+    from_edge_list,
+    from_graph6,
+    to_edge_list,
+    to_graph6,
+)
 from spectramin.graphs import Graph, InvalidParameterError, build_cycle
 
 
@@ -49,6 +56,17 @@ class TestGraph6:
     def test_invalid_rejected(self):
         with pytest.raises(InvalidParameterError):
             from_graph6("D")  # declares 5 vertices, no body
+
+    @pytest.mark.parametrize("s", ["~", "~@", "~?@", "~~", "~~?@", "~~?????", "!", "\x00", "~?!?",
+                                   "~~?????\x7f"])
+    def test_malformed_header_rejected(self, s):
+        # a long-form header cut short, or a header character outside "?".."~"
+        with pytest.raises(InvalidParameterError, match="malformed graph6 header"):
+            from_graph6(">>graph6<<" + s)
+
+    @pytest.mark.parametrize("n", [62, 63, 64, 258047, 258048, 68719476735])
+    def test_header_round_trip(self, n):
+        assert _decode_n(_encode_n(n)) == (n, 1 if n <= 62 else 4 if n <= 258047 else 8)
 
 
 class TestEdgeList:

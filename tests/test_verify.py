@@ -588,6 +588,17 @@ class TestHarness:
     def test_max_extremal_full_n7(self):
         assert verify_max_extremal(7).status == "pass"
 
+    def test_max_extremal_reports_pinned(self, monkeypatch):
+        # the reports for n = 1..7 byte for byte, with every alpha read from
+        # the walk's leaf blocks and none searched per graph
+        def no_search(g):
+            raise AssertionError("the sweep searched a graph's alpha")
+
+        monkeypatch.setattr(verify, "independence_number", no_search)
+        text = "\n".join(verify_max_extremal(n).to_text() for n in range(1, 8))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "fbb9672c1941264fd448c756195dfcc362e46eefd849fb6f6f9ed196c82a2b26")
+
     def test_max_attained_uniquely_by_join(self):
         # at n=5, alpha=2 the maximum radius belongs to K_3 joined to 2K_1 alone
         from spectramin.enumeration import enumerate_connected
