@@ -6,6 +6,7 @@ from .analytic import (
     QuotientMatrix,
     boundary_matrix,
     f_value,
+    family_bracket,
     hub_bracket,
     hub_exceeds,
     path_cycle_swap_gap,
@@ -72,6 +73,7 @@ from .transforms import (
 from .verify import (
     MinimizerResult,
     VerificationReport,
+    compare_families,
     graph_from_family,
     minimizer,
     minimizer_bicyclic,

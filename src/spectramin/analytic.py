@@ -15,16 +15,20 @@ inertia additivity, In(rI - A) = In(interior) + In(M(r)), makes M(r)
 positive definite exactly when r > rho.  ``hub_exceeds`` decides rho > r
 exactly in integers at a dyadic r, and ``hub_bracket`` bisects it.
 
-``rho_analytic`` solves B(m, p, q) by Newton's method on the least
-eigenvalue of the float M(r) from r = 2, then proves the root: two
-``hub_exceeds`` calls must bracket rho within 2**-47 of it, and
-``hub_bracket`` takes over if they do not.  No verdict rests on a float
-backward error.  The hub values (a, b) come from the better-conditioned
-row of M(rho); the module also rebuilds the full Perron vector in closed
-form, exposes the shared equitable-partition quotient behind
-rho(P(m,p,m)) = rho(B(m,p,m)), and reads the paper's gap expression for
-rho(B(m,p,m)) < rho(B(m,m,p)) in floats; the certified claim is the
-``dumbbell-path-swap-strict`` sweep of ``verify_family_grids``.
+``family_bracket`` gives any core (C, B or P) a proved bracket at most
+2**-47 wide with no matrix: Newton's method on the least eigenvalue of the
+float M(r) from r = 2 seeds rho, two ``hub_exceeds`` calls prove the seed's
+bracket, and ``hub_bracket`` takes over if they do not.  The family lemmas
+compare radii by these brackets (``verify.compare_families``).
+``rho_analytic`` solves B(m, p, q) by the same proved Newton root, so no
+verdict rests on a float backward error.  The hub values (a, b) come from
+the better-conditioned row of M(rho); the module also rebuilds the full
+Perron vector in closed form, exposes the shared equitable-partition
+quotient behind rho(P(m,p,m)) = rho(B(m,p,m)) (rho of a connected graph is
+the top eigenvalue of any equitable quotient, Godsil-Royle 9.3), and reads
+the paper's gap expression for rho(B(m,p,m)) < rho(B(m,m,p)) in floats; the
+certified claim is the ``dumbbell-path-swap-strict`` sweep of
+``verify_family_grids``.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .graphs import (
 )
 from .spectral import NumericFailure, RhoBracket, _bracket_width
 
-_SOLVE_BITS = 48  # the solve's exact check brackets rho on the grid of 2**-48
+_SOLVE_BITS = 48  # the proved brackets lie on the grid of 2**-48
 
 
 def f_value(i: int, t: float, k: int, a: float, b: float) -> float:
@@ -247,35 +251,47 @@ def _newton_root(walks) -> float:
     return r
 
 
-def _proves_root(spec: BicyclicSpec, r: float) -> bool:
-    """Whether rho lies in ((R - 1) / 2**48, (R + 2) / 2**48] for
-    R = floor(r * 2**48), decided exactly; then |r - rho| <= 2**-47."""
-    R = int(ldexp(r, _SOLVE_BITS))
-    return (hub_exceeds(spec, R - 1, _SOLVE_BITS)
-            and not hub_exceeds(spec, R + 2, _SOLVE_BITS))
+def _proved_root(spec: BicyclicSpec) -> tuple[float, RhoBracket]:
+    """rho of a core as a float root and an exact bracket (lo, hi] around it.
+
+    With r the root of ``_newton_root`` and R = floor(r * 2**48), two
+    ``hub_exceeds`` calls prove rho in ((R - 1) / 2**48, (R + 1) / 2**48],
+    so |r - rho| < 2**-47.  If either call refuses, the bracket is
+    ``hub_bracket``'s at width 2**-48 and the root its midpoint.
+    """
+    root = _newton_root(_hub_walks(spec))
+    R = int(ldexp(root, _SOLVE_BITS))
+    if hub_exceeds(spec, R - 1, _SOLVE_BITS) and not hub_exceeds(spec, R + 1, _SOLVE_BITS):
+        return root, RhoBracket(Fraction(R - 1, 1 << _SOLVE_BITS),
+                                Fraction(R + 1, 1 << _SOLVE_BITS))
+    br = hub_bracket(spec, Fraction(1, 1 << _SOLVE_BITS))
+    return float(br.midpoint()), br
+
+
+def family_bracket(spec: BicyclicSpec) -> RhoBracket:
+    """(lo, hi] around rho of a C, B or P core, at most 2**-47 wide, proved
+    exactly by ``hub_exceeds`` with no matrix built."""
+    return _proved_root(spec)[1]
 
 
 def rho_analytic(m: int, p: int, q: int) -> AnalyticSolution:
     """Spectral radius and hub values of B(m, p, q) from the hub system alone.
 
-    The Newton seed of ``_newton_root`` is proved by ``_proves_root``; if
-    the proof fails, the midpoint of ``hub_bracket`` at width 2**-48 is
-    used instead, so a valid spec always solves with an exact bracket
-    behind it.  The kernel of the rank-one M(rho) gives (a, b) from the row
-    with the larger diagonal, the one with less cancellation; for m = q the
-    hub swap is an automorphism, so a = b exactly.  The residuals of the two
-    hub equations, evaluated with the interpolants f, are reported and
-    certify nothing.  Independent of the eigensolver route.
+    The root is ``_proved_root``'s: the Newton seed when two exact hub checks
+    prove it, otherwise the midpoint of ``hub_bracket`` at width 2**-48, so
+    a valid spec always solves with an exact bracket behind it.  The kernel
+    of the rank-one M(rho) gives (a, b) from the row with the larger
+    diagonal, the one with less cancellation; for m = q the hub swap is an
+    automorphism, so a = b exactly.  The residuals of the two hub
+    equations, evaluated with the interpolants f, are reported and certify
+    nothing.  Independent of the eigensolver route.
     """
     spec = spec_B(m, p, q)
-    walks = _hub_walks(spec)
-    root = _newton_root(walks)
-    if not _proves_root(spec, root):
-        root = float(hub_bracket(spec, Fraction(1, 1 << _SOLVE_BITS)).midpoint())
+    root, _ = _proved_root(spec)
     if m == q:
         a = b = 1.0
     else:
-        (x, y, z), _ = _hub_schur(walks, root)
+        (x, y, z), _ = _hub_schur(_hub_walks(spec), root)
         a, b = (-z, x) if x >= y else (y, -z)
     scale = min(a, b)
     if not (scale > 0.0 and isfinite(max(a, b) / scale)):

@@ -270,13 +270,24 @@ def internal_paths(g: Graph) -> list[tuple[int, ...]]:
 
 
 def on_internal_path(g: Graph, edge: tuple[int, int]) -> bool:
-    """True iff the edge lies on some internal path of ``g``."""
+    """True iff the edge lies on some internal path of ``g``.
+
+    Walking from the edge through degree-2 vertices, both ways, must stop at
+    a vertex of degree >= 3; a walk that comes back to where it began has
+    gone round a bare cycle.
+    """
     u, v = edge
-    for path in internal_paths(g):
-        for a, b in zip(path, path[1:]):
-            if (a, b) == (u, v) or (a, b) == (v, u):
-                return True
-    return False
+    if not g.has_edge(u, v):
+        return False
+    deg = g.degrees()
+    for start, cur in ((u, v), (v, u)):
+        prev = start
+        while deg[cur] == 2 and cur != start:
+            a, b = g.neighbors(cur)
+            prev, cur = cur, (b if a == prev else a)
+        if deg[cur] < 3:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from spectramin.analytic import (
     boundary_det,
     boundary_matrix,
     f_value,
+    family_bracket,
     hub_bracket,
     hub_exceeds,
     path_cycle_swap_gap,
@@ -326,13 +327,27 @@ class TestRhoAnalytic:
 
     @pytest.mark.parametrize("m,p,q", [(4, 2, 4), (6, 5, 8), (3, 19, 4), (3, 30, 15), (15, 1, 15)])
     @pytest.mark.parametrize("shift", [1e-9, -1e-9])
-    def test_moved_root_is_refused(self, m, p, q, shift):
-        # the exact hub check proves the solved root and refuses one moved by a relative 1e-9
-        from spectramin.analytic import _proves_root
+    def test_moved_root_is_refused(self, m, p, q, shift, monkeypatch):
+        # the exact hub check proves the Newton root and refuses one moved by
+        # a relative 1e-9, which sends the bracket to the bisection
+        from spectramin import analytic
 
-        root = rho_analytic(m, p, q).rho
-        assert _proves_root(spec_B(m, p, q), root)
-        assert not _proves_root(spec_B(m, p, q), root * (1 + shift))
+        spec = spec_B(m, p, q)
+        root = analytic._newton_root(analytic._hub_walks(spec))
+        bisected = []
+        bisect = analytic.hub_bracket
+
+        def counted(spec, width):
+            bisected.append(spec)
+            return bisect(spec, width)
+
+        monkeypatch.setattr(analytic, "hub_bracket", counted)
+        br = family_bracket(spec)
+        assert bisected == [] and br.lo < Fraction(root) <= br.hi
+        monkeypatch.setattr(analytic, "_newton_root", lambda walks: root * (1 + shift))
+        fallback = family_bracket(spec)
+        assert bisected == [spec]
+        assert max(br.lo, fallback.lo) < min(br.hi, fallback.hi)
 
     def test_rearranged_identities(self):
         for m, p, q in [(3, 1, 3), (5, 2, 3), (4, 7, 9), (8, 3, 6)]:
@@ -396,6 +411,25 @@ class TestHubExceeds:
     def test_bracket_reproduces_rho_analytic(self, m, p, q):
         br = hub_bracket(spec_B(m, p, q), Fraction(1, 2**44))
         assert abs(Fraction(rho_analytic(m, p, q).rho) - br.midpoint()) <= br.width
+
+
+class TestFamilyBracket:
+    def test_holds_the_eigensolver_radius_on_every_grid_and_core_spec(self):
+        # every spec of the lemma grid to 12 and every two-cycle core to 16
+        from spectramin.verify import _grid_specs
+
+        specs = set(_grid_specs(12)) | set(_core_specs_bicyclic(16))
+        assert len(specs) == 3002
+        for spec in specs:
+            br = family_bracket(spec)
+            rho = float(np.linalg.eigvalsh(build_bicyclic(spec)[0].adjacency_matrix())[-1])
+            assert br.width <= Fraction(1, 2**47), spec
+            assert br.lo - Fraction(1, 10**13) < Fraction(rho) <= br.hi + Fraction(1, 10**13), spec
+
+    def test_rho_analytic_lies_in_the_bracket(self):
+        for m, p, q in [(4, 2, 4), (3, 30, 15), (15, 1, 15), (3, 200, 3)]:
+            br = family_bracket(spec_B(m, p, q))
+            assert br.lo < Fraction(rho_analytic(m, p, q).rho) <= br.hi
 
 
 class TestQuotient:

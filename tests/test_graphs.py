@@ -27,6 +27,7 @@ from spectramin.graphs import (
     independence_number,
     internal_paths,
     is_connected,
+    on_internal_path,
     predicted_independence,
     spec_B,
     spec_C,
@@ -351,6 +352,22 @@ class TestConnectivityAndPaths:
     def test_internal_path_degenerate_pair(self):
         b313, _ = build_bicyclic(spec_B(3, 1, 3))
         assert any(len(p) == 2 for p in internal_paths(b313))
+
+    def test_on_internal_path_matches_the_path_definition(self):
+        # the oracle is the definition: an edge of some path of internal_paths;
+        # every ordered vertex pair of every graph to 7 vertices, non-edges too
+        from spectramin.enumeration import enumerate_all_graphs
+
+        checked = 0
+        for n in range(1, 8):
+            for g in enumerate_all_graphs(n):
+                edges = {frozenset(e) for p in internal_paths(g) for e in zip(p, p[1:])}
+                for u in range(n):
+                    for v in range(n):
+                        if u != v:
+                            checked += 1
+                            assert on_internal_path(g, (u, v)) == (frozenset((u, v)) in edges)
+        assert checked == 49_368
 
     def test_pendant_not_internal(self):
         g = build_cycle(4).with_vertex([0]).with_vertex([0])

@@ -393,32 +393,50 @@ class TestCertificatePins:
         assert len(graphs) == 1307
         assert h.hexdigest() == BRACKETS7_SHA256
 
-    def test_grid_6_verdicts_pinned(self, monkeypatch):
+    @pytest.fixture
+    def grid_6_verdicts(self, monkeypatch):
+        # the verdicts of verify_family_grids(6), recorded at compare_families
         verdicts = []
+        compare = verify.compare_families
 
         def record(*args):
-            verdicts.append(compare_rho_certified(*args))
+            verdicts.append(compare(*args))
             return verdicts[-1]
 
-        monkeypatch.setattr(verify, "compare_rho_certified", record)
+        monkeypatch.setattr(verify, "compare_families", record)
+        return verdicts
+
+    def test_grid_6_verdicts_pinned(self, grid_6_verdicts):
         reports = verify.verify_family_grids(6)
         assert all(r.status == "pass" for r in reports)
+        verdicts = grid_6_verdicts
         assert (verdicts.count("less"), verdicts.count("equal")) == (205, 28)
         assert hashlib.sha256("\n".join(verdicts).encode()).hexdigest() == GRID6_VERDICTS_SHA256
 
-    def test_grid_6_verdicts_from_char_polys_alone(self, monkeypatch):
-        # with no Perron bracket every pair goes to the char polys: the
-        # isolating brackets and the gcd must give the same verdicts
-        verdicts = []
+    def test_grid_6_verdicts_from_char_polys_alone(self, grid_6_verdicts, monkeypatch):
+        # with no hub bracket, no mirror quotient and no Perron bracket every
+        # pair goes to the char polys: the isolating brackets and the gcd
+        # must give the same verdicts
+        from spectramin.spectral import RhoBracket
+
+        def no_quotient(m, p):
+            raise spectral.NumericFailure("voided")
+
+        reached = []
+        compare = verify.compare_rho_certified
 
         def record(*args):
-            verdicts.append(compare_rho_certified(*args))
-            return verdicts[-1]
+            reached.append(compare(*args))
+            return reached[-1]
 
+        monkeypatch.setattr(verify, "family_bracket", lambda spec: RhoBracket(Fraction(2), Fraction(4)))
+        monkeypatch.setattr(verify, "quotient_matrix_symmetric", no_quotient)
         monkeypatch.setattr(spectral, "_perron_bracket", lambda a, v: (Fraction(0), None))
         monkeypatch.setattr(verify, "compare_rho_certified", record)
         reports = verify.verify_family_grids(6)
         assert all(r.status == "pass" for r in reports)
+        verdicts = grid_6_verdicts
+        assert reached == verdicts
         assert (verdicts.count("less"), verdicts.count("equal")) == (205, 28)
         assert hashlib.sha256("\n".join(verdicts).encode()).hexdigest() == GRID6_VERDICTS_SHA256
 

@@ -36,10 +36,14 @@ from spectramin.graphs import (
     build_cycle,
     canonical_form,
     independence_number,
+    spec_B,
+    spec_C,
+    spec_P,
 )
 from spectramin.verify import (
     MinimizerResult,
     VerificationReport,
+    compare_families,
     graph_from_family,
     minimizer,
     minimizer_bicyclic,
@@ -688,13 +692,60 @@ class TestHarness:
         assert a.read_bytes() == b.read_bytes()
 
 
-def _grid_pairs(pmax):
-    """Every (graph a, graph b) pair that ``verify_family_grids(pmax)`` compares."""
-    from spectramin.graphs import build_bicyclic
-    from spectramin.verify import _grid_claims
+def _grid_spec_pairs(pmax):
+    """Every (spec a, spec b) pair that ``verify_family_grids(pmax)`` compares."""
+    return [(a, b) for _, _, _, pairs, _ in verify._grid_claims(pmax) for _, a, b, _ in pairs]
 
-    return [(build_bicyclic(a)[0], build_bicyclic(b)[0])
-            for _, _, _, pairs, _ in _grid_claims(pmax) for _, a, b, _ in pairs]
+
+def _grid_pairs(pmax):
+    """The same pairs as built graphs."""
+    return [(build_bicyclic(a)[0], build_bicyclic(b)[0]) for a, b in _grid_spec_pairs(pmax)]
+
+
+class TestCompareFamilies:
+    def test_agrees_with_compare_rho_certified_on_grid_6(self):
+        pool = verify.FamilyPool()
+        for a, b in _grid_spec_pairs(6):
+            want = spectramin.compare_rho_certified(build_bicyclic(a)[0], build_bicyclic(b)[0])
+            assert compare_families(a, b, pool) == want, (a, b)
+            assert compare_families(b, a) == {"less": "greater"}.get(want, want), (a, b)
+
+    def test_non_mirror_pairs_never_reach_the_quotient(self, monkeypatch):
+        asked = []
+        quotient = verify.quotient_matrix_symmetric
+
+        def recorded(m, p):
+            asked.append((m, p))
+            return quotient(m, p)
+
+        monkeypatch.setattr(verify, "quotient_matrix_symmetric", recorded)
+        pool = verify.FamilyPool()
+        mirrors = [(m, p) for m in range(3, 7) for p in range(1, 7)]
+        for a, b in _grid_spec_pairs(6):
+            compare_families(a, b, pool)
+        assert asked == mirrors
+        # equal radii alone do not make a mirror pair: B(3,3,3) = B(3,2,5)
+        # goes to the gcd, as do a theta and a dumbbell that differ
+        for a, b in [(spec_B(3, 3, 3), spec_B(3, 2, 5)), (spec_P(3, 4, 5), spec_B(3, 4, 5)),
+                     (spec_C(4, 4), spec_B(4, 1, 4))]:
+            compare_families(a, b, pool)
+        assert asked == mirrors
+
+    def test_a_failed_quotient_falls_through_to_the_gcd(self, monkeypatch):
+        def void(m, p):
+            raise verify.NumericFailure("voided")
+
+        reached = []
+        compare = verify.compare_rho_certified
+
+        def record(*args):
+            reached.append(compare(*args))
+            return reached[-1]
+
+        monkeypatch.setattr(verify, "quotient_matrix_symmetric", void)
+        monkeypatch.setattr(verify, "compare_rho_certified", record)
+        assert compare_families(spec_B(4, 2, 4), spec_P(4, 2, 4)) == "equal"
+        assert reached == ["equal"]
 
 
 class TestCertificatePool:
@@ -717,23 +768,33 @@ class TestCertificatePool:
         from spectramin import verify
 
         seen = []
-        compare = verify.compare_rho_certified
+        compare = verify.compare_families
 
-        def record(a, b, certs=None):
-            seen.append((a, b, compare(a, b, certs)))
+        def record(a, b, pool=None):
+            seen.append((a, b, compare(a, b, pool)))
             return seen[-1][2]
 
-        monkeypatch.setattr(verify, "compare_rho_certified", record)
+        monkeypatch.setattr(verify, "compare_families", record)
         return seen
 
-    def test_one_char_poly_per_distinct_graph(self, charpoly_calls, verdicts):
-        # Perron brackets settle every strict verdict, so the char polys are
-        # exactly those of the graphs in equal-verdict pairs, one per graph
-        # though some graph sits in two such pairs
+    @pytest.fixture
+    def no_quotient(self, monkeypatch):
+        from spectramin import verify
+
+        def void(m, p):
+            raise verify.NumericFailure("voided")
+
+        monkeypatch.setattr(verify, "quotient_matrix_symmetric", void)
+
+    def test_one_char_poly_per_distinct_graph(self, charpoly_calls, verdicts, no_quotient):
+        # hub brackets settle every strict verdict, so with the mirror
+        # quotient voided the char polys are exactly those of the graphs in
+        # equal-verdict pairs, one per graph though some graph sits in two
+        # such pairs
         verify_family_grids(4)
         assert len(verdicts) == len(_grid_pairs(4))
         equal_pairs = [(a, b) for a, b, v in verdicts if v == "equal"]
-        equal = {g for pair in equal_pairs for g in pair}
+        equal = {build_bicyclic(s)[0] for pair in equal_pairs for s in pair}
         assert len(equal) < 2 * len(equal_pairs)
         assert len(charpoly_calls) == len(set(charpoly_calls)) == len(equal)
         assert set(charpoly_calls) == equal
@@ -752,10 +813,12 @@ class TestCertificatePool:
                                                          no_refine):
         from spectramin.verify import verify_descent_endpoint_readings
 
+        # only the 7 path-shortening equalities B(m,m-1,m+2) = B(m,m,m) reach
+        # the char polys; the 66 mirror equalities are settled by the quotient
         reports = verify_family_grids(9)
-        assert len(charpoly_calls) == 133
+        assert len(charpoly_calls) == 14
         reports += verify_descent_endpoint_readings()
-        assert len(charpoly_calls) == 139
+        assert len(charpoly_calls) == 14
         assert all(r.status == "pass" for r in reports)
         counts = [sum(v == want for _, _, v in verdicts)
                   for want in ("less", "greater", "equal", "unresolved")]
@@ -764,7 +827,9 @@ class TestCertificatePool:
     def test_edge_minimal_12_needs_no_refinement(self, no_refine):
         assert [r.status for r in verify_edge_minimal_pair([12])] == ["pass"]
 
-    def test_each_spec_built_once(self, monkeypatch):
+    def test_each_spec_built_at_most_once(self, monkeypatch):
+        # a spec is built only for the parity check or a pair that reaches
+        # compare_rho_certified, and then once
         from spectramin import verify
 
         built = []
@@ -776,10 +841,10 @@ class TestCertificatePool:
 
         monkeypatch.setattr(verify, "build_bicyclic", counted)
         verify_family_grids(4)
-        compared = {s for _, _, _, pairs, _ in verify._grid_claims(4)
-                    for _, a, b, _ in pairs for s in (a, b)}
         assert len(built) == len(set(built))
-        assert set(built) == compared | set(verify._grid_specs(4))
+        # past the grid itself, only the far graphs B(m, m-1, m+2) of the
+        # path-shortening equalities are built
+        assert set(built) == set(verify._grid_specs(4)) | {spec_B(3, 2, 5), spec_B(4, 3, 6)}
 
     def test_pool_does_not_outlive_its_call(self, charpoly_calls):
         verify_family_grids(4)
