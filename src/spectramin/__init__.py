@@ -3,15 +3,14 @@ independence number, with certified comparisons and exhaustive verification."""
 
 from .analytic import (
     AnalyticSolution,
-    QuotientMatrix,
     boundary_matrix,
     f_value,
     family_bracket,
+    family_char_poly,
     hub_bracket,
     hub_exceeds,
     path_cycle_swap_gap,
     perron_closed_form,
-    quotient_matrix_symmetric,
     rho_analytic,
     t_of_rho,
 )

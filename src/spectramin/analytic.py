@@ -18,37 +18,31 @@ exactly in integers at a dyadic r, and ``hub_bracket`` bisects it.
 ``family_bracket`` gives any core (C, B or P) a proved bracket at most
 2**-47 wide with no matrix: Newton's method on the least eigenvalue of the
 float M(r) from r = 2 seeds rho, two ``hub_exceeds`` calls prove the seed's
-bracket, and ``hub_bracket`` takes over if they do not.  The family lemmas
-compare radii by these brackets (``verify.compare_families``).
+bracket, and ``hub_bracket`` takes over if they do not.  The same hub
+assembly, evaluated at one large power of two and read back digit by digit,
+gives the exact characteristic polynomial ``family_char_poly`` (Schwenk's
+path determinants, no matrix).  A ``FamilyCertificate`` holds both, so
+``spectral.compare_rho_certified`` compares two cores the way it compares
+two graphs (``verify.compare_families``): disjoint brackets give the strict
+verdicts and the gcd of the polynomials the equalities.
 ``rho_analytic`` solves B(m, p, q) by the same proved Newton root, so no
 verdict rests on a float backward error.  The hub values (a, b) come from
 the better-conditioned row of M(rho); the module also rebuilds the full
-Perron vector in closed form, exposes the shared equitable-partition
-quotient behind rho(P(m,p,m)) = rho(B(m,p,m)) (rho of a connected graph is
-the top eigenvalue of any equitable quotient, Godsil-Royle 9.3), and reads
-the paper's gap expression for rho(B(m,p,m)) < rho(B(m,m,p)) in floats; the
-certified claim is the ``dumbbell-path-swap-strict`` sweep of
-``verify_family_grids``.
+Perron vector in closed form and reads the paper's gap expression for
+rho(B(m,p,m)) < rho(B(m,m,p)) in floats; the certified claim is the
+``dumbbell-path-swap-strict`` sweep of ``verify_family_grids``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import acosh, ceil, cosh, exp, hypot, isfinite, ldexp
+from math import acosh, ceil, cosh, exp, hypot, isfinite, ldexp, prod
 
 import numpy as np
 
-from .graphs import (
-    BicyclicSpec,
-    Graph,
-    InvalidParameterError,
-    VertexLabeling,
-    build_bicyclic,
-    spec_B,
-    spec_P,
-)
-from .spectral import NumericFailure, RhoBracket, _bracket_width
+from .graphs import BicyclicSpec, InvalidParameterError, spec_B
+from .spectral import NumericFailure, RhoBracket, _bracket_width, _Certificate
 
 _SOLVE_BITS = 48  # the proved brackets lie on the grid of 2**-48
 
@@ -145,37 +139,25 @@ def boundary_det(m: int, p: int, q: int, rho: float) -> float:
     return float(mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0])
 
 
-def hub_exceeds(spec: BicyclicSpec, R: int, b: int) -> bool:
-    """Whether rho(core) > R / 2**b, decided exactly in integers.
+def _hub_integers(spec: BicyclicSpec, R: int, b: int) -> tuple[int, int, int, int]:
+    """The hub Schur complement at r = R / 2**b in integers (x, y, z, den):
+    2**b den M(r) = [[x, z], [z, y]], with den the product of the walks' E_L.
 
-    The law: the interiors of the hub-to-hub walks are paths, of radius
-    below 2, so for r >= 2 the interior block of rI - A is positive
-    definite, and by Haynsworth's inertia additivity
-    In(rI - A) = In(interior) + In(M(r)).  Hence rho > r exactly when the
-    hub Schur complement M(r) is not positive semidefinite.
-
-    M(r) is assembled from the path determinants D_k(r), which are positive
-    for r >= 2: D_k(2) = k + 1 and no root of D_k exceeds 2.  With
-    r = R / 2**b the integers E_k = 2**(bk) D_k follow E_0 = 1, E_1 = R,
-    E_k = R E_{k-1} - 4**b E_{k-2}, so they are positive too.  2**b M(r)
-    times the product of the walks' E_L is an integer matrix with the same
-    signs, and the test reads its diagonal and determinant.  For C the unused
-    hub 1 keeps y = R den > 0 and z = 0, so the test reduces to x < 0.
+    M(r) is built from the integers E_k = 2**(bk) D_k(r): E_0 = 1, E_1 = R,
+    E_k = R E_{k-1} - 4**b E_{k-2}.  For C the unused hub 1 keeps
+    y = R den and z = 0.
     """
-    if not (isinstance(R, int) and isinstance(b, int)) or b < 0 or R < 2 << b:
-        raise InvalidParameterError(f"hub_exceeds needs ints R >= 2 << b, b >= 0, got {R!r}, {b!r}")
     walks = _hub_walks(spec)
     four = 1 << 2 * b
     e = [1, R]
-    while len(e) <= max(length for _, _, length in walks):
+    for _ in range(max(length for _, _, length in walks) - 1):
         e.append(R * e[-1] - four * e[-2])
-    den = 1
-    for _, _, length in walks:
-        den *= e[length]
+    ends = [e[length] for _, _, length in walks]
+    den = prod(ends)
     x = y = R * den
     z = 0
-    for u, v, length in walks:
-        cofactor = den // e[length]
+    for i, (u, v, length) in enumerate(walks):
+        cofactor = prod(ends[:i] + ends[i + 1:])
         prev = e[length - 1] if length else 0
         if u == v:  # 2**b * 2 (D_{L-1} + 1) / D_L
             term = 2 * four * (prev + (1 << b * (length - 1))) * cofactor
@@ -187,7 +169,53 @@ def hub_exceeds(spec: BicyclicSpec, R: int, b: int) -> bool:
             x -= four * prev * cofactor
             y -= four * prev * cofactor
             z -= (1 << b * (length + 1)) * cofactor
+    return x, y, z, den
+
+
+def hub_exceeds(spec: BicyclicSpec, R: int, b: int) -> bool:
+    """Whether rho(core) > R / 2**b, decided exactly in integers.
+
+    The law: the interiors of the hub-to-hub walks are paths, of radius
+    below 2, so for r >= 2 the interior block of rI - A is positive
+    definite, and by Haynsworth's inertia additivity
+    In(rI - A) = In(interior) + In(M(r)).  Hence rho > r exactly when the
+    hub Schur complement M(r) is not positive semidefinite.
+
+    M(r) is assembled from the path determinants D_k(r), which are positive
+    for r >= 2: D_k(2) = k + 1 and no root of D_k exceeds 2.  So the
+    integers E_k = 2**(bk) D_k of ``_hub_integers`` are positive too, and
+    its integer matrix [[x, z], [z, y]] has the signs of M(r): the test
+    reads its diagonal and determinant.  For C, y > 0 and z = 0, so the
+    test reduces to x < 0.
+    """
+    if not (isinstance(R, int) and isinstance(b, int)) or b < 0 or R < 2 << b:
+        raise InvalidParameterError(f"hub_exceeds needs ints R >= 2 << b, b >= 0, got {R!r}, {b!r}")
+    x, y, z, _ = _hub_integers(spec, R, b)
     return x < 0 or y < 0 or x * y < z * z
+
+
+def family_char_poly(spec: BicyclicSpec) -> tuple[int, ...]:
+    """det(xI - A) of a C, B or P core, constant term first, with no matrix.
+
+    Eliminating the walk interiors gives det(xI - A) = (prod D_L) det M(x),
+    that is x for C and (x y - z**2) / den for B and P in the integers of
+    ``_hub_integers`` at b = 0.  They are evaluated at the one point
+    X = 2**s and the value is read back in base X (Kronecker substitution).
+    The digits are the coefficients: a core has n >= 4 vertices and n + 1
+    edges, so sum(lambda_i**2) = 2n + 2, and AM-GM with Cauchy-Schwarz give
+    |c_k| <= prod(1 + |lambda_i|) <= (1 + sqrt(5/2))**n < 2**(1.37 n), below
+    2**(s - 1) for s = floor(3n/2) + 2; an integer has one expansion in
+    base X with digits of absolute value below X / 2.
+    """
+    s = 3 * spec.order // 2 + 2
+    x, y, z, den = _hub_integers(spec, 1 << s, 0)
+    value = x if spec.family == "C" else (x * y - z * z) // den
+    coeffs, mask, half = [], (1 << s) - 1, 1 << (s - 1)
+    while value:
+        digit = ((value + half) & mask) - half
+        coeffs.append(digit)
+        value = (value - digit) >> s
+    return tuple(coeffs)
 
 
 def hub_bracket(spec: BicyclicSpec, width: Fraction | float) -> RhoBracket:
@@ -274,6 +302,28 @@ def family_bracket(spec: BicyclicSpec) -> RhoBracket:
     return _proved_root(spec)[1]
 
 
+class FamilyCertificate(_Certificate):
+    """A two-cycle core's radius certificate for ``compare_rho_certified``,
+    with no matrix: ``bounds`` is the core's ``family_bracket`` and the
+    polynomial its ``family_char_poly``, seeded by that bracket, with U = 5
+    (no degree exceeds 4).  The bracket holds rho but need not isolate it:
+    lambda_2 of B(3,30,3) lies within 4e-7 of rho, so isolation counts roots
+    as it does for a graph.
+    """
+
+    __slots__ = ("spec",)
+
+    def __init__(self, spec: BicyclicSpec):
+        br = family_bracket(spec)
+        self.spec = spec
+        self.bounds = (br.lo, br.hi)
+        self.poly = None
+
+    def _seed(self):
+        lo, hi = self.bounds
+        return family_char_poly(self.spec), lo, hi, Fraction(5)
+
+
 def rho_analytic(m: int, p: int, q: int) -> AnalyticSolution:
     """Spectral radius and hub values of B(m, p, q) from the hub system alone.
 
@@ -320,79 +370,6 @@ def perron_closed_form(sol: AnalyticSolution) -> np.ndarray:
     for i in range(1, q):
         x[m + p - 1 + i] = f_value(i, t, q, b, b)
     return x
-
-
-# ---------------------------------------------------------------------------
-# equitable partition route for the m = q case
-
-
-@dataclass(frozen=True)
-class QuotientMatrix:
-    """Equitable-partition quotient: class list plus neighbor-count matrix."""
-
-    matrix: np.ndarray
-    classes: tuple[tuple[int, ...], ...]
-
-    def top_eigenvalue(self) -> float:
-        vals = np.linalg.eigvals(self.matrix)
-        return float(np.max(vals.real))
-
-
-def _symmetric_classes(lab: VertexLabeling, m: int, p: int) -> list[tuple[int, ...]]:
-    """Mirror classes {hubs}, {u_j, u_{m-j}, v_j, v_{m-j}}, {w_j, w_{p-j}}."""
-    classes: list[tuple[int, ...]] = [(lab.hub_a, lab.hub_b)]
-    um = (lab.hub_a,) + lab.seg_m  # positions 0..m-1 along the m-part
-    vq = (lab.hub_b,) + lab.seg_q
-    for j in range(1, m // 2 + 1):
-        cls = {um[j], um[m - j], vq[j], vq[m - j]}
-        classes.append(tuple(sorted(cls)))
-    w = (lab.hub_a,) + lab.seg_p + (lab.hub_b,)  # positions 0..p along the path
-    for j in range(1, p // 2 + 1):
-        cls = {w[j], w[p - j]}
-        classes.append(tuple(sorted(cls)))
-    return classes
-
-
-def _quotient_of(g: Graph, classes: list[tuple[int, ...]]) -> np.ndarray:
-    """Neighbor-count matrix of a partition, verifying it is equitable."""
-    cls_of = {}
-    for ci, cls in enumerate(classes):
-        for v in cls:
-            cls_of[v] = ci
-    if len(cls_of) != g.n:
-        raise InvalidParameterError("partition does not cover the vertex set")
-    k = len(classes)
-    mat = np.zeros((k, k))
-    for ci, cls in enumerate(classes):
-        counts0 = None
-        for v in cls:
-            counts = [0] * k
-            for u in g.neighbors(v):
-                counts[cls_of[u]] += 1
-            if counts0 is None:
-                counts0 = counts
-            elif counts != counts0:
-                raise NumericFailure(f"partition is not equitable at class {ci}")
-        mat[ci] = counts0
-    return mat
-
-
-def quotient_matrix_symmetric(m: int, p: int) -> QuotientMatrix:
-    """Shared quotient of B(m, p, m) and P(m, p, m) over the mirror classes.
-
-    Both graphs admit the same symmetric partition with identical neighbor
-    counts, which is why their spectral radii coincide; the two quotients
-    are computed independently and must agree entry for entry.
-    """
-    if m < 3 or p < 1:
-        raise InvalidParameterError(f"need m >= 3 and p >= 1, got m={m}, p={p}")
-    gb, lb = build_bicyclic(spec_B(m, p, m))
-    qb = _quotient_of(gb, _symmetric_classes(lb, m, p))
-    gp, lp = build_bicyclic(spec_P(m, p, m))
-    qp = _quotient_of(gp, _symmetric_classes(lp, m, p))
-    if not np.array_equal(qb, qp):
-        raise NumericFailure(f"quotients of B({m},{p},{m}) and P({m},{p},{m}) differ")
-    return QuotientMatrix(qb, tuple(_symmetric_classes(lb, m, p)))
 
 
 def path_cycle_swap_gap(m: int, p: int) -> float:

@@ -6,18 +6,23 @@ an exact integer characteristic polynomial with certified rational root
 brackets.  Strict orderings and equalities between radii are settled with
 exact certificates, never by floating-point closeness.
 
-``compare_rho_certified`` settles a comparison in up to three steps:
+``compare_rho_certified`` settles a comparison of two graphs, or of two
+two-cycle cores given by their specs, in up to three steps:
 
-* **Perron brackets, for strict verdicts.**  Round the float Perron vector
-  to a non-negative integer vector x.  Then x^T A x / x^T x <= rho
-  (Rayleigh: rho is the largest eigenvalue of the symmetric A, and x is
-  not zero) and, when x > 0, rho <= max_i (Ax)_i / x_i (Collatz-Wielandt:
-  A >= 0), both exact rationals in integer arithmetic.  A zero entry
-  leaves the lower bound alone.  The bracket is closed, so only
+* **Bounds, for strict verdicts.**  Each radius comes with exact bounds
+  lo <= rho <= hi.  A graph's are its Perron bounds: round the float
+  Perron vector to a non-negative integer vector x.  Then
+  x^T A x / x^T x <= rho (Rayleigh: rho is the largest eigenvalue of the
+  symmetric A, and x is not zero) and, when x > 0,
+  rho <= max_i (Ax)_i / x_i (Collatz-Wielandt: A >= 0), both exact
+  rationals in integer arithmetic.  A zero entry leaves the lower bound
+  alone.  A core's are its proved hub bracket
+  (``analytic.family_bracket``).  The bounds are read as closed, so only
   ``hi_1 < lo_2`` proves ``rho_1 < rho_2``, and it needs only those two
   bounds; equal radii always overlap.
-* **The gcd on isolating brackets, for equalities.**  When the Perron
-  brackets overlap, each graph gets its characteristic polynomial and an
+* **The gcd on isolating brackets, for equalities.**  When the bounds
+  overlap, each radius gets its characteristic polynomial (``char_poly``
+  for a graph, ``analytic.family_char_poly`` for a core) and an
   isolating bracket ``(lo, hi]``: rho is its only root there and no root
   lies above ``hi``.  The polynomial is real-rooted (A is symmetric), so
   Descartes' rule on its Taylor coefficients counts the roots in
@@ -31,12 +36,12 @@ exact certificates, never by floating-point closeness.
   disjoint, which gives the strict verdict.
 
 Every bracket holds its radius at every width, and refinement only
-shrinks it, so one graph's certificate can serve many comparisons: a
-verdict depends only on the two graphs, never on which earlier comparison
-refined either bracket.  ``compare_rho_certified`` therefore accepts a pool
-that a verification call keeps for its own length: each graph gets one
-eigensolve and its Perron bracket, and its char poly only when a
-comparison first needs it.
+shrinks it, so one certificate can serve many comparisons: a verdict
+depends only on the two radii, never on which earlier comparison refined
+either bracket.  ``compare_rho_certified`` therefore accepts a dict of
+certificates that a verification call keeps for its own length: each
+graph gets one eigensolve and its Perron bounds, each core its hub
+bracket, and either its polynomial only when a comparison first needs it.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from math import comb, isfinite, isqrt
 import numpy as np
 
 from . import exactpoly as xp
-from .graphs import Graph, InvalidInputError, InvalidParameterError, is_connected
+from .graphs import BicyclicSpec, Graph, InvalidInputError, InvalidParameterError, is_connected
 
 DENSE_CAP = 512
 EXACT_CAP = 64
@@ -211,7 +216,13 @@ def char_poly(g: Graph) -> CharPoly:
 
 @dataclass(frozen=True)
 class RhoBracket:
-    """Rational interval (lo, hi] certified to contain exactly the top root."""
+    """Rational interval (lo, hi] with an exact proof about the top root rho.
+
+    What is proved depends on the source.  ``rho_bracket``'s is isolating:
+    rho is the only root of the characteristic polynomial in (lo, hi], and
+    none lies above.  ``analytic.hub_bracket`` and ``analytic.family_bracket``
+    only hold rho, lo < rho <= hi; lambda_2 may lie inside as well.
+    """
 
     lo: Fraction
     hi: Fraction
@@ -231,13 +242,13 @@ def _dyadic(x: float) -> Fraction:
     return Fraction(round(x * (1 << 24)), 1 << 24)
 
 
-class _CertifiedRho:
-    """One graph's radius certificate.
-
-    Construction makes one ``eigh``: the float radius ``guess`` and the
-    exact Perron bracket ``perron``, whose upper end is None when the
-    rounded vector is not positive.  ``isolate`` adds the char poly ``poly`` and its isolating
-    bracket ``(lo, hi]`` the first time a caller needs them.
+class _Certificate:
+    """One radius's certificate: ``bounds``, an exact ``(lo, hi)`` with
+    lo <= rho <= hi whose upper end may be None, and, the first time a
+    comparison needs them, an exact characteristic polynomial ``poly`` with
+    its isolating bracket ``(lo, hi]``.  A subclass sets ``bounds`` and
+    ``poly = None`` and gives ``_seed``: the polynomial, a seed window and a
+    bound U on the absolute value of every root.
 
     Invariant: the top root rho is the only root of the characteristic
     polynomial p in ``(lo, hi]``, and no root lies above ``hi``.  The law:
@@ -253,44 +264,29 @@ class _CertifiedRho:
       count (Descartes' rule on the Taylor coefficients) is exact with
       multiplicity at every endpoint, a multiple root included; since rho
       is simple, a count of one means the bracket holds rho alone.
-    * Every root lies in ``(-U, U)`` with U = 1 + max degree, so Descartes'
-      rule gives V(U) = 0 and V(-U) = deg p with no count: the roots above
-      ``hi`` number V(hi), and widening ``hi`` to U, or ``lo`` to -U,
-      restores the invariant when the seed misses rho.  Isolation costs two
-      counts, V(hi) and V(lo), unless the seed window holds lower roots.
+    * Every root lies in ``(-U, U)``, so Descartes' rule gives V(U) = 0 and
+      V(-U) = deg p with no count: the roots above ``hi`` number V(hi), and
+      widening ``hi`` to U, or ``lo`` to -U, restores the invariant when
+      the seed misses rho.  Isolation costs two counts, V(hi) and V(lo),
+      unless the seed window holds lower roots.
     """
 
-    __slots__ = ("graph", "guess", "perron", "poly", "lo", "hi")
-
-    def __init__(self, g: Graph):
-        if not is_connected(g):
-            raise InvalidInputError("certified radius requires a connected graph")
-        a = g.adjacency_matrix()
-        vals, vecs = np.linalg.eigh(a)
-        self.graph = g
-        self.guess = float(vals[-1])
-        self.perron = _perron_bracket(a, vecs[:, -1])
-        self.poly = None
+    __slots__ = ("bounds", "poly", "lo", "hi")
 
     def isolate(self) -> None:
-        """Build the char poly and its isolating bracket, seeded by ``guess``."""
+        """Build the polynomial and its isolating bracket from the seed."""
         if self.poly is not None:
             return
-        g = self.graph
-        self.poly = p = char_poly(g).coeffs
-        upper = Fraction(1 + max(g.degrees()) if g.edge_count else 1)
-        x = _dyadic(self.guess)
-        step = Fraction(1, 1 << 20)
-        lo, hi = (x - step, x) if xp.sign_at(p, x) >= 0 else (x, x + step)
-        v_hi = xp.variations_at(p, hi)  # roots above hi
-        if v_hi:
-            hi, v_hi = upper, 0
-        count = xp.variations_at(p, lo) - v_hi
+        p, lo, hi, upper = self._seed()
+        self.poly = p
+        if xp.variations_at(p, hi):  # roots above hi
+            hi = upper
+        count = xp.variations_at(p, lo)
         if not count:
-            lo, count = -upper, len(p) - 1 - v_hi
+            lo, count = -upper, len(p) - 1
         while count > 1:
             mid = (lo + hi) / 2
-            above = xp.variations_at(p, mid) - v_hi
+            above = xp.variations_at(p, mid)
             if above:
                 lo, count = mid, above
             else:
@@ -305,6 +301,34 @@ class _CertifiedRho:
                 self.hi = mid
             else:
                 self.lo = mid
+
+
+class _CertifiedRho(_Certificate):
+    """A graph's certificate.  Construction makes one ``eigh``: the float
+    radius ``guess`` and the exact Perron ``bounds``, whose upper end is None
+    when the rounded vector is not positive.  The polynomial is ``char_poly``,
+    seeded by a window of 2**-20 beside ``guess``, with U = 1 + max degree.
+    """
+
+    __slots__ = ("graph", "guess")
+
+    def __init__(self, g: Graph):
+        if not is_connected(g):
+            raise InvalidInputError("certified radius requires a connected graph")
+        a = g.adjacency_matrix()
+        vals, vecs = np.linalg.eigh(a)
+        self.graph = g
+        self.guess = float(vals[-1])
+        self.bounds = _perron_bracket(a, vecs[:, -1])
+        self.poly = None
+
+    def _seed(self):
+        g = self.graph
+        p = char_poly(g).coeffs
+        x = _dyadic(self.guess)
+        step = Fraction(1, 1 << 20)
+        lo, hi = (x - step, x) if xp.sign_at(p, x) >= 0 else (x, x + step)
+        return p, lo, hi, Fraction(1 + max(g.degrees()) if g.edge_count else 1)
 
 
 def _bracket_width(width: Fraction | float) -> Fraction:
@@ -356,29 +380,32 @@ def _perron_bracket(a: np.ndarray, v: np.ndarray) -> tuple[Fraction, Fraction | 
 
 
 def compare_rho_certified(
-    g1: Graph, g2: Graph, certs: dict[Graph, _CertifiedRho] | None = None
+    g1: Graph | BicyclicSpec, g2: Graph | BicyclicSpec, certs: dict | None = None
 ) -> str:
     """Certified ordering of two spectral radii: ``"less"``, ``"greater"``,
     ``"equal"`` or ``"unresolved"``.
 
-    A Perron upper bound below the other graph's Perron lower bound gives a
-    strict verdict.  Otherwise a root
-    of the integer gcd in the overlap of the two isolating brackets gives
-    "equal"; with none, the radii differ, and both brackets are bisected
-    until they are disjoint.  The module docstring gives the laws.
+    An upper bound below the other radius's lower bound (``bounds``) gives a
+    strict verdict.  Otherwise a root of the integer gcd in the overlap of
+    the two isolating brackets gives "equal"; with none, the radii differ,
+    and both brackets are bisected until they are disjoint.  The module
+    docstring gives the laws.
 
-    ``certs`` maps each graph (by labelled adjacency) to its certificate.  A
-    caller that makes many comparisons passes one dict for the length of
-    its call, so each graph gets one eigensolve and at most one char poly.
-    A verdict is a fact about the two radii, so it does not depend on which
-    comparison refined a bracket first.
+    ``certs`` maps each key to its certificate.  A graph (by labelled
+    adjacency) missing from it gets a ``_CertifiedRho``; a two-cycle core
+    comes keyed by its spec with its ``analytic.FamilyCertificate``
+    (``verify.compare_families``).  A caller that makes many comparisons
+    passes one dict for the length of its call, so each radius gets one
+    certificate and at most one polynomial.  A verdict is a fact about the
+    two radii, so it does not depend on which comparison refined a bracket
+    first.
     """
     certs = {} if certs is None else certs
     for g in (g1, g2):
         if g not in certs:
             certs[g] = _CertifiedRho(g)
     c1, c2 = certs[g1], certs[g2]
-    (lo1, hi1), (lo2, hi2) = c1.perron, c2.perron
+    (lo1, hi1), (lo2, hi2) = c1.bounds, c2.bounds
     if hi1 is not None and hi1 < lo2:
         return "less"
     if hi2 is not None and hi2 < lo1:

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .analytic import family_bracket, hub_exceeds, quotient_matrix_symmetric
+from .analytic import FamilyCertificate, hub_exceeds
 from .enumeration import (
     _ROOT,
     BRANCH_LEVEL,
@@ -63,14 +63,7 @@ from .graphs import (
     spec_C,
     spec_P,
 )
-from .spectral import (
-    DENSE_CAP,
-    EXACT_CAP,
-    NumericFailure,
-    RhoBracket,
-    compare_rho_certified,
-    rho_numeric,
-)
+from .spectral import DENSE_CAP, compare_rho_certified, rho_numeric
 
 SAFETY_BAND = 1e-7
 _WALK_STEPS = 4  # the scan's lower bound is the Rayleigh quotient of A^4 1
@@ -705,7 +698,7 @@ def check_orders(claim: str, n_list: Iterable[int]) -> None:
 
 def verify_edge_minimal_pair(n_list: Iterable[int]) -> list[VerificationReport]:
     """Unrestricted (n+1)-edge minimizers: the balanced theta and dumbbell pair
-    with exactly-certified equal radii.
+    with exactly-certified equal radii (``compare_families`` on the two specs).
 
     Every order is checked before any class is scanned: the predicted
     dumbbell B(k,p,k) needs cycles of length k = ceil(n/3) >= 3, so n >= 7,
@@ -721,7 +714,7 @@ def verify_edge_minimal_pair(n_list: Iterable[int]) -> list[VerificationReport]:
         res = minimizer_bicyclic(n, None)
         want = [f"P:{k},{p},{k}", f"B:{k},{p},{k}"]
         pair = [graph_from_family(s) for s in want]
-        exact = compare_rho_certified(*pair, certs) == "equal"
+        exact = compare_families(spec_P(k, p, k), spec_B(k, p, k), certs) == "equal"
         reports.append(_argmin_report(
             "edge-minimal-balanced-pair", {"n": n, "k": k}, res, pair,
             f"expected {want}, gcd-equality={'yes' if exact else 'no'}", ok=exact,
@@ -766,66 +759,25 @@ def verify_max_extremal(n: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # family lemma grids
 
-
-class FamilyPool:
-    """One verification call's memo of the two-cycle cores it compares: each
-    spec's proved bracket and built graph, made the first time a comparison
-    or check needs it, and the certificate pool of ``compare_rho_certified``.
-    """
-
-    def __init__(self) -> None:
-        self.brackets: dict[BicyclicSpec, RhoBracket] = {}
-        self.graphs: dict[BicyclicSpec, Graph] = {}
-        self.certs: dict = {}
-
-    def bracket(self, spec: BicyclicSpec) -> RhoBracket:
-        if spec not in self.brackets:
-            self.brackets[spec] = family_bracket(spec)
-        return self.brackets[spec]
-
-    def graph(self, spec: BicyclicSpec) -> Graph:
-        if spec not in self.graphs:
-            self.graphs[spec] = build_bicyclic(spec)[0]
-        return self.graphs[spec]
+# the largest --grid 3..pmax: its 248,093 pairs run in under 30 s on one process
+GRID_MAX = 30
 
 
-def _mirror_quotients_agree(a: BicyclicSpec, b: BicyclicSpec) -> bool:
-    """Whether {a, b} is {P(m,p,m), B(m,p,m)} and the mirror partitions of
-    the two built graphs are equitable with equal integer quotients."""
-    by_family = {s.family: s for s in (a, b)}
-    dumbbell = by_family.get("B")
-    if (set(by_family) != {"B", "P"} or dumbbell.m != dumbbell.q
-            or by_family["P"] != spec_P(dumbbell.m, dumbbell.p, dumbbell.m)):
-        return False
-    try:
-        quotient_matrix_symmetric(dumbbell.m, dumbbell.p)
-    except NumericFailure:
-        return False
-    return True
-
-
-def compare_families(a: BicyclicSpec, b: BicyclicSpec, pool: FamilyPool | None = None) -> str:
+def compare_families(a: BicyclicSpec, b: BicyclicSpec, certs: dict | None = None) -> str:
     """Certified ordering of rho(a) and rho(b) for two-cycle cores:
     ``"less"``, ``"greater"``, ``"equal"`` or ``"unresolved"``.
 
-    * Disjoint ``family_bracket``s give the strict verdict; no matrix is
-      built.
-    * A mirror pair {P(m,p,m), B(m,p,m)} is equal when both mirror
-      partitions are equitable with the same integer quotient: rho of a
-      connected graph is the top eigenvalue of any equitable quotient
-      (Godsil-Royle 9.3).
-    * Any other pair goes to ``compare_rho_certified`` on the built graphs,
-      with the pool's certificates.
+    Each spec gets its ``FamilyCertificate`` in ``certs`` (a verification
+    call keeps one dict for its length), and ``compare_rho_certified``
+    settles the pair with no matrix: disjoint proved hub brackets give the
+    strict verdicts, and the gcd of the two ``family_char_poly``s the
+    equalities.
     """
-    pool = FamilyPool() if pool is None else pool
-    ra, rb = pool.bracket(a), pool.bracket(b)
-    if ra.hi <= rb.lo:
-        return "less"
-    if rb.hi <= ra.lo:
-        return "greater"
-    if _mirror_quotients_agree(a, b):
-        return "equal"
-    return compare_rho_certified(pool.graph(a), pool.graph(b), pool.certs)
+    certs = {} if certs is None else certs
+    for spec in (a, b):
+        if spec not in certs:
+            certs[spec] = FamilyCertificate(spec)
+    return compare_rho_certified(a, b, certs)
 
 
 def _strictly_majorizes(a, b) -> bool:
@@ -877,7 +829,7 @@ def _grid_claims(pmax: int) -> list:
     balanced_rings = list(_ordered_pairs(rings, lambda x, y: x[1] - x[0] < y[1] - y[0]))
     return [
         ("theta-dumbbell-equal-radius", {"grid": f"m,p <= {pmax}"},
-         "exact equality via the shared equitable quotient",
+         "exact equality via the gcd of the family polynomials",
          ((f"P({m},{p},{m})/B({m},{p},{m})", spec_P(m, p, m), spec_B(m, p, m), "equal")
           for m in range(3, top) for p in range(1, top)),
          "{verdict}"),
@@ -924,26 +876,25 @@ def verify_family_grids(pmax: int = 9) -> list[VerificationReport]:
     equal-radius identity, theta balance monotonicity, figure-eight and
     dumbbell end-cycle balance, the path/cycle swap strict inequality,
     dumbbell versus figure-eight, and the path-shortening non-increase with
-    its exact equality case.  Every pair goes through ``compare_families``:
-    strict verdicts come from disjoint proved hub brackets, the identity's
-    equalities from the shared equitable quotient, and the path-shortening
-    equalities from the gcd of ``compare_rho_certified``, so ``pmax`` is
-    refused before any work once the equal pair B(pmax, pmax - 1, pmax + 2),
-    of order 3 pmax, passes ``EXACT_CAP``.  A spec's graph is built at most
-    once per call, when that gcd route or the parity check needs it.
+    its exact equality case.  Every pair goes through ``compare_families``
+    with one certificate per spec for the call: strict verdicts come from
+    disjoint proved hub brackets and equalities from the gcd of the two
+    family polynomials, so no comparison builds a matrix.  Only the parity
+    check builds each grid spec's graph, once.  ``pmax`` above
+    ``GRID_MAX`` is refused before any work.
     """
-    if 3 * pmax > EXACT_CAP:
+    if pmax > GRID_MAX:
         raise InvalidParameterError(
-            f"--grid 3..{pmax}: the equal pairs reach order {3 * pmax}, past the exact cap "
-            f"{EXACT_CAP}; the largest grid is 3..{EXACT_CAP // 3}")
+            f"--grid 3..{pmax}: the sweeps are sized to 3..{GRID_MAX}, whose 248,093 pairs "
+            f"run in under 30 s on one process; the largest grid is 3..{GRID_MAX}")
     reports = []
-    pool = FamilyPool()
+    certs: dict = {}
     for claim_id, params, detail, pairs, wording in _grid_claims(pmax):
         bad = []
         total = 0
         for label, a, b, want in pairs:
             total += 1
-            verdict = compare_families(a, b, pool)
+            verdict = compare_families(a, b, certs)
             if verdict != want:
                 bad.append((label, wording.format(verdict=verdict, want=want)))
         reports.append(
@@ -958,7 +909,7 @@ def verify_family_grids(pmax: int = 9) -> list[VerificationReport]:
     total = 0
     for spec in _grid_specs(pmax):
         total += 1
-        g = pool.graph(spec)
+        g = build_bicyclic(spec)[0]
         if independence_number(g) != predicted_independence(spec):
             bad.append((str(spec), f"alpha {independence_number(g)}"))
     reports.append(
@@ -1003,27 +954,27 @@ def verify_descent_endpoint_readings(k_values: Iterable[int] = (4, 6, 8)) -> lis
         if k < 4 or k % 2:
             raise InvalidParameterError(f"descent endpoint readings need even k >= 4, got {k}")
     reports = []
-    pool = FamilyPool()
+    certs: dict = {}
     for k in k_values:
         n = 3 * k - 2
         same_order = spec_P(k - 1, k + 1, k - 1)
         target = spec_B(k - 1, k + 1, k - 1)
         other = spec_P(k + 1, k - 1, k + 1).order
-        eq = compare_families(same_order, target, pool)
+        eq = compare_families(same_order, target, certs)
         ok_a = eq == "equal" and same_order.order == n and other == n + 2
         reports.append(
             VerificationReport(
                 "descent-equality-candidate",
                 {"k": k, "n": n},
                 "pass" if ok_a else "fail",
-                witnesses=[(to_graph6(pool.graph(same_order)), "equal-radius theta")],
+                witnesses=[(to_graph6(build_bicyclic(same_order)[0]), "equal-radius theta")],
                 detail=(
                     f"P({k - 1},{k + 1},{k - 1}) attains equality (certified {eq}); "
                     f"the alternative P({k + 1},{k - 1},{k + 1}) has order {other} != {n}"
                 ),
             )
         )
-        verdict = compare_families(spec_B(k - 1, k - 1, k + 1), target, pool)
+        verdict = compare_families(spec_B(k - 1, k - 1, k + 1), target, certs)
         reports.append(
             VerificationReport(
                 "descent-subcase-inequality",

@@ -2,22 +2,25 @@
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from spectramin import exactpoly as xp
 from spectramin.analytic import (
     AnalyticSolution,
+    FamilyCertificate,
     boundary_det,
     boundary_matrix,
     f_value,
     family_bracket,
+    family_char_poly,
     hub_bracket,
     hub_exceeds,
     path_cycle_swap_gap,
     perron_closed_form,
-    quotient_matrix_symmetric,
     rho_analytic,
     t_of_rho,
 )
@@ -29,7 +32,7 @@ from spectramin.graphs import (
     spec_C,
     spec_P,
 )
-from spectramin.spectral import NumericFailure, perron_pair, rho_numeric
+from spectramin.spectral import NumericFailure, char_poly, perron_pair, rho_numeric
 
 # ---------------------------------------------------------------------------
 # reference formulas the tests check the package against
@@ -118,6 +121,72 @@ def swap_gap_direct(m: int, p: int) -> float:
     x_cycle = f_value(1, t, m, a, a)
     x_path_end = f_value(p - 1, t, p, a, a)
     return sigma * x_hub - (2.0 * x_cycle + x_path_end)
+
+
+@dataclass(frozen=True)
+class QuotientMatrix:
+    """Equitable-partition quotient: class list plus neighbor-count matrix."""
+
+    matrix: np.ndarray
+    classes: tuple[tuple[int, ...], ...]
+
+    def top_eigenvalue(self) -> float:
+        vals = np.linalg.eigvals(self.matrix)
+        return float(np.max(vals.real))
+
+
+def _symmetric_classes(lab, m: int, p: int) -> list[tuple[int, ...]]:
+    """Mirror classes {hubs}, {u_j, u_{m-j}, v_j, v_{m-j}}, {w_j, w_{p-j}}."""
+    classes: list[tuple[int, ...]] = [(lab.hub_a, lab.hub_b)]
+    um = (lab.hub_a,) + lab.seg_m  # positions 0..m-1 along the m-part
+    vq = (lab.hub_b,) + lab.seg_q
+    for j in range(1, m // 2 + 1):
+        classes.append(tuple(sorted({um[j], um[m - j], vq[j], vq[m - j]})))
+    w = (lab.hub_a,) + lab.seg_p + (lab.hub_b,)  # positions 0..p along the path
+    for j in range(1, p // 2 + 1):
+        classes.append(tuple(sorted({w[j], w[p - j]})))
+    return classes
+
+
+def _quotient_of(g, classes: list[tuple[int, ...]]) -> np.ndarray:
+    """Neighbor-count matrix of a partition, verifying it is equitable."""
+    cls_of = {v: ci for ci, cls in enumerate(classes) for v in cls}
+    if len(cls_of) != g.n:
+        raise InvalidParameterError("partition does not cover the vertex set")
+    k = len(classes)
+    mat = np.zeros((k, k))
+    for ci, cls in enumerate(classes):
+        counts0 = None
+        for v in cls:
+            counts = [0] * k
+            for u in g.neighbors(v):
+                counts[cls_of[u]] += 1
+            if counts0 is None:
+                counts0 = counts
+            elif counts != counts0:
+                raise NumericFailure(f"partition is not equitable at class {ci}")
+        mat[ci] = counts0
+    return mat
+
+
+def quotient_matrix_symmetric(m: int, p: int) -> QuotientMatrix:
+    """Oracle for rho(P(m,p,m)) = rho(B(m,p,m)): the shared quotient of the
+    two graphs over the mirror classes.
+
+    Both graphs admit the same symmetric partition with identical neighbor
+    counts, and rho of a connected graph is the top eigenvalue of any
+    equitable quotient (Godsil-Royle 9.3); the two quotients are computed
+    independently and must agree entry for entry.
+    """
+    if m < 3 or p < 1:
+        raise InvalidParameterError(f"need m >= 3 and p >= 1, got m={m}, p={p}")
+    gb, lb = build_bicyclic(spec_B(m, p, m))
+    qb = _quotient_of(gb, _symmetric_classes(lb, m, p))
+    gp, lp = build_bicyclic(spec_P(m, p, m))
+    qp = _quotient_of(gp, _symmetric_classes(lp, m, p))
+    if not np.array_equal(qb, qp):
+        raise NumericFailure(f"quotients of B({m},{p},{m}) and P({m},{p},{m}) differ")
+    return QuotientMatrix(qb, tuple(_symmetric_classes(lb, m, p)))
 
 
 class TestInterpolant:
@@ -432,6 +501,53 @@ class TestFamilyBracket:
             assert br.lo < Fraction(rho_analytic(m, p, q).rho) <= br.hi
 
 
+class TestFamilyCharPoly:
+    def test_equals_char_poly_on_every_core_to_24(self):
+        specs = _core_specs_bicyclic(24)
+        assert len(specs) == 1260
+        for spec in specs:
+            assert family_char_poly(spec) == char_poly(build_bicyclic(spec)[0]).coeffs, spec
+
+    def test_past_the_exact_cap(self):
+        # order 100, where char_poly refuses: monic, the trace and edge
+        # count read off the top coefficients, and rho a root in the bracket
+        spec = spec_P(33, 35, 33)
+        p = family_char_poly(spec)
+        assert spec.order == 100 and len(p) == 101 and p[-1] == 1
+        assert (p[-2], p[-3]) == (0, -101)
+        br = family_bracket(spec)
+        assert xp.count_roots_in(p, br.lo, br.hi) == 1
+
+
+class TestFamilyCertificate:
+    def test_isolates_rho_on_every_grid_and_core_spec(self):
+        # the isolating bracket lies inside the proved hub bracket, holds one
+        # root of the family polynomial, and none lies above it
+        from spectramin.verify import _grid_specs
+
+        specs = set(_grid_specs(12)) | set(_core_specs_bicyclic(16))
+        assert len(specs) == 3002
+        for spec in specs:
+            cert = FamilyCertificate(spec)
+            cert.isolate()
+            lo, hi = cert.bounds
+            assert lo <= cert.lo < cert.hi <= hi, spec
+            assert xp.count_roots_in(cert.poly, cert.lo, cert.hi) == 1, spec
+            assert xp.variations_at(cert.poly, cert.hi) == 0, spec
+
+    def test_counts_shed_a_close_second_root(self):
+        # lambda_2 of B(3,30,3) lies within 4e-7 of rho; from a seed window
+        # that holds both, root counts keep rho alone
+        spec = spec_B(3, 30, 3)
+        cert = FamilyCertificate(spec)
+        eig = np.linalg.eigvalsh(build_bicyclic(spec)[0].adjacency_matrix())
+        assert eig[-1] - eig[-2] < 4e-7
+        cert.bounds = (Fraction(eig[-2]) - Fraction(1, 10**6), cert.bounds[1])
+        cert.isolate()
+        assert xp.count_roots_in(cert.poly, cert.lo, cert.hi) == 1
+        assert cert.lo > Fraction(eig[-2])
+
+
 class TestQuotient:
     @pytest.mark.parametrize("m,p", [(3, 1), (4, 3), (6, 2), (8, 8)])
     def test_top_eigenvalue_matches(self, m, p):
@@ -453,13 +569,18 @@ class TestQuotient:
         assert np.all(qm.matrix >= 0)
 
     def test_equality_over_grid(self):
+        # the quotient oracle's equal pairs are certified equal from the
+        # graphs' char polys and from the family polynomials alike
         from spectramin.spectral import compare_rho_certified
+        from spectramin.verify import compare_families
 
         for m in range(3, 9):
             for p in range(1, 9):
+                quotient_matrix_symmetric(m, p)
                 gb, _ = build_bicyclic(spec_B(m, p, m))
                 gp, _ = build_bicyclic(spec_P(m, p, m))
                 assert compare_rho_certified(gb, gp) == "equal", (m, p)
+                assert compare_families(spec_B(m, p, m), spec_P(m, p, m)) == "equal", (m, p)
 
 
 class TestSwapGap:

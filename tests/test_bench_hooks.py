@@ -81,9 +81,8 @@ def test_filtered_bicyclic_classes_build_each_core_lazily(monkeypatch):
     assert sum(map(len, yielded)) == 30
 
 
-def test_certificate_hooks_fire_in_a_lemmas_pass(monkeypatch):
-    # the smoke run fails when a counted wrapper never fires: a small lemmas
-    # pass must still reach each exact routine the tracer counts
+def _count_certificate_calls(monkeypatch) -> dict:
+    """Patch each exact routine the tracer counts; the dict counts their calls."""
     calls = {}
     for module, attr in [(spectral, "char_poly"), (exactpoly, "sign_at"),
                          (exactpoly, "count_roots_in"), (exactpoly, "poly_gcd")]:
@@ -92,9 +91,42 @@ def test_certificate_hooks_fire_in_a_lemmas_pass(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_certificate_hooks_fire_in_a_lemmas_pass(monkeypatch):
+    # the smoke run fails when a counted wrapper fires in none of its
+    # workloads.  A lemmas pass reaches the root counts and the gcd through
+    # the family polynomials, and builds no graph's char poly
+    calls = _count_certificate_calls(monkeypatch)
     reports = verify.verify_family_grids(4) + verify.verify_descent_endpoint_readings()
     assert all(r.status == "pass" for r in reports)
+    assert {"count_roots_in", "poly_gcd"} <= set(calls) and "char_poly" not in calls
+
+
+def test_certificate_hooks_fire_in_an_edge_minimal_pass(monkeypatch):
+    # _resolve_argmin compares the two equal-radius graphs of the argmin,
+    # so an edge-minimal pass reaches every counted exact routine
+    calls = _count_certificate_calls(monkeypatch)
+    reports = verify.verify_edge_minimal_pair([10])
+    assert [r.status for r in reports] == ["pass"]
     assert set(calls) == {"char_poly", "sign_at", "count_roots_in", "poly_gcd"}
+
+
+def test_lemma_verdicts_reach_the_traced_comparator(monkeypatch):
+    # the tracer counts verdicts by wrapping verify.compare_rho_certified:
+    # every lemma comparison, the strict ones included, passes through it
+    seen = []
+    compare = verify.compare_rho_certified
+
+    def record(*args):
+        seen.append(compare(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(verify, "compare_rho_certified", record)
+    reports = verify.verify_family_grids(4) + verify.verify_descent_endpoint_readings()
+    assert all(r.status == "pass" for r in reports)
+    assert set(seen) == {"less", "greater", "equal"}
 
 
 def test_edge_minimal_10_eigensolves_pinned(monkeypatch):

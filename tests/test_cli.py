@@ -203,8 +203,8 @@ class TestBadInput:
             (["verify", "theorem-1.1", "--n", ""], None),
             # a family graph past the exact polynomial cap
             (["rho", "B:3,200,3", "--charpoly"], None),
-            # a lemma grid whose equal pairs pass the exact cap, refused before any work
-            (["verify", "lemmas", "--grid", "3..22"], None),
+            # a lemma grid past the largest sized one, refused before any work
+            (["verify", "lemmas", "--grid", "3..31"], None),
             # an --n or --grid item that is no integer or a..b range
             (["verify", "edge-minimal-pair", "--n", "7.."], None),
             (["verify", "edge-minimal-pair", "--n", "..9"], None),
@@ -241,11 +241,11 @@ class TestBadInput:
         assert "error: --n: range '3..10000000000' passes n = 512" in err
 
     def test_lemma_grid_limit_is_named(self, capsys):
-        # B(22, 21, 24) has order 66: refused before any comparison runs
-        assert main(["verify", "lemmas", "--grid", "3..22"]) == 2
+        # refused before any comparison runs
+        assert main(["verify", "lemmas", "--grid", "3..31"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert "error: --grid 3..22:" in err and "the largest grid is 3..21" in err
+        assert "error: --grid 3..31:" in err and "the largest grid is 3..30" in err
 
     @pytest.mark.parametrize("token", ["9..7", "7,9..7"])
     def test_empty_order_range_is_named(self, token, capsys):

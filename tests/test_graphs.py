@@ -208,8 +208,9 @@ class TestBicyclicFamilies:
             assert g.has_edge(a, b)
 
     def test_rows_and_labeling_pinned(self):
-        # analytic.perron_closed_form and the symmetric-class tables read
-        # vertices by this indexing, so it must not move
+        # analytic.perron_closed_form and the mirror classes of the quotient
+        # oracle in test_analytic read vertices by this indexing, so it must
+        # not move
         from spectramin.enumeration import _core_specs_bicyclic
         from spectramin.verify import _grid_specs
 

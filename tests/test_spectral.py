@@ -414,13 +414,18 @@ class TestCertificatePins:
         assert hashlib.sha256("\n".join(verdicts).encode()).hexdigest() == GRID6_VERDICTS_SHA256
 
     def test_grid_6_verdicts_from_char_polys_alone(self, grid_6_verdicts, monkeypatch):
-        # with no hub bracket, no mirror quotient and no Perron bracket every
-        # pair goes to the char polys: the isolating brackets and the gcd
-        # must give the same verdicts
+        # with every hub bracket voided to (2, 4] no strict verdict comes from
+        # the bounds: every pair reaches the family polynomials, and their
+        # isolating brackets and gcd must give the same verdicts
+        from spectramin import analytic
         from spectramin.spectral import RhoBracket
 
-        def no_quotient(m, p):
-            raise spectral.NumericFailure("voided")
+        built = []
+        family_char_poly = analytic.family_char_poly
+
+        def recorded(spec):
+            built.append(spec)
+            return family_char_poly(spec)
 
         reached = []
         compare = verify.compare_rho_certified
@@ -429,14 +434,16 @@ class TestCertificatePins:
             reached.append(compare(*args))
             return reached[-1]
 
-        monkeypatch.setattr(verify, "family_bracket", lambda spec: RhoBracket(Fraction(2), Fraction(4)))
-        monkeypatch.setattr(verify, "quotient_matrix_symmetric", no_quotient)
-        monkeypatch.setattr(spectral, "_perron_bracket", lambda a, v: (Fraction(0), None))
+        monkeypatch.setattr(analytic, "family_bracket", lambda spec: RhoBracket(Fraction(2), Fraction(4)))
+        monkeypatch.setattr(analytic, "family_char_poly", recorded)
         monkeypatch.setattr(verify, "compare_rho_certified", record)
         reports = verify.verify_family_grids(6)
         assert all(r.status == "pass" for r in reports)
         verdicts = grid_6_verdicts
         assert reached == verdicts
+        compared = {s for _, _, _, pairs, _ in verify._grid_claims(6)
+                    for _, a, b, _ in pairs for s in (a, b)}
+        assert len(built) == len(compared) and set(built) == compared
         assert (verdicts.count("less"), verdicts.count("equal")) == (205, 28)
         assert hashlib.sha256("\n".join(verdicts).encode()).hexdigest() == GRID6_VERDICTS_SHA256
 
@@ -466,7 +473,7 @@ class TestCompareCertified:
         monkeypatch.setattr(_CertifiedRho, "refine", counted)
         certs = {}
         assert compare_rho_certified(a, b, certs) == "greater"
-        (lo_a, hi_a), (lo_b, hi_b) = certs[a].perron, certs[b].perron
+        (lo_a, hi_a), (lo_b, hi_b) = certs[a].bounds, certs[b].bounds
         assert lo_a <= hi_b and lo_b <= hi_a
         assert set(refined) == {a, b}
         width = Fraction(1, 2**70)
@@ -529,7 +536,7 @@ class TestPerronTier:
         graphs = [g for n in range(2, 8) for g in enumerate_connected(n)]
         graphs += [build_bicyclic(spec)[0] for spec in verify._grid_specs(6)]
         for g in graphs:
-            lo, hi = _CertifiedRho(g).perron
+            lo, hi = _CertifiedRho(g).bounds
             p = char_poly(g).coeffs
             assert lo <= hi < lo + Fraction(1, 10**9)
             assert xp.variations_at(p, hi) == 0
@@ -542,7 +549,7 @@ class TestPerronTier:
         c5, c8 = build_cycle(5), build_cycle(8)
         certs = {}
         assert compare_rho_certified(c5, c8, certs) == "equal"
-        assert certs[c5].perron == certs[c8].perron == (2, 2)
+        assert certs[c5].bounds == certs[c8].bounds == (2, 2)
         assert charpoly_calls == [c5, c8]
 
     def test_strict_pair_needs_no_char_poly(self, charpoly_calls):
@@ -570,9 +577,9 @@ class TestPerronTier:
         certs = {}
         assert compare_rho_certified(b434, b443, certs) == "less"
         assert compare_rho_certified(b443, b434, certs) == "greater"
-        lo, hi = certs[b434].perron
+        lo, hi = certs[b434].bounds
         assert hi is None and lo <= np.linalg.eigvalsh(target)[-1]
-        assert None not in certs[b443].perron
+        assert None not in certs[b443].bounds
         assert charpoly_calls == [b434, b443]
 
     def test_half_bracket_gives_a_strict_verdict(self, charpoly_calls):
@@ -584,7 +591,7 @@ class TestPerronTier:
         certs = {}
         assert compare_rho_certified(c70, b, certs) == "less"
         assert compare_rho_certified(b, c70, certs) == "greater"
-        assert certs[b].perron[1] is None and certs[c70].perron == (2, 2)
+        assert certs[b].bounds[1] is None and certs[c70].bounds == (2, 2)
         assert charpoly_calls == []
 
 

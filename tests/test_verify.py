@@ -704,63 +704,94 @@ def _grid_pairs(pmax):
 
 class TestCompareFamilies:
     def test_agrees_with_compare_rho_certified_on_grid_6(self):
-        pool = verify.FamilyPool()
+        certs = {}
         for a, b in _grid_spec_pairs(6):
             want = spectramin.compare_rho_certified(build_bicyclic(a)[0], build_bicyclic(b)[0])
-            assert compare_families(a, b, pool) == want, (a, b)
+            assert compare_families(a, b, certs) == want, (a, b)
             assert compare_families(b, a) == {"less": "greater"}.get(want, want), (a, b)
 
-    def test_non_mirror_pairs_never_reach_the_quotient(self, monkeypatch):
-        asked = []
-        quotient = verify.quotient_matrix_symmetric
+    def test_only_overlapping_pairs_reach_the_polynomials(self, monkeypatch):
+        # disjoint hub brackets settle every strict pair of grid 6, so the
+        # family polynomials built are those of the specs in equal pairs
+        from spectramin import analytic
 
-        def recorded(m, p):
-            asked.append((m, p))
-            return quotient(m, p)
+        built = []
+        family_char_poly = analytic.family_char_poly
 
-        monkeypatch.setattr(verify, "quotient_matrix_symmetric", recorded)
-        pool = verify.FamilyPool()
-        mirrors = [(m, p) for m in range(3, 7) for p in range(1, 7)]
+        def recorded(spec):
+            built.append(spec)
+            return family_char_poly(spec)
+
+        monkeypatch.setattr(analytic, "family_char_poly", recorded)
+        certs = {}
+        equal = set()
         for a, b in _grid_spec_pairs(6):
-            compare_families(a, b, pool)
-        assert asked == mirrors
-        # equal radii alone do not make a mirror pair: B(3,3,3) = B(3,2,5)
-        # goes to the gcd, as do a theta and a dumbbell that differ
-        for a, b in [(spec_B(3, 3, 3), spec_B(3, 2, 5)), (spec_P(3, 4, 5), spec_B(3, 4, 5)),
-                     (spec_C(4, 4), spec_B(4, 1, 4))]:
-            compare_families(a, b, pool)
-        assert asked == mirrors
+            if compare_families(a, b, certs) == "equal":
+                equal |= {a, b}
+        assert len(built) == len(set(built)) and set(built) == equal
+        # equal radii need not make a mirror pair: B(3,3,3) = B(3,2,5) by the
+        # gcd; a theta and a dumbbell that differ are strict from the brackets
+        built.clear()
+        certs = {}
+        assert compare_families(spec_B(3, 3, 3), spec_B(3, 2, 5), certs) == "equal"
+        assert compare_families(spec_P(3, 4, 5), spec_B(3, 4, 5), certs) == "less"
+        assert compare_families(spec_C(4, 4), spec_B(4, 1, 4), certs) == "greater"
+        assert built == [spec_B(3, 3, 3), spec_B(3, 2, 5)]
 
-    def test_a_failed_quotient_falls_through_to_the_gcd(self, monkeypatch):
-        def void(m, p):
-            raise verify.NumericFailure("voided")
+    def test_mirror_equality_comes_from_the_gcd(self, monkeypatch):
+        # the pair goes to compare_rho_certified by its name in verify, and
+        # the integer gcd of the two family polynomials has rho as a root
+        from spectramin import exactpoly
 
-        reached = []
-        compare = verify.compare_rho_certified
+        reached, gcds = [], []
+        compare, gcd = verify.compare_rho_certified, exactpoly.poly_gcd
 
         def record(*args):
             reached.append(compare(*args))
             return reached[-1]
 
-        monkeypatch.setattr(verify, "quotient_matrix_symmetric", void)
+        def recorded_gcd(f, g):
+            gcds.append(gcd(f, g))
+            return gcds[-1]
+
         monkeypatch.setattr(verify, "compare_rho_certified", record)
+        monkeypatch.setattr(exactpoly, "poly_gcd", recorded_gcd)
         assert compare_families(spec_B(4, 2, 4), spec_P(4, 2, 4)) == "equal"
-        assert reached == ["equal"]
+        assert reached == ["equal"] and len(gcds) == 1 and len(gcds[0]) > 1
+
+    def test_two_cycle_comparisons_build_no_matrix(self, monkeypatch):
+        # with graph certificates and char_poly refused, the lemma grids, the
+        # descent readings and the edge-minimal pair equality still pass
+        from spectramin import spectral
+
+        searched = {n: verify.minimizer_bicyclic(n, None) for n in range(7, 11)}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a two-cycle comparison built a matrix")
+
+        monkeypatch.setattr(verify, "minimizer_bicyclic", lambda n, alpha: searched[n])
+        monkeypatch.setattr(spectral._CertifiedRho, "__init__", refuse)
+        monkeypatch.setattr(spectral, "char_poly", refuse)
+        reports = verify.verify_family_grids(9) + verify.verify_descent_endpoint_readings()
+        assert all(r.status == "pass" for r in reports)
+        pairs = verify_edge_minimal_pair(range(7, 11))
+        assert all(r.status == "pass" and "gcd-equality=yes" in r.detail for r in pairs)
 
 
 class TestCertificatePool:
     @pytest.fixture
     def charpoly_calls(self, monkeypatch):
-        from spectramin import spectral
+        # the specs whose family polynomial a pass builds, in order
+        from spectramin import analytic
 
         calls = []
-        real = spectral.char_poly
+        real = analytic.family_char_poly
 
-        def counted(g):
-            calls.append(g)
-            return real(g)
+        def counted(spec):
+            calls.append(spec)
+            return real(spec)
 
-        monkeypatch.setattr(spectral, "char_poly", counted)
+        monkeypatch.setattr(analytic, "family_char_poly", counted)
         return calls
 
     @pytest.fixture
@@ -770,55 +801,46 @@ class TestCertificatePool:
         seen = []
         compare = verify.compare_families
 
-        def record(a, b, pool=None):
-            seen.append((a, b, compare(a, b, pool)))
+        def record(a, b, certs=None):
+            seen.append((a, b, compare(a, b, certs)))
             return seen[-1][2]
 
         monkeypatch.setattr(verify, "compare_families", record)
         return seen
 
-    @pytest.fixture
-    def no_quotient(self, monkeypatch):
-        from spectramin import verify
-
-        def void(m, p):
-            raise verify.NumericFailure("voided")
-
-        monkeypatch.setattr(verify, "quotient_matrix_symmetric", void)
-
-    def test_one_char_poly_per_distinct_graph(self, charpoly_calls, verdicts, no_quotient):
-        # hub brackets settle every strict verdict, so with the mirror
-        # quotient voided the char polys are exactly those of the graphs in
-        # equal-verdict pairs, one per graph though some graph sits in two
-        # such pairs
+    def test_one_char_poly_per_distinct_graph(self, charpoly_calls, verdicts):
+        # hub brackets settle every strict verdict, so the family polynomials
+        # are exactly those of the specs in equal-verdict pairs, one per spec
+        # though some spec sits in two such pairs
         verify_family_grids(4)
         assert len(verdicts) == len(_grid_pairs(4))
         equal_pairs = [(a, b) for a, b, v in verdicts if v == "equal"]
-        equal = {build_bicyclic(s)[0] for pair in equal_pairs for s in pair}
+        equal = {s for pair in equal_pairs for s in pair}
         assert len(equal) < 2 * len(equal_pairs)
         assert len(charpoly_calls) == len(set(charpoly_calls)) == len(equal)
         assert set(charpoly_calls) == equal
 
     @pytest.fixture
     def no_refine(self, monkeypatch):
-        # every comparison these passes make is settled by a Perron bracket or the gcd
+        # every comparison these passes make is settled by the bounds or the gcd
         from spectramin import spectral
 
         def refuse(cert, width):
             raise AssertionError("no comparison here needs bisection")
 
-        monkeypatch.setattr(spectral._CertifiedRho, "refine", refuse)
+        monkeypatch.setattr(spectral._Certificate, "refine", refuse)
 
     def test_lemmas_pass_verdicts_and_char_polys_pinned(self, charpoly_calls, verdicts,
                                                          no_refine):
         from spectramin.verify import verify_descent_endpoint_readings
 
-        # only the 7 path-shortening equalities B(m,m-1,m+2) = B(m,m,m) reach
-        # the char polys; the 66 mirror equalities are settled by the quotient
+        # the 70 equalities of grid 9 build the family polynomials of their
+        # 133 distinct specs, and the descent readings' 3 equalities, with
+        # certificates of their own, 6 more; the strict pairs build none
         reports = verify_family_grids(9)
-        assert len(charpoly_calls) == 14
+        assert len(charpoly_calls) == len(set(charpoly_calls)) == 133
         reports += verify_descent_endpoint_readings()
-        assert len(charpoly_calls) == 14
+        assert len(charpoly_calls) == 139 and len(set(charpoly_calls[133:])) == 6
         assert all(r.status == "pass" for r in reports)
         counts = [sum(v == want for _, _, v in verdicts)
                   for want in ("less", "greater", "equal", "unresolved")]
@@ -828,8 +850,8 @@ class TestCertificatePool:
         assert [r.status for r in verify_edge_minimal_pair([12])] == ["pass"]
 
     def test_each_spec_built_at_most_once(self, monkeypatch):
-        # a spec is built only for the parity check or a pair that reaches
-        # compare_rho_certified, and then once
+        # a spec is built only for the parity check, and then once: no
+        # comparison builds a graph
         from spectramin import verify
 
         built = []
@@ -842,9 +864,7 @@ class TestCertificatePool:
         monkeypatch.setattr(verify, "build_bicyclic", counted)
         verify_family_grids(4)
         assert len(built) == len(set(built))
-        # past the grid itself, only the far graphs B(m, m-1, m+2) of the
-        # path-shortening equalities are built
-        assert set(built) == set(verify._grid_specs(4)) | {spec_B(3, 2, 5), spec_B(4, 3, 6)}
+        assert set(built) == set(verify._grid_specs(4))
 
     def test_pool_does_not_outlive_its_call(self, charpoly_calls):
         verify_family_grids(4)
